@@ -16,7 +16,6 @@ from math import prod
 from typing import Iterable, Sequence
 
 from .betti import TorsionForm, betti, torsion_closed_form
-from .errors import InvalidInput
 from .links import (
     BPExponents,
     WeightSystem,
@@ -24,8 +23,14 @@ from .links import (
     canonical_key,
     classify_sign,
     is_well_formed,
+    parse_link as parse_key,
 )
-from .spheres import SphereVerdict, brieskorn_signature
+from .spheres import (
+    SphereVerdict,
+    bp8_residue,
+    brieskorn_signature,
+    is_homology_3_sphere,
+)
 
 TOOL_VERSION = "0.1.0"
 
@@ -114,23 +119,6 @@ class InvariantRecord:
         )
 
 
-def parse_key(key: str) -> BPExponents | WeightSystem:
-    if key.startswith("bp:"):
-        return BPExponents(tuple(int(x) for x in key[3:].split(",")))
-    if key.startswith("w:"):
-        body = key[2:]
-        ws, _, deg = body.partition("@")
-        if not deg:
-            raise InvalidInput("weight key needs @degree")
-        return WeightSystem(tuple(int(x) for x in ws.split(",")), int(deg))
-    raise InvalidInput("unknown key form %r" % (key,))
-
-
-def key_nvars(key: str) -> int:
-    obj = parse_key(key)
-    return obj.nvars
-
-
 def _sphere_verdict(
     exps: BPExponents | None,
     ws: WeightSystem,
@@ -138,21 +126,15 @@ def _sphere_verdict(
     torsion: TorsionForm,
     signature: int | None,
 ) -> SphereVerdict:
-    if ws.nvars == 3:
-        if exps is not None and exps.pairwise_coprime():
-            return SphereVerdict("homology_sphere")
-        if middle == 0:
-            return SphereVerdict("rational_homology_sphere")
-        return SphereVerdict("not_a_sphere")
+    if ws.nvars == 3 and exps is not None and is_homology_3_sphere(exps):
+        return SphereVerdict("homology_sphere")
     if middle != 0:
         return SphereVerdict("not_a_sphere")
-    if ws.nvars == 4:
+    if ws.nvars == 4 and torsion.kind == "torsion_free":
         # simply connected 5-manifold with H_2 = 0 is the standard sphere
-        if torsion.kind == "torsion_free":
-            return SphereVerdict("standard_sphere")
-        return SphereVerdict("rational_homology_sphere")
-    if ws.nvars == 5 and signature is not None and signature % 8 == 0:
-        return SphereVerdict("rational_homology_sphere", (signature // 8) % 28)
+        return SphereVerdict("standard_sphere")
+    if ws.nvars == 5 and signature is not None:
+        return SphereVerdict("rational_homology_sphere", bp8_residue(signature))
     return SphereVerdict("rational_homology_sphere")
 
 
@@ -282,7 +264,7 @@ def catalog_query(
             continue
         if sphere is not None and rec.sphere.kind != sphere:
             continue
-        if nvars is not None and key_nvars(rec.key) != nvars:
+        if nvars is not None and parse_key(rec.key).nvars != nvars:
             continue
         out.append(rec)
     out.sort(key=lambda r: r.key)

@@ -1,11 +1,8 @@
 """Command line front end.
 
-Link grammar accepted by positional LINK arguments:
-
-    bp:5,3,2                          Brieskorn-Pham exponents
-    w:13,43,101,158@316               weight system with degree
-    mono:[21,1,0,0;0,5,1,0;...]       monomial exponent rows
-    kervaire:3,5@7                    r_1,...,r_2m @ a (sphere command)
+Positional LINK arguments use the one link grammar, links.parse_link
+(bp:, w: and mono:, the same grammar as catalog keys).  The sphere
+command also takes kervaire:r_1,...,r_2m@a, e.g. kervaire:3,5@7.
 
 Exit codes: 0 success, 2 invalid input, 3 bounds over budget, 4 I/O.
 Configuration (key=value file named by --config or ATLAS_CONFIG):
@@ -24,33 +21,10 @@ from . import catalog as cat
 from . import curvature, eta, links, search, spheres
 from .betti import betti as betti_of, torsion_closed_form
 from .errors import AtlasError, BoundsTooLarge, InvalidInput
+from .links import _ints, parse_link
 
 CONFIG_ENV = "ATLAS_CONFIG"
 DEFAULTS = {"catalog": "atlas.jsonl", "budget": search.DEFAULT_BUDGET, "threads": 1}
-
-
-def parse_link(text: str):
-    if text.startswith("bp:"):
-        return links.BPExponents(_ints(text[3:]))
-    if text.startswith("w:"):
-        body, sep, deg = text[2:].partition("@")
-        if not sep:
-            raise InvalidInput("weight form is w:w0,w1,...@degree")
-        return links.WeightSystem(_ints(body), int(deg))
-    if text.startswith("mono:"):
-        body = text[5:]
-        if not (body.startswith("[") and body.endswith("]")):
-            raise InvalidInput("monomial form is mono:[r0;r1;...]")
-        rows = [_ints(r) for r in body[1:-1].split(";") if r]
-        return links.solve_weights(rows)
-    raise InvalidInput("unrecognized link %r (want bp:, w: or mono:)" % text)
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise InvalidInput("expected comma separated integers, got %r" % text)
 
 
 def _rat(text: str) -> Fraction:
@@ -104,7 +78,12 @@ def load_config(path: str | None) -> dict:
                     "config line %d: expected catalog/budget/threads = value"
                     % lineno
                 )
-            resolved[key] = val if key == "catalog" else int(val)
+            try:
+                resolved[key] = val if key == "catalog" else int(val)
+            except ValueError:
+                raise InvalidInput(
+                    "config line %d: %s needs an integer, got %r" % (lineno, key, val)
+                ) from None
     return resolved
 
 
@@ -187,12 +166,13 @@ def cmd_monomials(args, out):
 def cmd_sphere(args, out):
     if args.link.startswith("kervaire:"):
         body, sep, a = args.link[len("kervaire:") :].partition("@")
-        if not sep:
+        if not sep or "," in a:
             raise InvalidInput("kervaire form is kervaire:r1,...,r2m@a")
-        verdict, sign = spheres.kervaire_classify(_ints(body), int(a))
+        a = _ints(a)[0]
+        verdict, sign = spheres.kervaire_classify(_ints(body), a)
         _emit(
             out,
-            {"kind": verdict.kind, "sign": sign, "a_mod_8": int(a) % 8},
+            {"kind": verdict.kind, "sign": sign, "a_mod_8": a % 8},
             args.json,
         )
         return 0
@@ -336,10 +316,9 @@ def _parse_bounds(text: str) -> dict[str, tuple[int, int]]:
     bounds = {}
     for part in text.split(","):
         key, sep, span = part.partition("=")
-        lo, sep2, hi = span.partition(":")
-        if not sep or not sep2:
+        if not sep or span.count(":") != 1:
             raise InvalidInput("bounds look like k=2:8,p=2:600")
-        bounds[key.strip()] = (int(lo), int(hi))
+        bounds[key.strip()] = _ints(span, ":")
     return bounds
 
 
@@ -367,7 +346,7 @@ def cmd_search(args, out):
         if args.family != "kkkk1p":
             raise InvalidInput("--bp8-sweep applies to the kkkk1p family")
         sweep = search.seven_sphere_sweep(
-            bounds["k"][1], bounds["p"][1], budget=cfg["budget"], threads=cfg["threads"]
+            bounds, budget=cfg["budget"], threads=cfg["threads"]
         )
         payload = {
             "distinct_residues": sweep.distinct,

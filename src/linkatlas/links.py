@@ -249,10 +249,6 @@ def pi1_class(ws: WeightSystem) -> Pi1Class:
     return Pi1Class.INFINITE
 
 
-def _ade_row(rows: list[list[int]]) -> WeightSystem:
-    return solve_weights(rows)
-
-
 _E_ROWS = (
     ("E_6", [[4, 0, 0], [0, 3, 0], [0, 0, 2]]),
     ("E_7", [[3, 0, 0], [1, 3, 0], [0, 0, 2]]),
@@ -272,14 +268,14 @@ def ade_match(ws: WeightSystem) -> str | None:
     if classify_sign(ws) is not SignClass.POSITIVE:
         return None
     for label, rows in _E_ROWS:
-        if ws == _ade_row(rows):
+        if ws == solve_weights(rows):
             return label
     d = ws.degree
     for p in range(2, d + 1):
-        if ws == _ade_row([[p, 0, 0], [0, 2, 0], [0, 0, 2]]):
+        if ws == solve_weights([[p, 0, 0], [0, 2, 0], [0, 0, 2]]):
             return "A_%d" % (p - 1)
     for m in range(3, d + 1):
-        if ws == _ade_row([[2, 1, 0], [0, m, 0], [0, 0, 2]]):
+        if ws == solve_weights([[2, 1, 0], [0, m, 0], [0, 0, 2]]):
             return "D_%d" % m
     return None
 
@@ -298,6 +294,39 @@ def reciprocal_sum(a: Sequence[int] | BPExponents) -> Fraction:
     return sum((Fraction(1, x) for x in exps), Fraction(0))
 
 
+def _ints(text: str, sep: str = ",") -> tuple[int, ...]:
+    try:
+        return tuple(map(int, text.split(sep)))
+    except ValueError:
+        raise InvalidInput(
+            "expected integers separated by %r, got %r" % (sep, text)
+        ) from None
+
+
+def parse_link(text: str) -> BPExponents | WeightSystem:
+    """Parse the link grammar, which is also the catalog key grammar:
+
+        bp:5,3,2                     Brieskorn-Pham exponents
+        w:13,43,101,158@316          weight system with degree
+        mono:[21,1,0,0;0,5,1,0;...]  monomial exponent rows (weights solved)
+
+    Malformed text raises InvalidInput.
+    """
+    if text.startswith("bp:"):
+        return BPExponents(_ints(text[3:]))
+    if text.startswith("w:"):
+        body, sep, deg = text[2:].partition("@")
+        if not sep or "," in deg:
+            raise InvalidInput("weight form is w:w0,w1,...@degree")
+        return WeightSystem(_ints(body), _ints(deg)[0])
+    if text.startswith("mono:"):
+        body = text[5:]
+        if not (body.startswith("[") and body.endswith("]")):
+            raise InvalidInput("monomial form is mono:[r0;r1;...]")
+        return solve_weights([_ints(r) for r in body[1:-1].split(";") if r])
+    raise InvalidInput("unrecognized link %r (want bp:, w: or mono:)" % text)
+
+
 __all__ = [
     "SignClass",
     "Pi1Class",
@@ -312,4 +341,5 @@ __all__ = [
     "ade_match",
     "canonical_key",
     "reciprocal_sum",
+    "parse_link",
 ]

@@ -15,7 +15,7 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from math import gcd
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import InvariantRecord, build_record, record_cost
 from .errors import BoundsTooLarge, InvalidInput
@@ -144,24 +144,53 @@ def _family_kervaire(bounds) -> Iterator[Member]:
             )
 
 
+def _refine_kervaire(member: Member, record: InvariantRecord) -> InvariantRecord:
+    # the dimension criterion refines the verdict of a rational homology sphere
+    if record.middle_betti != 0:
+        return record
+    verdict, _ = kervaire_classify(member.fixed, member.varying)
+    if verdict.kind == "undetermined":
+        return record
+    return replace(record, sphere=verdict)
+
+
+def _notes_237m(spec: SearchSpec, members: list[Member]) -> list[str]:
+    pred = spec.predicate
+    if pred.min_coprime_fixed == 2 and tuple(spec.bounds.get("m", ())) == (5, 41):
+        return [
+            "enumeration finds %d members; a previously published count "
+            "for this family is 27" % len(members)
+        ]
+    return []
+
+
+class Family(NamedTuple):
+    """Member generator of a family plus its optional hooks: refine
+    adjusts each built record, notes comments on the whole search."""
+
+    generate: Callable[[Mapping[str, tuple[int, int]]], Iterator[Member]]
+    refine: Callable[[Member, InvariantRecord], InvariantRecord] = lambda m, r: r
+    notes: Callable[[SearchSpec, list[Member]], Sequence[str]] = lambda s, m: ()
+
+
 FAMILIES = {
-    "bp-box": _bp_box,
-    "237m": _family_237m,
-    "kkk1p": _family_kkk1p,
-    "kkkk1p": _family_kkkk1p,
-    "pqrpqr": _family_pqr,
-    "kervaire": _family_kervaire,
+    "bp-box": Family(_bp_box),
+    "237m": Family(_family_237m, notes=_notes_237m),
+    "kkk1p": Family(_family_kkk1p),
+    "kkkk1p": Family(_family_kkkk1p),
+    "pqrpqr": Family(_family_pqr),
+    "kervaire": Family(_family_kervaire, refine=_refine_kervaire),
 }
 
 
 def _members(spec: SearchSpec) -> list[Member]:
     try:
-        gen = FAMILIES[spec.family]
+        family = FAMILIES[spec.family]
     except KeyError:
         raise InvalidInput(
             "unknown family %r (have: %s)" % (spec.family, ", ".join(sorted(FAMILIES)))
         ) from None
-    return list(gen(spec.bounds))
+    return list(family.generate(spec.bounds))
 
 
 def _passes(member: Member, pred: Predicate, record: InvariantRecord) -> bool:
@@ -189,14 +218,12 @@ def check_budget(members: list[Member], budget: int) -> int:
     return total
 
 
-def _evaluate(member: Member) -> InvariantRecord:
-    record = build_record(member.exponents)
-    return record
-
-
-def run_search(
-    spec: SearchSpec, budget: int = DEFAULT_BUDGET, threads: int = 1
-) -> SearchResult:
+def _evaluated(
+    spec: SearchSpec, budget: int, threads: int
+) -> Iterator[tuple[Member, InvariantRecord]]:
+    """(member, record) pairs of a search in enumeration order, after
+    min_coprime_fixed and the budget check and with the family's refine
+    hook applied.  Nothing is built until the first pair is taken."""
     members = _members(spec)
     pred = spec.predicate
 
@@ -212,43 +239,31 @@ def run_search(
 
     check_budget(members, budget)
 
+    exponents = (m.exponents for m in members)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_evaluate, members))
+            records = list(pool.map(build_record, exponents))
     else:
-        records = [_evaluate(m) for m in members]
+        records = map(build_record, exponents)
 
-    if spec.family == "kervaire":
-        # the dimension criterion refines the sphere verdict here
-        refined = []
-        for member, rec in zip(members, records):
-            rs = tuple(x // 2 for x in member.exponents.exponents[1:-1])
-            verdict, _ = kervaire_classify(rs, member.varying)
-            if rec.middle_betti == 0 and verdict.kind != "undetermined":
-                rec = replace(rec, sphere=verdict)
-            refined.append(rec)
-        records = refined
+    refine = FAMILIES[spec.family].refine
+    for member, record in zip(members, records):
+        yield member, refine(member, record)
 
+
+def run_search(
+    spec: SearchSpec, budget: int = DEFAULT_BUDGET, threads: int = 1
+) -> SearchResult:
+    members = []
     matched: dict[str, InvariantRecord] = {}
-    examined = 0
-    for member, rec in zip(members, records):
-        examined += 1
-        if _passes(member, pred, rec) and rec.key not in matched:
-            matched[rec.key] = rec
+    for member, rec in _evaluated(spec, budget, threads):
+        members.append(member)
+        if _passes(member, spec.predicate, rec):
+            matched.setdefault(rec.key, rec)
 
-    notes = []
-    if (
-        spec.family == "237m"
-        and pred.min_coprime_fixed == 2
-        and tuple(spec.bounds.get("m", ())) == (5, 41)
-    ):
-        notes.append(
-            "enumeration finds %d members; a previously published count "
-            "for this family is 27" % len(members)
-        )
-
+    notes = FAMILIES[spec.family].notes(spec, members)
     ordered = tuple(matched[k] for k in sorted(matched))
-    return SearchResult(ordered, examined, len(ordered), tuple(notes))
+    return SearchResult(ordered, len(members), len(ordered), tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -267,38 +282,22 @@ class SweepResult:
 
 
 def seven_sphere_sweep(
-    k_max: int, p_max: int, budget: int = DEFAULT_BUDGET, threads: int = 1
+    bounds: Mapping[str, tuple[int, int]],
+    budget: int = DEFAULT_BUDGET,
+    threads: int = 1,
 ) -> SweepResult:
-    """Sweep the 5-exponent family for exotic 7-sphere classes."""
-    spec = SearchSpec(
-        "kkkk1p",
-        {"k": (2, k_max), "p": (2, p_max)},
-        Predicate(min_coprime_fixed=2),
-    )
-    members = _members(spec)
-    members = [m for m in members if _coprime_hits(m) >= 2]
-    check_budget(members, budget)
-
-    def residue(member: Member) -> int | None:
-        rec = build_record(member.exponents)
-        if rec.middle_betti != 0 or rec.sphere.bp8_residue is None:
-            return None
-        return rec.sphere.bp8_residue
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            residues = list(pool.map(residue, members))
-    else:
-        residues = [residue(m) for m in members]
-
+    """Sweep the kkkk1p family inside bounds (keys k and p) for exotic
+    7-sphere classes."""
+    spec = SearchSpec("kkkk1p", bounds, Predicate(min_coprime_fixed=2))
     witnesses: dict[int, tuple[int, ...]] = {}
-    skipped = 0
-    for member, res in zip(members, residues):
-        if res is None:
+    examined = skipped = 0
+    for member, rec in _evaluated(spec, budget, threads):
+        examined += 1
+        if rec.sphere.bp8_residue is None:
             skipped += 1
-            continue
-        witnesses.setdefault(res, member.exponents.exponents)
-    return SweepResult(witnesses, len(members), skipped)
+        else:
+            witnesses.setdefault(rec.sphere.bp8_residue, member.exponents.exponents)
+    return SweepResult(witnesses, examined, skipped)
 
 
 __all__ = [

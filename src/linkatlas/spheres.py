@@ -29,7 +29,7 @@ from .errors import (
     NotASphere,
     NotPairwiseCoprime,
 )
-from .links import BPExponents, SignClass, bp_link, classify_sign
+from .links import BPExponents, SignClass, _as_exponents, bp_link, classify_sign
 
 # counts stay below Prod(a_i - 1); int64 is exact below this bound
 _INT64_SAFE = 1 << 61
@@ -52,10 +52,6 @@ class SphereVerdict:
 
     kind: str
     bp8_residue: int | None = None
-
-
-def _as_exponents(a: Sequence[int] | BPExponents) -> BPExponents:
-    return a if isinstance(a, BPExponents) else BPExponents(tuple(a))
 
 
 def _histogram_python(exps: tuple[int, ...], big: int) -> list[int]:
@@ -157,19 +153,26 @@ def is_homology_3_sphere(a: Sequence[int] | BPExponents) -> bool:
     return exps.pairwise_coprime()
 
 
-def bp8_class(a: Sequence[int] | BPExponents) -> SphereVerdict:
+def bp8_residue(signature: int) -> int | None:
     """Class of a 7-dimensional rational homology sphere link in the
     cyclic group of order 28 of exotic spheres bounding parallelizable
-    manifolds: residue (signature / 8) mod 28."""
+    manifolds: (signature / 8) mod 28, None when 8 does not divide the
+    signature."""
+    return (signature // 8) % 28 if signature % 8 == 0 else None
+
+
+def bp8_class(a: Sequence[int] | BPExponents) -> SphereVerdict:
+    """bp8_residue of a 5-exponent rational homology sphere link."""
     exps = _as_exponents(a)
     if exps.nvars != 5:
         raise DimensionUnsupported("bp8 class needs 5 exponents")
     if not is_rational_homology_sphere(bp_link(exps)):
         raise NotASphere("middle Betti number is nonzero")
     sig = brieskorn_signature(exps).signature
-    if sig % 8:
+    residue = bp8_residue(sig)
+    if residue is None:
         raise NonDivisible("signature %d not divisible by 8" % sig)
-    return SphereVerdict("rational_homology_sphere", (sig // 8) % 28)
+    return SphereVerdict("rational_homology_sphere", residue)
 
 
 def kervaire_classify(
@@ -206,6 +209,7 @@ __all__ = [
     "brieskorn_signature_direct",
     "casson_invariant",
     "is_homology_3_sphere",
+    "bp8_residue",
     "bp8_class",
     "kervaire_classify",
 ]

@@ -118,7 +118,7 @@ def test_criterion_5_seven_sphere_sweep():
         start = time.perf_counter()
         # estimated cost ~3.4e8 exceeds the default budget by design;
         # the sweep is granted an explicit larger budget here
-        sweep = seven_sphere_sweep(8, 600, budget=10**9)
+        sweep = seven_sphere_sweep({"k": (2, 8), "p": (2, 600)}, budget=10**9)
         elapsed = time.perf_counter() - start
         assert sweep.distinct == 28, "found %d residues" % sweep.distinct
         assert sorted(sweep.witnesses) == list(range(28))

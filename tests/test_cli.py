@@ -237,6 +237,51 @@ def test_search_bp8_sweep(capsys):
         assert len(exps) == 5
 
 
+def test_bp8_sweep_covers_exactly_the_window(capsys):
+    payload = run_json(
+        capsys, "search", "--family", "kkkk1p", "--bounds", "k=7:8,p=500:600",
+        "--bp8-sweep", "--budget", "1000000000",
+    )
+    assert payload["examined"] == 76
+    for exps in payload["witnesses"].values():
+        k, p = exps[0], exps[4]
+        assert 7 <= k <= 8 and 500 <= p <= 600
+
+
+def _bad_config(tmp_path):
+    cfg = tmp_path / "bad.conf"
+    cfg.write_text("budget=abc\n", encoding="utf-8")
+    return ["search", "--family", "237m", "--bounds", "m=5:6", "--config", str(cfg)]
+
+
+def _bad_catalog_key(tmp_path):
+    from linkatlas import BPExponents as BP, build_record
+
+    obj = build_record(BP((5, 3, 2))).to_json()
+    obj["key"] = "bp:2,x"
+    catalog = tmp_path / "atlas.jsonl"
+    catalog.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    return ["catalog", "query", "--nvars", "3", "--catalog", str(catalog)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["betti", "w:1,2@x"],
+        lambda tmp: ["sphere", "kervaire:3,5@x"],
+        lambda tmp: ["search", "--family", "237m", "--bounds", "m=a:5"],
+        lambda tmp: ["search", "--family", "kkkk1p", "--bounds", "p=2:5", "--bp8-sweep"],
+        _bad_config,
+        _bad_catalog_key,
+    ],
+    ids=["weight-degree", "kervaire-a", "bounds", "sweep-no-k", "config", "catalog-key"],
+)
+def test_malformed_input_exits_2(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_catalog_append_from_file(capsys, tmp_path):
     catalog = str(tmp_path / "atlas.jsonl")
     feed = tmp_path / "feed.jsonl"

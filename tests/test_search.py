@@ -129,12 +129,12 @@ def test_kervaire_family_verdicts():
 
 
 def test_tiny_sweep_is_incomplete():
-    sweep = seven_sphere_sweep(2, 3)
+    sweep = seven_sphere_sweep({"k": (2, 2), "p": (2, 3)})
     assert sweep.distinct < 28
 
 
 def test_sweep_witnesses_are_spheres():
-    sweep = seven_sphere_sweep(3, 40)
+    sweep = seven_sphere_sweep({"k": (2, 3), "p": (2, 40)})
     assert sweep.distinct >= 1
     for residue, exps in sweep.witnesses.items():
         assert 0 <= residue < 28
@@ -142,7 +142,14 @@ def test_sweep_witnesses_are_spheres():
 
 
 def test_sweep_threaded_agrees():
-    a = seven_sphere_sweep(3, 60)
-    b = seven_sphere_sweep(3, 60, threads=4)
+    bounds = {"k": (2, 3), "p": (2, 60)}
+    a = seven_sphere_sweep(bounds)
+    b = seven_sphere_sweep(bounds, threads=4)
     assert a.witnesses == b.witnesses
     assert a.examined == b.examined
+
+
+def test_sweep_examines_what_run_search_examines():
+    bounds = {"k": (3, 4), "p": (20, 60)}
+    spec = SearchSpec("kkkk1p", bounds, Predicate(min_coprime_fixed=2))
+    assert seven_sphere_sweep(bounds).examined == run_search(spec).examined
