@@ -48,9 +48,9 @@ def main():
         verdict, sign = kervaire_classify(r, a)
         print("r=%s a=%d -> %s, %s" % (r, a, verdict.kind, sign.value))
 
-    # Sweep L(k,k,k,k+1,p) for all 28 residues.  The small box below stays
-    # within the default budget; the full k=2:8, p=2:600 box needs
-    # budget=10**9 and finds every residue class.
+    # Sweep L(k,k,k,k+1,p) for all 28 residues.  The small box below finds
+    # some of them; the full k=2:8, p=2:600 box, also within the default
+    # budget, finds every residue class.
     print()
     sweep = seven_sphere_sweep({"k": (2, 8), "p": (2, 40)})
     print("sweep k<=8, p<=40: %d of 28 residues, %d members examined"

@@ -33,6 +33,7 @@ from .errors import (
     BoundsTooLarge,
     DegenerateMetric,
     DimensionUnsupported,
+    InconsistentInvariants,
     InvalidInput,
     NoEWPair,
     NonDivisible,

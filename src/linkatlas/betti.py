@@ -7,16 +7,16 @@ d / w_i = u_i / v_i (lowest terms):
     b = sum over S of (-1)^{n+1-|S|} * (prod u_i) / (prod v_i * lcm u_i)
 
 where the empty subset contributes (-1)^{n+1} (empty product 1, empty
-lcm 1).  The sum is evaluated in exact rational arithmetic and must
-come out a nonnegative integer; anything else is an error, never a
-rounding.
+lcm 1).  The sum is evaluated exactly, in integers over the common
+denominator lcm(u) * prod(v), and must come out a nonnegative integer;
+anything else is an error, never a rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import NonIntegerResult
@@ -52,30 +52,30 @@ TORSION_UNKNOWN = TorsionForm("unknown")
 
 def betti(ws: WeightSystem) -> BettiResult:
     """Exact middle Betti number of the link of the weight system."""
-    n = ws.nvars - 1
     quotients = tuple(Fraction(ws.degree, w) for w in ws.weights)
     u = [q.numerator for q in quotients]
     v = [q.denominator for q in quotients]
 
-    total = Fraction(0)
-    for mask in range(1 << (n + 1)):
-        pu = pv = ell = 1
-        size = 0
-        for i in range(n + 1):
-            if mask >> i & 1:
-                pu *= u[i]
-                pv *= v[i]
-                ell = lcm(ell, u[i])
-                size += 1
-        term = Fraction(pu, pv * ell)
-        if (n + 1 - size) % 2:
-            total -= term
-        else:
-            total += term
-
-    if total.denominator != 1 or total < 0:
-        raise NonIntegerResult("betti sum reduced to %s" % total)
-    return BettiResult(int(total), ws.link_dim, quotients)
+    # terms[l] sums (-1)^{n+1-|S|} prod_{i in S} u_i prod_{i not in S} v_i
+    # over the subsets S with lcm_{i in S} u_i = l; leaving i out of S
+    # flips the sign
+    terms = {1: 1}
+    for ui, vi in zip(u, v):
+        grown: dict[int, int] = {}
+        for ell, t in terms.items():
+            with_i = lcm(ell, ui)
+            grown[with_i] = grown.get(with_i, 0) + t * ui
+            grown[ell] = grown.get(ell, 0) - t * vi
+        terms = grown
+    top = lcm(*u)
+    numerator = sum(t * (top // ell) for ell, t in terms.items())
+    denominator = top * prod(v)
+    total, rest = divmod(numerator, denominator)
+    if rest or total < 0:
+        raise NonIntegerResult(
+            "betti sum reduced to %s" % Fraction(numerator, denominator)
+        )
+    return BettiResult(total, ws.link_dim, quotients)
 
 
 def is_rational_homology_sphere(ws: WeightSystem) -> bool:

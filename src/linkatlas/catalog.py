@@ -16,6 +16,7 @@ from math import prod
 from typing import Iterable, Sequence
 
 from .betti import TorsionForm, betti, torsion_closed_form
+from .errors import InconsistentInvariants
 from .links import (
     BPExponents,
     WeightSystem,
@@ -30,6 +31,7 @@ from .spheres import (
     bp8_residue,
     brieskorn_signature,
     is_homology_3_sphere,
+    signature_cost,
 )
 
 TOOL_VERSION = "0.1.0"
@@ -157,7 +159,16 @@ def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
 
     signature = None
     if exps is not None and exps.nvars in (3, 5):
-        signature = brieskorn_signature(exps).signature
+        sig = brieskorn_signature(exps)
+        # the lattice points with integer t are the eigenvalue-1 part, so
+        # they must number exactly the middle Betti number
+        integral = prod(x - 1 for x in exps.exponents) - sig.positive - sig.negative
+        if middle != integral:
+            raise InconsistentInvariants(
+                "%s: middle Betti number %d, but %d lattice points have integer t"
+                % (canonical_key(exps), middle, integral)
+            )
+        signature = sig.signature
 
     sphere = _sphere_verdict(exps, ws, middle, torsion, signature)
 
@@ -178,11 +189,11 @@ def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
 
 
 def record_cost(source: BPExponents | WeightSystem) -> int:
-    """Budget estimate: 2^nvars for the Betti sum plus Prod(a_i - 1)
-    when a signature will be computed."""
+    """Budget estimate: 2^nvars for the Betti sum plus
+    spheres.signature_cost when a signature will be computed."""
     cost = 1 << source.nvars
     if isinstance(source, BPExponents) and source.nvars in (3, 5):
-        cost += prod(x - 1 for x in source.exponents)
+        cost += signature_cost(source.exponents)
     return cost
 
 

@@ -6,7 +6,7 @@ command also takes kervaire:r_1,...,r_2m@a, e.g. kervaire:3,5@7.
 
 Exit codes: 0 success, 2 invalid input, 3 bounds over budget, 4 I/O.
 Configuration (key=value file named by --config or ATLAS_CONFIG):
-catalog, budget, threads; command line flags win.
+catalog, budget; command line flags win.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import AtlasError, BoundsTooLarge, InvalidInput
 from .links import _ints, parse_link
 
 CONFIG_ENV = "ATLAS_CONFIG"
-DEFAULTS = {"catalog": "atlas.jsonl", "budget": search.DEFAULT_BUDGET, "threads": 1}
+DEFAULTS = {"catalog": "atlas.jsonl", "budget": search.DEFAULT_BUDGET}
 
 
 def _rat(text: str) -> Fraction:
@@ -75,7 +75,7 @@ def load_config(path: str | None) -> dict:
             key, val = key.strip(), val.strip()
             if not sep or key not in DEFAULTS:
                 raise InvalidInput(
-                    "config line %d: expected catalog/budget/threads = value"
+                    "config line %d: expected catalog/budget = value"
                     % lineno
                 )
             try:
@@ -93,8 +93,6 @@ def _settings(args) -> dict:
         cfg["catalog"] = args.catalog
     if args.budget is not None:
         cfg["budget"] = args.budget
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     return cfg
 
 
@@ -345,9 +343,7 @@ def cmd_search(args, out):
     if args.bp8_sweep:
         if args.family != "kkkk1p":
             raise InvalidInput("--bp8-sweep applies to the kkkk1p family")
-        sweep = search.seven_sphere_sweep(
-            bounds, budget=cfg["budget"], threads=cfg["threads"]
-        )
+        sweep = search.seven_sphere_sweep(bounds, budget=cfg["budget"])
         payload = {
             "distinct_residues": sweep.distinct,
             "examined": sweep.examined,
@@ -366,7 +362,7 @@ def cmd_search(args, out):
         min_coprime_fixed=args.min_coprime_fixed,
     )
     spec = search.SearchSpec(args.family, bounds, pred)
-    result = search.run_search(spec, budget=cfg["budget"], threads=cfg["threads"])
+    result = search.run_search(spec, budget=cfg["budget"])
     payload = {
         "examined": result.examined,
         "matched": result.matched,
@@ -450,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--catalog", help="catalog path (JSONL)")
     common.add_argument("--budget", type=int, help="search cost budget")
-    common.add_argument("--threads", type=int, help="worker threads for searches")
 
     parser = argparse.ArgumentParser(
         prog="linkatlas",

@@ -67,3 +67,7 @@ class DegenerateMetric(AtlasError):
 
 class BoundsTooLarge(AtlasError):
     """Estimated search cost exceeds the configured budget."""
+
+
+class InconsistentInvariants(AtlasError):
+    """Two computations that must agree on a link do not."""

@@ -4,15 +4,13 @@ Each family maps integer parameters inside bounds to a Brieskorn-Pham
 exponent vector.  A search enumerates the family, evaluates the
 predicate in exact arithmetic, and returns matching invariant records
 deduplicated by canonical key and sorted.  The estimated cost
-(2^nvars per Betti sum, Prod(a_i - 1) per signature) is checked
-against the budget before any heavy work starts; a search never
-silently truncates.
+(catalog.record_cost per member) is checked against the budget before
+any heavy work starts; a search never silently truncates.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from math import gcd
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -219,7 +217,7 @@ def check_budget(members: list[Member], budget: int) -> int:
 
 
 def _evaluated(
-    spec: SearchSpec, budget: int, threads: int
+    spec: SearchSpec, budget: int
 ) -> Iterator[tuple[Member, InvariantRecord]]:
     """(member, record) pairs of a search in enumeration order, after
     min_coprime_fixed and the budget check and with the family's refine
@@ -239,24 +237,15 @@ def _evaluated(
 
     check_budget(members, budget)
 
-    exponents = (m.exponents for m in members)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(build_record, exponents))
-    else:
-        records = map(build_record, exponents)
-
     refine = FAMILIES[spec.family].refine
-    for member, record in zip(members, records):
-        yield member, refine(member, record)
+    for member in members:
+        yield member, refine(member, build_record(member.exponents))
 
 
-def run_search(
-    spec: SearchSpec, budget: int = DEFAULT_BUDGET, threads: int = 1
-) -> SearchResult:
+def run_search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> SearchResult:
     members = []
     matched: dict[str, InvariantRecord] = {}
-    for member, rec in _evaluated(spec, budget, threads):
+    for member, rec in _evaluated(spec, budget):
         members.append(member)
         if _passes(member, spec.predicate, rec):
             matched.setdefault(rec.key, rec)
@@ -284,14 +273,13 @@ class SweepResult:
 def seven_sphere_sweep(
     bounds: Mapping[str, tuple[int, int]],
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> SweepResult:
     """Sweep the kkkk1p family inside bounds (keys k and p) for exotic
     7-sphere classes."""
     spec = SearchSpec("kkkk1p", bounds, Predicate(min_coprime_fixed=2))
     witnesses: dict[int, tuple[int, ...]] = {}
     examined = skipped = 0
-    for member, rec in _evaluated(spec, budget, threads):
+    for member, rec in _evaluated(spec, budget):
         examined += 1
         if rec.sphere.bp8_residue is None:
             skipped += 1

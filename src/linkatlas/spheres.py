@@ -7,19 +7,26 @@ t = sum i_j / a_j:
     sigma+ = #{ t mod 2 in (0, 1) },   sigma- = #{ t mod 2 in (1, 2) },
 
 integer values of t counted in neither (open interval convention).
-Two independent routes are kept: a histogram convolution over the
-common denominator (fast, used by default) and a direct nested loop
-(slow, retained for cross validation).  They must always agree.
+
+brieskorn_signature factors the count.  With the exponents sorted and
+a the largest, the points of the other exponents (the prefix) are
+binned by R = sum i_j D' / a_j mod 2D', D' = lcm(prefix); that
+histogram is cached per prefix.  The last factor adds i L / a for
+i in [1, a - 1] (L = lcm(D', a)) to R L / D', and is counted by floor
+arithmetic, looping over whichever is shorter: the prefix residues or
+the values of i (bisecting the cumulative counts).  Everything is exact
+integer arithmetic.  brieskorn_signature_direct is the nested-loop
+oracle the tests compare against.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Sequence
-
-import numpy as np
 
 from .betti import is_rational_homology_sphere
 from .errors import (
@@ -30,9 +37,6 @@ from .errors import (
     NotPairwiseCoprime,
 )
 from .links import BPExponents, SignClass, _as_exponents, bp_link, classify_sign
-
-# counts stay below Prod(a_i - 1); int64 is exact below this bound
-_INT64_SAFE = 1 << 61
 
 
 @dataclass(frozen=True)
@@ -54,42 +58,73 @@ class SphereVerdict:
     bp8_residue: int | None = None
 
 
-def _histogram_python(exps: tuple[int, ...], big: int) -> list[int]:
-    """Exact sliding-window convolution of the numerator histogram,
-    cyclically over residues mod 2D.  Pure integer arithmetic."""
-    hist = [0] * big
-    hist[0] = 1
-    half = big // 2
-    for a in exps:
-        step = half // a
-        span = 2 * a  # class length: big / step
-        out = [0] * big
-        for c in range(step):
-            seq = hist[c::step]
-            ext = seq + seq
-            pref = [0]
-            for x in ext:
-                pref.append(pref[-1] + x)
-            # window of the a-1 previous slots, cyclically
-            for t in range(span):
-                out[c + t * step] = pref[t + span] - pref[t + span - (a - 1)]
-        hist = out
-    return hist
+@lru_cache(maxsize=1024)
+def _prefix_histogram(
+    prefix: tuple[int, ...]
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(D, residues, cumulative) of the lattice points of prefix: the
+    distinct values of sum i_j D / a_j mod 2D (D = lcm(prefix)) in
+    increasing order, and cumulative[k] the number of points whose
+    residue is among the first k."""
+    if not prefix:
+        return 1, (0,), (0, 1)
+    d0, residues0, cumulative0 = _prefix_histogram(prefix[:-1])
+    a = prefix[-1]
+    d = lcm(d0, a)
+    scale, step, big = d // d0, d // a, 2 * d
+    hist: dict[int, int] = {}
+    for r, lo, hi in zip(residues0, cumulative0, cumulative0[1:]):
+        count, base = hi - lo, r * scale
+        for x in range(base + step, base + a * step, step):
+            x %= big
+            hist[x] = hist.get(x, 0) + count
+    residues = tuple(sorted(hist))
+    cumulative = itertools.accumulate((hist[r] for r in residues), initial=0)
+    return d, residues, tuple(cumulative)
 
 
-def _histogram_numpy(exps: tuple[int, ...], big: int) -> np.ndarray:
-    hist = np.zeros(big, dtype=np.int64)
-    hist[0] = 1
-    half = big // 2
-    for a in exps:
-        step = half // a
-        span = 2 * a
-        m = hist.reshape(span, step)
-        pref = np.zeros((2 * span + 1, step), dtype=np.int64)
-        np.cumsum(np.concatenate([m, m], axis=0), axis=0, out=pref[1:])
-        idx = np.arange(span) + span
-        hist = (pref[idx] - pref[idx - (a - 1)]).reshape(big)
-    return hist
+def _by_residue(
+    residues: Sequence[int], cumulative: Sequence[int], d: int, a: int
+) -> tuple[int, int]:
+    """(sigma+, sigma-) of prefix residues mod 2d joined with exponent a,
+    one pass over the residues.  With L = lcm(d, a) and x = R L / d, the
+    values x + i L / a (1 <= i <= a - 1) span less than L: below the
+    next multiple of L lie (L - 1 - y) // s of them (y = x mod L,
+    s = L / a), on it at most one, and the rest above it."""
+    ell = lcm(d, a)
+    g, s, top = ell // d, ell // a, a - 1
+    # indexed by half = x // L: below the next multiple of L means t in
+    # (0, 1) for half 0 and in (1, 2) for half 1; above it, the reverse
+    below = [0, 0]
+    above = [0, 0]
+    for r, lo, hi in zip(residues, cumulative, cumulative[1:]):
+        half, y = divmod(r * g, ell)
+        count = hi - lo
+        below[half] += count * ((ell - 1 - y) // s)
+        above[half] += count * (top - min((ell - y) // s, top))
+    return below[0] + above[1], below[1] + above[0]
+
+
+def _by_step(
+    residues: Sequence[int], cumulative: Sequence[int], d: int, a: int
+) -> tuple[int, int]:
+    """The same count as _by_residue, one pass over i in [1, a - 1]:
+    the prefix points with x = R g below, on or above L - i s and
+    2L - i s (g = L / d, s = L / a) are counted by bisecting the sorted
+    residues."""
+    ell = lcm(d, a)
+    g, s = ell // d, ell // a
+    total = cumulative[-1]
+    pos = neg = 0
+    # points with R g <= bound are those with R <= bound // g
+    for v in range(s, a * s, s):
+        lt_one = cumulative[bisect_right(residues, (ell - v - 1) // g)]
+        le_one = cumulative[bisect_right(residues, (ell - v) // g)]
+        lt_two = cumulative[bisect_right(residues, (2 * ell - v - 1) // g)]
+        le_two = cumulative[bisect_right(residues, (2 * ell - v) // g)]
+        pos += lt_one + total - le_two
+        neg += lt_two - le_one
+    return pos, neg
 
 
 def brieskorn_signature(a: Sequence[int] | BPExponents) -> SignatureResult:
@@ -101,17 +136,25 @@ def brieskorn_signature(a: Sequence[int] | BPExponents) -> SignatureResult:
     exps = _as_exponents(a).exponents
     if len(exps) not in (3, 5):
         raise DimensionUnsupported("signature defined for 3 or 5 exponents")
-    d = lcm(*exps)
-    big = 2 * d
-    if prod(x - 1 for x in exps) < _INT64_SAFE:
-        hist = _histogram_numpy(exps, big)
-        pos = int(hist[1:d].sum())
-        neg = int(hist[d + 1 :].sum())
-    else:
-        hist = _histogram_python(exps, big)
-        pos = sum(hist[1:d])
-        neg = sum(hist[d + 1 :])
-    return SignatureResult(pos, neg)
+    *prefix, last = sorted(exps)
+    d, residues, cumulative = _prefix_histogram(tuple(prefix))
+    # a residue costs two floor divisions, a step four bisections
+    count = _by_residue if len(residues) <= 3 * (last - 1) else _by_step
+    return SignatureResult(*count(residues, cumulative, d, last))
+
+
+def signature_cost(exps: Sequence[int]) -> int:
+    """Upper bound on the steps brieskorn_signature takes, from the
+    exponents alone: each prefix factor a_j spreads at most
+    min(2 lcm, points) cells over a_j - 1 steps, and the last-factor
+    loop runs over at most min(cells, 3 (a - 1)) items."""
+    *prefix, last = sorted(exps)
+    cost, cells, d = 0, 1, 1
+    for x in prefix:
+        cost += cells * (x - 1)
+        d = lcm(d, x)
+        cells = min(2 * d, cells * (x - 1))
+    return cost + min(cells, 3 * (last - 1))
 
 
 def brieskorn_signature_direct(a: Sequence[int] | BPExponents) -> SignatureResult:
@@ -207,6 +250,7 @@ __all__ = [
     "SphereVerdict",
     "brieskorn_signature",
     "brieskorn_signature_direct",
+    "signature_cost",
     "casson_invariant",
     "is_homology_3_sphere",
     "bp8_residue",

@@ -116,9 +116,9 @@ def test_criterion_4_signature_casson_and_dual_routes():
 def test_criterion_5_seven_sphere_sweep():
     def body():
         start = time.perf_counter()
-        # estimated cost ~3.4e8 exceeds the default budget by design;
-        # the sweep is granted an explicit larger budget here
-        sweep = seven_sphere_sweep({"k": (2, 8), "p": (2, 600)}, budget=10**9)
+        # estimated cost ~3.1e5 (spheres.signature_cost), well inside the
+        # default budget
+        sweep = seven_sphere_sweep({"k": (2, 8), "p": (2, 600)})
         elapsed = time.perf_counter() - start
         assert sweep.distinct == 28, "found %d residues" % sweep.distinct
         assert sorted(sweep.witnesses) == list(range(28))

@@ -15,7 +15,7 @@ from linkatlas import (
     reverify_record,
 )
 from linkatlas.catalog import parse_key, record_cost
-from linkatlas.errors import InvalidInput
+from linkatlas.errors import InconsistentInvariants, InvalidInput
 
 
 def test_build_record_poincare():
@@ -85,9 +85,29 @@ def test_parse_key():
 
 
 def test_record_cost():
-    assert record_cost(BPExponents((5, 3, 2))) == 8 + 8
+    # 2^nvars, plus the prefix build (1 + 2 steps) and the last-factor loop (2)
+    assert record_cost(BPExponents((5, 3, 2))) == 8 + 5
+    # prefix cells capped at 2 lcm: 7 + 49 + 16*7 + 16*8 build steps, 128 loop
+    assert record_cost(BPExponents((8, 8, 8, 9, 599))) == 32 + 296 + 128
     assert record_cost(BPExponents((2, 3, 7, 42))) == 16
     assert record_cost(WeightSystem((1, 1, 1), 3)) == 8
+
+
+def test_build_record_refuses_betti_signature_mismatch(monkeypatch):
+    import linkatlas.catalog as catalog
+    from linkatlas.spheres import SignatureResult
+
+    real = catalog.brieskorn_signature
+
+    def off_by_one(exps):
+        res = real(exps)
+        return SignatureResult(res.positive - 1, res.negative)
+
+    monkeypatch.setattr(catalog, "brieskorn_signature", off_by_one)
+    with pytest.raises(InconsistentInvariants, match="bp:2,3,5"):
+        build_record(BPExponents((5, 3, 2)))
+    with pytest.raises(InconsistentInvariants, match="bp:2,2,2,3,5"):
+        build_record(BPExponents((2, 2, 2, 3, 5)))
 
 
 def test_append_idempotent(tmp_path):

@@ -227,6 +227,17 @@ def test_search_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_search_refuses_huge_coprime_exponents_up_front(capsys):
+    # the prefix histogram of two primes near 10^6 has ~10^6 cells, each
+    # spread over ~10^6 steps: refused at the default budget before any work
+    code, _, err = run(
+        capsys, "search", "--family", "bp-box",
+        "--bounds", "a0=1000003:1000003,a1=1000033:1000033,a2=1000037:1000037",
+    )
+    assert code == 3
+    assert "budget" in err
+
+
 def test_search_bp8_sweep(capsys):
     payload = run_json(
         capsys, "search", "--family", "kkkk1p", "--bounds", "k=2:2,p=2:3",
@@ -367,9 +378,10 @@ def test_config_env_var(capsys, tmp_path, monkeypatch):
 
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.conf"
-    cfg.write_text("color = blue\n", encoding="utf-8")
-    with pytest.raises(InvalidInput):
-        load_config(str(cfg))
+    for line in ("color = blue", "threads = 4"):
+        cfg.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(InvalidInput):
+            load_config(str(cfg))
 
 
 def test_config_defaults(monkeypatch):
@@ -377,4 +389,3 @@ def test_config_defaults(monkeypatch):
     cfg = load_config(None)
     assert cfg["catalog"] == "atlas.jsonl"
     assert cfg["budget"] == 10**8
-    assert cfg["threads"] == 1

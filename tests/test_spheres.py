@@ -18,6 +18,7 @@ from linkatlas import (
     kervaire_classify,
     reciprocal_sum,
 )
+from linkatlas import spheres
 from linkatlas.errors import (
     DimensionUnsupported,
     InvalidInput,
@@ -66,6 +67,42 @@ def test_signature_routes_agree():
     for _ in range(5):
         exps = [rng.randint(2, 4) for _ in range(5)]
         assert brieskorn_signature(exps) == brieskorn_signature_direct(exps)
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        [(a, b, c) for a in range(2, 10) for b in range(2, 10) for c in range(2, 10)],
+        [(k, k, k, k + 1, p) for k in (2, 3) for p in range(2, 121)],
+    ],
+    ids=["box-2-9-cubed", "kkkk1p-k2-3-p120"],
+)
+def test_signature_both_loops_match_oracle(monkeypatch, vectors):
+    # the last factor is counted by one of two loops, chosen by the number
+    # of prefix residues against 3(a - 1); both sides must occur here
+    runs = {"_by_residue": 0, "_by_step": 0}
+    for name in runs:
+        real = getattr(spheres, name)
+
+        def counted(*args, _name=name, _real=real):
+            runs[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(spheres, name, counted)
+    for exps in vectors:
+        assert brieskorn_signature(exps) == brieskorn_signature_direct(exps), exps
+    assert runs["_by_residue"] > 0 and runs["_by_step"] > 0
+    assert sum(runs.values()) == len(vectors)
+
+
+def test_bp8_class_beyond_int64():
+    # Brieskorn: L(2,2,2,3,6k-1) is the k-th class mod 28; here the lattice
+    # has Prod(a_i - 1) >= 2^61 points, far past any fixed-width count
+    k = 2**58 + 1
+    exps = (2, 2, 2, 3, 6 * k - 1)
+    assert prod(x - 1 for x in exps) >= 2**61
+    verdict = bp8_class(exps)
+    assert verdict.bp8_residue == k % 28
 
 
 def test_signature_five_exponents():
