@@ -42,16 +42,10 @@ def main():
 
     # A frame algebra built by hand: su(2) with a diagonal metric that
     # breaks the transverse symmetry.  The fit reports a nonzero
-    # residual instead of pretending the ansatz holds.
-    brackets = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-
-    def set_bracket(i, j, k, val):
-        brackets[i][j][k] = Fraction(val)
-        brackets[j][i][k] = -Fraction(val)
-
-    set_bracket(0, 1, 2, 1)
-    set_bracket(1, 2, 0, 2)
-    set_bracket(2, 0, 1, 4)
+    # residual instead of pretending the ansatz holds.  The bracket table
+    # lists each pair i < j once, with the nonzero coefficients of
+    # [e_i, e_j]; here [e1,e2] = e3, [e2,e3] = 2 e1, [e3,e1] = 4 e2.
+    brackets = {(0, 1): {2: 1}, (1, 2): {0: 2}, (0, 2): {1: -4}}
     metric = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
     alg = MetricAlgebra(brackets, metric, reeb_index=2)
     ric = ricci_tensor(alg)

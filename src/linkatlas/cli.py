@@ -96,6 +96,16 @@ def _settings(args) -> dict:
     return cfg
 
 
+def _budgeted(args, source):
+    """source, after refusing it up front (exit 3) when its record cost
+    exceeds the budget, as a search would refuse it."""
+    budget = _settings(args)["budget"]
+    cost = cat.record_cost(source)
+    if cost > budget:
+        raise BoundsTooLarge("estimated cost %d exceeds budget %d" % (cost, budget))
+    return source
+
+
 # --- subcommand bodies -------------------------------------------------
 
 
@@ -174,8 +184,7 @@ def cmd_sphere(args, out):
             args.json,
         )
         return 0
-    obj = parse_link(args.link)
-    rec = cat.build_record(obj)
+    rec = cat.build_record(_budgeted(args, parse_link(args.link)))
     payload = {
         "key": rec.key,
         "kind": rec.sphere.kind,
@@ -188,21 +197,21 @@ def cmd_sphere(args, out):
     return 0
 
 
-def _bp_arg(text: str) -> links.BPExponents:
-    obj = parse_link(text)
+def _bp_arg(args) -> links.BPExponents:
+    obj = parse_link(args.link)
     if not isinstance(obj, links.BPExponents):
         raise InvalidInput("this command needs Brieskorn-Pham input bp:...")
-    return obj
+    return _budgeted(args, obj)
 
 
 def cmd_casson(args, out):
-    exps = _bp_arg(args.link)
+    exps = _bp_arg(args)
     _emit(out, {"casson": spheres.casson_invariant(exps)}, args.json)
     return 0
 
 
 def cmd_signature(args, out):
-    exps = _bp_arg(args.link)
+    exps = _bp_arg(args)
     res = spheres.brieskorn_signature(exps)
     _emit(
         out,
@@ -217,7 +226,7 @@ def cmd_signature(args, out):
 
 
 def cmd_bp8(args, out):
-    exps = _bp_arg(args.link)
+    exps = _bp_arg(args)
     verdict = spheres.bp8_class(exps)
     _emit(
         out,

@@ -1,25 +1,31 @@
 """Exact Ricci curvature of left-invariant metrics on frame algebras.
 
-A MetricAlgebra is a frame e_1, ..., e_d with constant brackets
-[e_i, e_j] = sum_k c[i][j][k] e_k and a constant frame metric.  The
-Levi-Civita connection follows from the Koszul formula restricted to
-the frame,
+A MetricAlgebra is a frame e_1, ..., e_d with constant brackets and a
+constant frame metric.  The brackets are one sparse table
+{(i, j): {k: c}} over the pairs i < j: [e_i, e_j] = sum_k c e_k, only
+nonzero coefficients are stored, an absent pair brackets to zero and
+[e_j, e_i] is the negative (MetricAlgebra.bracket), so antisymmetry
+holds by construction.  The Levi-Civita connection follows from the
+Koszul formula restricted to the frame,
 
     2 g(nabla_i e_j, e_k) = g([e_i,e_j],e_k) - g([e_j,e_k],e_i)
                             + g([e_k,e_i],e_j),
 
 and curvature from R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
-- nabla_[X,Y] Z.  Everything is exact rational arithmetic, so an
-eta-Einstein fit either has residual exactly zero or it does not.
+- nabla_[X,Y] Z.  Connection coefficients are kept sparse too, so the
+work follows the nonzero structure constants rather than d^4.
+Everything is exact rational arithmetic, so an eta-Einstein fit either
+has residual exactly zero or it does not.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import DegenerateMetric, InvalidInput, PoleProximity
 from .eta import heisenberg_alpha_squared
@@ -34,54 +40,56 @@ def _frac_matrix(rows: Sequence[Sequence[Rational]]) -> Matrix:
 
 @dataclass(frozen=True)
 class MetricAlgebra:
-    """Frame algebra with metric; brackets[i][j][k] is the e_k
-    coefficient of [e_i, e_j]."""
+    """Frame algebra with metric; brackets[(i, j)][k], i < j, is the
+    e_k coefficient of [e_i, e_j] (see the module docstring)."""
 
-    brackets: tuple[Matrix, ...]
+    brackets: Mapping[tuple[int, int], Mapping[int, Rational]]
     metric: Matrix
     reeb_index: int
 
     def __post_init__(self) -> None:
-        c = tuple(_frac_matrix(plane) for plane in self.brackets)
         g = _frac_matrix(self.metric)
         d = len(g)
         if d < 2:
             raise InvalidInput("need dimension >= 2")
-        if len(c) != d or any(
-            len(p) != d or any(len(r) != d for r in p) for p in c
-        ):
-            raise InvalidInput("brackets must be d x d x d")
         if any(len(r) != d for r in g):
             raise InvalidInput("metric must be d x d")
         if any(g[i][j] != g[j][i] for i in range(d) for j in range(d)):
             raise InvalidInput("metric must be symmetric")
         if not 0 <= self.reeb_index < d:
             raise InvalidInput("reeb_index out of range")
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    if c[i][j][k] != -c[j][i][k]:
-                        raise InvalidInput("brackets must be antisymmetric")
-        self._check_jacobi(c, d)
-        object.__setattr__(self, "brackets", c)
+        pairs = list(itertools.combinations(range(d), 2))
+        if not set(self.brackets) <= set(pairs):
+            raise InvalidInput("bracket pairs must be (i, j) with 0 <= i < j < %d" % d)
+        table = {}
+        for pair in pairs:
+            row = self.brackets.get(pair, {})
+            if not set(row) <= set(range(d)):
+                raise InvalidInput("[e_%d, e_%d] has an index out of range" % pair)
+            coeffs = {k: Fraction(row[k]) for k in range(d) if row.get(k, 0) != 0}
+            if coeffs:
+                table[pair] = coeffs
+        object.__setattr__(self, "brackets", table)
         object.__setattr__(self, "metric", g)
+        self._check_jacobi()
 
-    @staticmethod
-    def _check_jacobi(c, d) -> None:
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    for l in range(d):
-                        s = sum(
-                            c[i][j][m] * c[m][k][l]
-                            + c[j][k][m] * c[m][i][l]
-                            + c[k][i][m] * c[m][j][l]
-                            for m in range(d)
-                        )
-                        if s != 0:
-                            raise InvalidInput(
-                                "Jacobi identity fails at (%d,%d,%d)" % (i, j, k)
-                            )
+    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
+        """Nonzero e_k coefficients of [e_i, e_j], for any i, j."""
+        if i > j:
+            return {k: -c for k, c in self.bracket(j, i).items()}
+        return self.brackets.get((i, j), {})
+
+    def _check_jacobi(self) -> None:
+        for i, j, k in itertools.combinations(range(self.dim), 3):
+            total: dict[int, Fraction] = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, x in self.bracket(a, b).items():
+                    for l, y in self.bracket(m, c).items():
+                        total[l] = total.get(l, 0) + x * y
+            if any(total.values()):
+                raise InvalidInput(
+                    "Jacobi identity fails at (%d,%d,%d)" % (i, j, k)
+                )
 
     @property
     def dim(self) -> int:
@@ -112,54 +120,46 @@ def _inverse(g: Matrix) -> list[list[Fraction]]:
 
 def ricci_tensor(alg: MetricAlgebra) -> Matrix:
     """Ricci tensor of the left-invariant metric, in frame components."""
-    c = alg.brackets
     g = alg.metric
     d = alg.dim
     ginv = _inverse(g)
 
-    # B[i][j][k] = g([e_i, e_j], e_k)
-    B = [
-        [
-            [sum(c[i][j][l] * g[l][k] for l in range(d)) for k in range(d)]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    # K[i][j][k] = g(nabla_i e_j, e_k)
-    K = [
-        [
-            [
-                (B[i][j][k] - B[j][k][i] + B[k][i][j]) / 2
-                for k in range(d)
-            ]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    gamma = [
-        [
-            [
-                sum(K[i][j][k] * ginv[k][m] for k in range(d))
-                for m in range(d)
-            ]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
+    # gamma[(i, j, m)] = Gamma_ij^m, the e_m component of nabla_i e_j
+    gamma: dict[tuple[int, int, int], Fraction] = {}
 
+    def koszul(i, j, k, v):  # g(nabla_i e_j, e_k) += v
+        for m, x in enumerate(ginv[k]):
+            if x:
+                gamma[i, j, m] = gamma.get((i, j, m), 0) + v * x
+
+    # each nonzero w = g([e_a, e_b], e_s) / 2 enters three Koszul terms
+    for (p, q), row in alg.brackets.items():
+        for s in range(d):
+            w = sum(c * g[l][s] for l, c in row.items()) / 2
+            if w:
+                for a, b, v in ((p, q, w), (q, p, -w)):
+                    koszul(a, b, s, v)
+                    koszul(s, a, b, -v)
+                    koszul(b, s, a, v)
+    gamma = {key: v for key, v in gamma.items() if v}
+    trace = [Fraction(0)] * d  # trace[l] = sum_i Gamma_il^i
+    for (i, l, m), v in gamma.items():
+        if m == i:
+            trace[l] += v
+
+    # Ric(e_j, e_k) = sum_i e_i-component of R(e_i, e_j) e_k
+    #   = sum_l Gamma_jk^l trace_l - sum_il Gamma_ik^l Gamma_jl^i
+    #     - sum_il c_ij^l Gamma_lk^i
     ric = [[Fraction(0)] * d for _ in range(d)]
-    for j in range(d):
-        for k in range(d):
-            total = Fraction(0)
-            # trace over i of the e_i component of R(e_i, e_j) e_k
-            for i in range(d):
-                total += sum(
-                    gamma[j][k][l] * gamma[i][l][i]
-                    - gamma[i][k][l] * gamma[j][l][i]
-                    - c[i][j][l] * gamma[l][k][i]
-                    for l in range(d)
-                )
-            ric[j][k] = total
+    for (i, k, l), v in gamma.items():
+        ric[i][k] += v * trace[l]  # the first term, with j = i
+        for j in range(d):
+            ric[j][k] -= v * gamma.get((j, l, i), 0)
+    for (p, q), row in alg.brackets.items():
+        for i, j, sign in ((p, q, 1), (q, p, -1)):
+            for l, c in row.items():
+                for k in range(d):
+                    ric[j][k] -= sign * c * gamma.get((l, k, i), 0)
     return tuple(tuple(row) for row in ric)
 
 
@@ -223,12 +223,9 @@ def heisenberg_algebra(n: int) -> MetricAlgebra:
     if n < 1:
         raise InvalidInput("n must be >= 1")
     d = 2 * n + 1
-    c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        c[i][n + i][d - 1] = Fraction(2)
-        c[n + i][i][d - 1] = Fraction(-2)
-    g = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    return MetricAlgebra(tuple(map(_frac_matrix, c)), _frac_matrix(g), d - 1)
+    brackets = {(i, n + i): {d - 1: 2} for i in range(n)}
+    g = [[int(i == j) for j in range(d)] for i in range(d)]
+    return MetricAlgebra(brackets, g, d - 1)
 
 
 def berger_sphere(a: Rational) -> MetricAlgebra:
@@ -242,17 +239,8 @@ def berger_sphere(a: Rational) -> MetricAlgebra:
     a = Fraction(a)
     if a <= 0:
         raise InvalidInput("scale must be positive")
-    z = Fraction(0)
-    c = [[[z] * 3 for _ in range(3)] for _ in range(3)]
-    for i, j, k, val in (
-        (0, 1, 2, 2 * a),
-        (1, 2, 0, 2 / a),
-        (2, 0, 1, 2 / a),
-    ):
-        c[i][j][k] = val
-        c[j][i][k] = -val
-    g = [[a, z, z], [z, a, z], [z, z, Fraction(1)]]
-    return MetricAlgebra(tuple(map(_frac_matrix, c)), _frac_matrix(g), 2)
+    brackets = {(0, 1): {2: 2 * a}, (1, 2): {0: 2 / a}, (0, 2): {1: -2 / a}}
+    return MetricAlgebra(brackets, [[a, 0, 0], [0, a, 0], [0, 0, 1]], 2)
 
 
 def ew_function_check(

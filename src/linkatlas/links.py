@@ -249,34 +249,33 @@ def pi1_class(ws: WeightSystem) -> Pi1Class:
     return Pi1Class.INFINITE
 
 
-_E_ROWS = (
-    ("E_6", [[4, 0, 0], [0, 3, 0], [0, 0, 2]]),
-    ("E_7", [[3, 0, 0], [1, 3, 0], [0, 0, 2]]),
-    ("E_8", [[5, 0, 0], [0, 3, 0], [0, 0, 2]]),
-)
+_E_SYSTEMS = {
+    WeightSystem((3, 4, 6), 12): "E_6",
+    WeightSystem((4, 6, 9), 18): "E_7",
+    WeightSystem((6, 10, 15), 30): "E_8",
+}
 
 
 def ade_match(ws: WeightSystem) -> str | None:
     """Match a positive 3-dimensional weight system against the ADE table.
 
-    The table rows are z_0^p + z_1^2 + z_2^2 (cyclic, label A_{p-1}),
-    z_0^2 z_1 + z_1^m + z_2^2 (binary dihedral, label D_m, m >= 3), and
+    The table rows are z_0^p + z_1^2 + z_2^2 (cyclic, label A_{p-1},
+    weights (2,p,p)@2p so p = d // w_min), z_0^2 z_1 + z_1^m + z_2^2
+    (binary dihedral, label D_m, m = d/2 >= 3, weights (m-1,2,m)@2m), and
     the three exceptional rows E_6, E_7, E_8.  Returns the label or None.
     """
     if ws.nvars != 3:
         raise DimensionUnsupported("ADE table needs nvars = 3")
     if classify_sign(ws) is not SignClass.POSITIVE:
         return None
-    for label, rows in _E_ROWS:
-        if ws == solve_weights(rows):
-            return label
+    if ws in _E_SYSTEMS:
+        return _E_SYSTEMS[ws]
     d = ws.degree
-    for p in range(2, d + 1):
-        if ws == solve_weights([[p, 0, 0], [0, 2, 0], [0, 0, 2]]):
-            return "A_%d" % (p - 1)
-    for m in range(3, d + 1):
-        if ws == solve_weights([[2, 1, 0], [0, m, 0], [0, 0, 2]]):
-            return "D_%d" % m
+    p, m = d // ws.weights[0], d // 2
+    if p >= 2 and ws == WeightSystem((2, p, p), 2 * p):
+        return "A_%d" % (p - 1)
+    if d % 2 == 0 and m >= 3 and ws == WeightSystem((m - 1, 2, m), d):
+        return "D_%d" % m
     return None
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from linkatlas.catalog import record_cost
 from linkatlas.cli import CONFIG_ENV, load_config, main, parse_link
 from linkatlas.errors import InvalidInput
 from linkatlas.links import BPExponents, WeightSystem
@@ -236,6 +237,30 @@ def test_search_refuses_huge_coprime_exponents_up_front(capsys):
     )
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("command", ["signature", "casson", "bp8", "sphere"])
+def test_single_link_commands_refuse_huge_exponents_up_front(capsys, command):
+    # the same vector a search refuses: exit 3 before any signature work
+    code, out, err = run(capsys, command, "bp:1000003,1000033,1000037")
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
+def test_budget_flag_raises_single_link_bound(capsys, tmp_path):
+    cost = record_cost(BPExponents((2, 3, 5)))
+    code, _, err = run(capsys, "signature", "bp:5,3,2", "--budget", str(cost - 1))
+    assert code == 3
+    assert "budget" in err
+    cfg = tmp_path / "atlas.conf"
+    cfg.write_text("budget=%d\n" % (cost - 1), encoding="utf-8")
+    code, _, _ = run(capsys, "casson", "bp:5,3,2", "--config", str(cfg))
+    assert code == 3
+    payload = run_json(
+        capsys, "casson", "bp:5,3,2", "--config", str(cfg), "--budget", str(cost)
+    )
+    assert payload["casson"] == -1
 
 
 def test_search_bp8_sweep(capsys):

@@ -1,5 +1,6 @@
 """Exact Ricci tensors of frame algebras and eta-Einstein fits."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,31 +23,19 @@ from linkatlas.errors import DegenerateMetric, InvalidInput, PoleProximity
 F = Fraction
 
 
-def _zeros(d):
-    return [[[F(0)] * d for _ in range(d)] for _ in range(d)]
-
-
 def _identity(d):
     return [[F(int(i == j)) for j in range(d)] for i in range(d)]
-
-
-def _set_bracket(c, i, j, k, val):
-    c[i][j][k] = F(val)
-    c[j][i][k] = -F(val)
 
 
 def _diagonal_su2(alpha, beta, gamma, metric=None):
     # [e1,e2] = gamma e3, [e2,e3] = alpha e1, [e3,e1] = beta e2;
     # Jacobi holds for any coefficients
-    c = _zeros(3)
-    _set_bracket(c, 0, 1, 2, gamma)
-    _set_bracket(c, 1, 2, 0, alpha)
-    _set_bracket(c, 2, 0, 1, beta)
-    return MetricAlgebra(tuple(c), tuple(map(tuple, metric or _identity(3))), 2)
+    brackets = {(0, 1): {2: gamma}, (1, 2): {0: alpha}, (0, 2): {1: -beta}}
+    return MetricAlgebra(brackets, metric or _identity(3), 2)
 
 
 def test_flat_abelian_ricci_zero():
-    alg = MetricAlgebra(tuple(_zeros(3)), tuple(map(tuple, _identity(3))), 2)
+    alg = MetricAlgebra({}, _identity(3), 2)
     assert ricci_tensor(alg) == tuple((F(0),) * 3 for _ in range(3))
 
 
@@ -73,36 +62,112 @@ def test_ricci_symmetric_on_random_algebras():
         assert all(ric[i][j] == ric[j][i] for i in range(3) for j in range(3))
 
 
+def _milnor_nilpotent_ricci(table, d):
+    # Milnor 1976, nilpotent algebra with integer structure constants in
+    # an orthonormal frame: Ric(x,y) = -1/2 sum <[x,e_i],e_j><[y,e_i],e_j>
+    #                                  + 1/4 sum <[e_i,e_j],x><[e_i,e_j],y>
+    c = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for (i, j), row in table.items():
+        for k, v in row.items():
+            c[i][j][k], c[j][i][k] = v, -v
+    pairs = [(i, j) for i in range(d) for j in range(d)]
+    return tuple(
+        tuple(
+            F(
+                -2 * sum(c[x][i][j] * c[y][i][j] for i, j in pairs)
+                + sum(c[i][j][x] * c[i][j][y] for i, j in pairs),
+                4,
+            )
+            for y in range(d)
+        )
+        for x in range(d)
+    )
+
+
+def test_ricci_matches_milnor_nilpotent_formula():
+    rng = random.Random(1976)
+    kept = 0
+    while kept < 200:
+        d = rng.randint(3, 7)
+        # [e_i, e_j] in span(e_k : k > j) makes the algebra nilpotent
+        table = {
+            (i, j): {k: rng.randint(-3, 3) for k in rng.sample(
+                range(j + 1, d), rng.randint(1, min(2, d - j - 1)))}
+            for i, j in itertools.combinations(range(d - 1), 2)
+            if rng.random() < 0.3
+        }
+        try:
+            alg = MetricAlgebra(table, _identity(d), d - 1)
+        except InvalidInput:
+            continue
+        if not alg.brackets:
+            continue
+        assert ricci_tensor(alg) == _milnor_nilpotent_ricci(table, d)
+        kept += 1
+    for n in range(1, 9):
+        d = 2 * n + 1
+        table = {(i, n + i): {d - 1: 2} for i in range(n)}
+        alg = heisenberg_algebra(n)
+        assert alg.brackets == table
+        assert ricci_tensor(alg) == _milnor_nilpotent_ricci(table, d)
+
+
+def test_ricci_of_hyperbolic_space():
+    # [e_0, e_i] = a e_i is real hyperbolic space, not unimodular: with
+    # g = diag(g_0, ..., g_{d-1}) the sectional curvature is -a^2 / g_0,
+    # so Ric = -(d-1) a^2 / g_0 * g
+    for d in range(2, 7):
+        for a, g0, rest in ((1, 1, 1), (2, 3, F(1, 2)), (F(1, 3), F(5, 2), 7)):
+            g = [[(g0 if i == 0 else rest) if i == j else 0 for j in range(d)]
+                 for i in range(d)]
+            alg = MetricAlgebra({(0, i): {i: a} for i in range(1, d)}, g, 0)
+            factor = -(d - 1) * F(a) ** 2 / g0
+            assert ricci_tensor(alg) == tuple(
+                tuple(factor * x for x in row) for row in alg.metric
+            )
+
+
 def test_algebra_validation():
-    c = _zeros(3)
-    c[0][1][2] = F(1)  # missing the antisymmetric partner
+    # a pair given as (j, i), (i, i) or with an index >= d is rejected
+    for bad in (
+        {(1, 0): {2: 1}},
+        {(1, 1): {2: 1}},
+        {(0, 3): {2: 1}},
+        {(0, 1): {3: 1}},
+        {(0, 1): {-1: 1}},
+        {0: {2: 1}},
+    ):
+        with pytest.raises(InvalidInput):
+            MetricAlgebra(bad, _identity(3), 2)
     with pytest.raises(InvalidInput):
-        MetricAlgebra(tuple(c), tuple(map(tuple, _identity(3))), 2)
+        MetricAlgebra({}, ((F(1), F(2)), (F(3), F(4))), 0)
     with pytest.raises(InvalidInput):
-        MetricAlgebra(tuple(_zeros(3)), ((F(1), F(2)), (F(3), F(4))), 0)
-    with pytest.raises(InvalidInput):
-        MetricAlgebra(tuple(_zeros(3)), tuple(map(tuple, _identity(3))), 5)
+        MetricAlgebra({}, _identity(3), 5)
+
+
+def test_bracket_is_antisymmetric_and_sparse():
+    alg = _diagonal_su2(F(1), F(0), F(4))
+    assert alg.brackets == {(0, 1): {2: 4}, (1, 2): {0: 1}}
+    assert alg.bracket(1, 0) == {2: -4}
+    assert alg.bracket(0, 2) == {} and alg.bracket(2, 2) == {}
 
 
 def test_jacobi_violation_rejected():
     # [e1,e2] = e1 with [e1,e3] = e2 leaves a nonzero cyclic sum
-    c = _zeros(3)
-    _set_bracket(c, 0, 1, 0, 1)
-    _set_bracket(c, 0, 2, 1, 1)
     with pytest.raises(InvalidInput):
-        MetricAlgebra(tuple(c), tuple(map(tuple, _identity(3))), 2)
+        MetricAlgebra({(0, 1): {0: 1}, (0, 2): {1: 1}}, _identity(3), 2)
 
 
 def test_degenerate_metric():
     # symmetric but singular: passes shape checks, fails inversion
     g = ((F(1), F(0), F(0)), (F(0), F(0), F(0)), (F(0), F(0), F(1)))
-    alg = MetricAlgebra(tuple(_zeros(3)), g, 2)
+    alg = MetricAlgebra({}, g, 2)
     with pytest.raises(DegenerateMetric):
         ricci_tensor(alg)
 
 
 def test_heisenberg_fits():
-    for n in range(1, 5):
+    for n in range(1, 9):
         fit = eta_fit(heisenberg_algebra(n))
         assert (fit.lam, fit.nu) == (-2, 2 * n + 2)
         assert fit.residual == 0
@@ -157,7 +222,7 @@ def test_berger_rejects_nonpositive_scale():
 
 
 def test_eta_fit_needs_odd_dimension():
-    alg = MetricAlgebra(tuple(_zeros(2)), tuple(map(tuple, _identity(2))), 0)
+    alg = MetricAlgebra({}, _identity(2), 0)
     with pytest.raises(InvalidInput):
         eta_fit(alg)
 

@@ -1,5 +1,6 @@
 """Weight systems, BP links, sign classes and weight solving."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -221,6 +222,42 @@ def test_ade_match():
     # negative and null links never match
     assert ade_match(bp_link((7, 3, 2))) is None
     assert ade_match(WeightSystem((1, 1, 1), 3)) is None
+
+
+def _ade_table(max_degree):
+    # the monomial rows of the table, solved one by one: the slow oracle
+    table = {}
+    for label, rows in (
+        ("E_6", [[4, 0, 0], [0, 3, 0], [0, 0, 2]]),
+        ("E_7", [[3, 0, 0], [1, 3, 0], [0, 0, 2]]),
+        ("E_8", [[5, 0, 0], [0, 3, 0], [0, 0, 2]]),
+    ):
+        table[solve_weights(rows)] = label
+    for p in range(2, max_degree + 1):
+        table.setdefault(
+            solve_weights([[p, 0, 0], [0, 2, 0], [0, 0, 2]]), "A_%d" % (p - 1)
+        )
+    for m in range(3, max_degree + 1):
+        table.setdefault(
+            solve_weights([[2, 1, 0], [0, m, 0], [0, 0, 2]]), "D_%d" % m
+        )
+    return table
+
+
+def test_ade_match_agrees_with_solved_rows():
+    max_degree = 30
+    table = _ade_table(max_degree)
+    hits = set()
+    for d in range(1, max_degree + 1):
+        for w in itertools.combinations_with_replacement(range(1, d + 1), 3):
+            if sum(w) <= d or d % gcd(*w):
+                continue  # not positive, or not a weight system
+            ws = WeightSystem(w, d)
+            assert ade_match(ws) == table.get(ws), ws
+            if ws in table:
+                hits.add(ws)
+    assert {table[ws] for ws in hits} >= {"E_6", "E_7", "E_8", "A_1", "D_3"}
+    assert len(hits) == len([ws for ws in table if ws.degree <= max_degree])
 
 
 def test_canonical_key():
