@@ -216,23 +216,30 @@ class AppendResult:
     corrupt: tuple[CorruptLine, ...]
 
 
-def read_catalog(path: str) -> ReadResult:
+def read_records(lines: Iterable[str]) -> ReadResult:
+    """Records of JSONL lines.  Blank lines are ignored; a malformed
+    line is reported with its line number and skipped."""
     records: list[InvariantRecord] = []
     corrupt: list[CorruptLine] = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            records.append(InvariantRecord.from_json(json.loads(line)))
+        except (ValueError, TypeError) as exc:
+            corrupt.append(CorruptLine(lineno, str(exc)))
+    return ReadResult(tuple(records), tuple(corrupt))
+
+
+def read_catalog(path: str) -> ReadResult:
+    """The records of the catalog at path; a missing file holds none."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
         return ReadResult((), ())
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(InvariantRecord.from_json(json.loads(line)))
-            except (ValueError, TypeError) as exc:
-                corrupt.append(CorruptLine(lineno, str(exc)))
-    return ReadResult(tuple(records), tuple(corrupt))
+        return read_records(fh)
 
 
 def _now() -> str:
@@ -307,6 +314,7 @@ __all__ = [
     "parse_key",
     "build_record",
     "record_cost",
+    "read_records",
     "read_catalog",
     "catalog_append",
     "catalog_query",

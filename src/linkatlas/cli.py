@@ -1,8 +1,13 @@
 """Command line front end.
 
+Each cmd_* takes the parsed arguments and returns its payload dict;
+main prints it once, as key: value text or with --json as one JSON
+object.
+
 Positional LINK arguments use the one link grammar, links.parse_link
 (bp:, w: and mono:, the same grammar as catalog keys).  The sphere
-command also takes kervaire:r_1,...,r_2m@a, e.g. kervaire:3,5@7.
+command also takes kervaire:r_1,...,r_2m@a, e.g. kervaire:3,5@7
+(links.parse_kervaire), and search bounds are links.parse_bounds.
 
 Exit codes: 0 success, 2 invalid input, 3 bounds over budget, 4 I/O.
 Configuration (key=value file named by --config or ATLAS_CONFIG):
@@ -21,7 +26,7 @@ from . import catalog as cat
 from . import curvature, eta, links, search, spheres
 from .betti import betti as betti_of, torsion_closed_form
 from .errors import AtlasError, BoundsTooLarge, InvalidInput
-from .links import _ints, parse_link
+from .links import parse_link
 
 CONFIG_ENV = "ATLAS_CONFIG"
 DEFAULTS = {"catalog": "atlas.jsonl", "budget": search.DEFAULT_BUDGET}
@@ -96,14 +101,12 @@ def _settings(args) -> dict:
     return cfg
 
 
-def _budgeted(args, source):
-    """source, after refusing it up front (exit 3) when its record cost
-    exceeds the budget, as a search would refuse it."""
+def _budgeted(args, cost: int) -> None:
+    """Refuse up front (exit 3) work whose estimated cost exceeds the
+    budget, as a search would refuse it."""
     budget = _settings(args)["budget"]
-    cost = cat.record_cost(source)
     if cost > budget:
         raise BoundsTooLarge("estimated cost %d exceeds budget %d" % (cost, budget))
-    return source
 
 
 # --- subcommand bodies -------------------------------------------------
@@ -113,7 +116,7 @@ def _ws_of(obj) -> links.WeightSystem:
     return links.bp_link(obj) if isinstance(obj, links.BPExponents) else obj
 
 
-def cmd_classify(args, out):
+def cmd_classify(args):
     obj = parse_link(args.link)
     ws = _ws_of(obj)
     payload = {
@@ -128,11 +131,10 @@ def cmd_classify(args, out):
         payload["ade"] = links.ade_match(ws)
     if ws.nvars == 4:
         payload["well_formed"] = links.is_well_formed(ws)
-    _emit(out, payload, args.json)
-    return 0
+    return payload
 
 
-def cmd_betti(args, out):
+def cmd_betti(args):
     obj = parse_link(args.link)
     ws = _ws_of(obj)
     res = betti_of(ws)
@@ -145,46 +147,35 @@ def cmd_betti(args, out):
     }
     if isinstance(obj, links.BPExponents) and obj.nvars == 4:
         payload["torsion"] = str(torsion_closed_form(obj))
-    _emit(out, payload, args.json)
-    return 0
+    return payload
 
 
-def cmd_weights_solve(args, out):
+def cmd_weights_solve(args):
     if not args.mono.startswith("mono:"):
         raise InvalidInput("weights-solve takes a mono:[...] argument")
     ws = parse_link(args.mono)
-    _emit(
-        out,
-        {
-            "weights": list(ws.weights),
-            "degree": ws.degree,
-            "sign": links.classify_sign(ws),
-        },
-        args.json,
-    )
-    return 0
+    return {
+        "weights": list(ws.weights),
+        "degree": ws.degree,
+        "sign": links.classify_sign(ws),
+    }
 
 
-def cmd_monomials(args, out):
+def cmd_monomials(args):
     ws = _ws_of(parse_link(args.link))
-    _emit(out, {"count": links.count_monomials(ws)}, args.json)
-    return 0
+    # the coin-count table has degree + 1 cells, passed once per variable
+    _budgeted(args, ws.nvars * (ws.degree + 1))
+    return {"count": links.count_monomials(ws)}
 
 
-def cmd_sphere(args, out):
+def cmd_sphere(args):
     if args.link.startswith("kervaire:"):
-        body, sep, a = args.link[len("kervaire:") :].partition("@")
-        if not sep or "," in a:
-            raise InvalidInput("kervaire form is kervaire:r1,...,r2m@a")
-        a = _ints(a)[0]
-        verdict, sign = spheres.kervaire_classify(_ints(body), a)
-        _emit(
-            out,
-            {"kind": verdict.kind, "sign": sign, "a_mod_8": a % 8},
-            args.json,
-        )
-        return 0
-    rec = cat.build_record(_budgeted(args, parse_link(args.link)))
+        rs, a = links.parse_kervaire(args.link)
+        verdict, sign = spheres.kervaire_classify(rs, a)
+        return {"kind": verdict.kind, "sign": sign, "a_mod_8": a % 8}
+    obj = parse_link(args.link)
+    _budgeted(args, cat.record_cost(obj))
+    rec = cat.build_record(obj)
     payload = {
         "key": rec.key,
         "kind": rec.sphere.kind,
@@ -193,47 +184,33 @@ def cmd_sphere(args, out):
     }
     if rec.sphere.bp8_residue is not None:
         payload["bp8_residue"] = rec.sphere.bp8_residue
-    _emit(out, payload, args.json)
-    return 0
+    return payload
 
 
 def _bp_arg(args) -> links.BPExponents:
     obj = parse_link(args.link)
     if not isinstance(obj, links.BPExponents):
         raise InvalidInput("this command needs Brieskorn-Pham input bp:...")
-    return _budgeted(args, obj)
+    _budgeted(args, cat.record_cost(obj))
+    return obj
 
 
-def cmd_casson(args, out):
-    exps = _bp_arg(args)
-    _emit(out, {"casson": spheres.casson_invariant(exps)}, args.json)
-    return 0
+def cmd_casson(args):
+    return {"casson": spheres.casson_invariant(_bp_arg(args))}
 
 
-def cmd_signature(args, out):
-    exps = _bp_arg(args)
-    res = spheres.brieskorn_signature(exps)
-    _emit(
-        out,
-        {
-            "positive": res.positive,
-            "negative": res.negative,
-            "signature": res.signature,
-        },
-        args.json,
-    )
-    return 0
+def cmd_signature(args):
+    res = spheres.brieskorn_signature(_bp_arg(args))
+    return {
+        "positive": res.positive,
+        "negative": res.negative,
+        "signature": res.signature,
+    }
 
 
-def cmd_bp8(args, out):
-    exps = _bp_arg(args)
-    verdict = spheres.bp8_class(exps)
-    _emit(
-        out,
-        {"kind": verdict.kind, "bp8_residue": verdict.bp8_residue},
-        args.json,
-    )
-    return 0
+def cmd_bp8(args):
+    verdict = spheres.bp8_class(_bp_arg(args))
+    return {"kind": verdict.kind, "bp8_residue": verdict.bp8_residue}
 
 
 def _constants(args) -> eta.EtaConstants:
@@ -251,7 +228,7 @@ def _eta_payload(c: eta.EtaConstants) -> dict:
     return {"n": c.n, "lam": c.lam, "nu": c.nu, "sign": c.sign}
 
 
-def cmd_eta(args, out):
+def cmd_eta(args):
     c = _constants(args)
     if args.mode == "transform":
         if args.scale is None:
@@ -273,8 +250,7 @@ def cmd_eta(args, out):
         payload = {"scalar_curvature": eta.scalar_curvature(c)}
         if c.lam > -2:
             payload["scalar_flat_scale"] = eta.scalar_flat_scale(c)
-    _emit(out, payload, args.json)
-    return 0
+    return payload
 
 
 def _fit_payload(fit: curvature.RicciFit) -> dict:
@@ -288,11 +264,12 @@ def _fit_payload(fit: curvature.RicciFit) -> dict:
     }
 
 
-def cmd_curvature(args, out):
+def cmd_curvature(args):
     if args.mode == "heisenberg":
-        fit = curvature.eta_fit(curvature.heisenberg_algebra(args.n))
-        _emit(out, _fit_payload(fit), args.json)
-    elif args.mode == "berger":
+        # d = 2n+1: d^3 covers the Jacobi triples and the metric inverse
+        _budgeted(args, (2 * args.n + 1) ** 3)
+        return _fit_payload(curvature.eta_fit(curvature.heisenberg_algebra(args.n)))
+    if args.mode == "berger":
         if args.scale is None:
             raise InvalidInput("berger needs --scale")
         scale = _rat(args.scale)
@@ -302,31 +279,16 @@ def cmd_curvature(args, out):
         payload["expected_lam"] = expected.lam
         payload["expected_nu"] = expected.nu
         payload["agrees"] = fit.lam == expected.lam and fit.nu == expected.nu
-        _emit(out, payload, args.json)
-    else:  # check-ew
-        worst = curvature.ew_function_check(
-            args.n, args.samples, offset=args.offset, seed=args.seed
-        )
-        _emit(
-            out,
-            {
-                "alpha_squared": eta.heisenberg_alpha_squared(args.n),
-                "samples": args.samples,
-                "max_residual": worst,
-            },
-            args.json,
-        )
-    return 0
-
-
-def _parse_bounds(text: str) -> dict[str, tuple[int, int]]:
-    bounds = {}
-    for part in text.split(","):
-        key, sep, span = part.partition("=")
-        if not sep or span.count(":") != 1:
-            raise InvalidInput("bounds look like k=2:8,p=2:600")
-        bounds[key.strip()] = _ints(span, ":")
-    return bounds
+        return payload
+    # check-ew
+    worst = curvature.ew_function_check(
+        args.n, args.samples, offset=args.offset, seed=args.seed
+    )
+    return {
+        "alpha_squared": eta.heisenberg_alpha_squared(args.n),
+        "samples": args.samples,
+        "max_residual": worst,
+    }
 
 
 def _record_rows(records) -> list[dict]:
@@ -346,14 +308,14 @@ def _record_rows(records) -> list[dict]:
     return rows
 
 
-def cmd_search(args, out):
+def cmd_search(args):
     cfg = _settings(args)
-    bounds = _parse_bounds(args.bounds)
+    bounds = links.parse_bounds(args.bounds)
     if args.bp8_sweep:
         if args.family != "kkkk1p":
             raise InvalidInput("--bp8-sweep applies to the kkkk1p family")
         sweep = search.seven_sphere_sweep(bounds, budget=cfg["budget"])
-        payload = {
+        return {
             "distinct_residues": sweep.distinct,
             "examined": sweep.examined,
             "witnesses": {
@@ -361,8 +323,6 @@ def cmd_search(args, out):
                 for res in sorted(sweep.witnesses)
             },
         }
-        _emit(out, payload, args.json)
-        return 0
     pred = search.Predicate(
         sign=args.sign,
         middle_betti=args.betti,
@@ -382,8 +342,7 @@ def cmd_search(args, out):
         added = cat.catalog_append(cfg["catalog"], result.records)
         payload["appended"] = added.added
         payload["skipped"] = added.skipped
-    _emit(out, payload, args.json)
-    return 0
+    return payload
 
 
 def _report_corrupt(corrupt) -> None:
@@ -391,37 +350,23 @@ def _report_corrupt(corrupt) -> None:
         print("corrupt line %d: %s" % (bad.lineno, bad.reason), file=sys.stderr)
 
 
-def cmd_catalog(args, out):
+def cmd_catalog(args):
     cfg = _settings(args)
     if args.mode == "append":
         if args.file == "-":
-            lines = sys.stdin.read().splitlines()
+            batch = cat.read_records(sys.stdin)
         else:
             with open(args.file, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        records = []
-        bad_input = []
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(cat.InvariantRecord.from_json(json.loads(line)))
-            except (ValueError, TypeError) as exc:
-                bad_input.append(cat.CorruptLine(lineno, str(exc)))
-        _report_corrupt(bad_input)
-        result = cat.catalog_append(cfg["catalog"], records)
+                batch = cat.read_records(fh)
+        _report_corrupt(batch.corrupt)
+        result = cat.catalog_append(cfg["catalog"], batch.records)
         _report_corrupt(result.corrupt)
-        _emit(
-            out,
-            {
-                "added": result.added,
-                "skipped": result.skipped,
-                "corrupt_input": len(bad_input),
-                "corrupt_catalog": len(result.corrupt),
-            },
-            args.json,
-        )
-        return 0
+        return {
+            "added": result.added,
+            "skipped": result.skipped,
+            "corrupt_input": len(batch.corrupt),
+            "corrupt_catalog": len(result.corrupt),
+        }
     # query
     result = cat.catalog_query(
         cfg["catalog"],
@@ -442,8 +387,21 @@ def cmd_catalog(args, out):
             if (problems := cat.reverify_record(rec))
         }
         payload["reverify_failures"] = issues
-    _emit(out, payload, args.json)
-    return 0
+    return payload
+
+
+# the commands whose one argument is positional: name, handler, help,
+# positional name
+_SINGLE_ARG = (
+    ("classify", cmd_classify, "sign class and small-dim extras", "link"),
+    ("betti", cmd_betti, "middle Betti number", "link"),
+    ("weights-solve", cmd_weights_solve, "weights from monomial rows", "mono"),
+    ("monomials", cmd_monomials, "count monomials of the degree", "link"),
+    ("sphere", cmd_sphere, "sphere verdict for a link", "link"),
+    ("casson", cmd_casson, "Casson invariant (bp, 3 exponents)", "link"),
+    ("signature", cmd_signature, "Milnor fiber signature (bp)", "link"),
+    ("bp8", cmd_bp8, "exotic 7-sphere residue (bp, 5 exponents)", "link"),
+)
 
 
 # --- parser ------------------------------------------------------------
@@ -467,22 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    p = add("classify", cmd_classify, "sign class and small-dim extras")
-    p.add_argument("link")
-    p = add("betti", cmd_betti, "middle Betti number")
-    p.add_argument("link")
-    p = add("weights-solve", cmd_weights_solve, "weights from monomial rows")
-    p.add_argument("mono")
-    p = add("monomials", cmd_monomials, "count monomials of the degree")
-    p.add_argument("link")
-    p = add("sphere", cmd_sphere, "sphere verdict for a link")
-    p.add_argument("link")
-    p = add("casson", cmd_casson, "Casson invariant (bp, 3 exponents)")
-    p.add_argument("link")
-    p = add("signature", cmd_signature, "Milnor fiber signature (bp)")
-    p.add_argument("link")
-    p = add("bp8", cmd_bp8, "exotic 7-sphere residue (bp, 5 exponents)")
-    p.add_argument("link")
+    for name, fn, help_, positional in _SINGLE_ARG:
+        add(name, fn, help_).add_argument(positional)
 
     p = add("eta", cmd_eta, "constants algebra")
     p.add_argument("mode", choices=["transform", "einstein", "lorentzian", "ew", "scalar"])
@@ -527,7 +471,7 @@ def main(argv=None) -> int:
     if args.command == "catalog" and args.mode == "append" and not args.file:
         parser.error("catalog append needs --file")
     try:
-        return args.fn(args, sys.stdout)
+        _emit(sys.stdout, args.fn(args), args.json)
     except BoundsTooLarge as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
@@ -537,6 +481,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -326,6 +326,29 @@ def parse_link(text: str) -> BPExponents | WeightSystem:
     raise InvalidInput("unrecognized link %r (want bp:, w: or mono:)" % text)
 
 
+def parse_kervaire(text: str) -> tuple[tuple[int, ...], int]:
+    """Parse kervaire:r_1,...,r_2m@a into ((r_1, ..., r_2m), a), the
+    arguments of spheres.kervaire_classify.  Malformed text raises
+    InvalidInput."""
+    body, sep, a = text[len("kervaire:") :].partition("@")
+    if not text.startswith("kervaire:") or not sep or "," in a:
+        raise InvalidInput("kervaire form is kervaire:r1,...,r2m@a")
+    a = _ints(a)[0]  # before the body, whose error then comes second
+    return _ints(body), a
+
+
+def parse_bounds(text: str) -> dict[str, tuple[int, int]]:
+    """Parse search bounds such as k=2:8,p=2:600 into {name: (lo, hi)}.
+    Malformed text raises InvalidInput."""
+    bounds = {}
+    for part in text.split(","):
+        key, sep, span = part.partition("=")
+        if not sep or span.count(":") != 1:
+            raise InvalidInput("bounds look like k=2:8,p=2:600")
+        bounds[key.strip()] = _ints(span, ":")
+    return bounds
+
+
 __all__ = [
     "SignClass",
     "Pi1Class",
@@ -341,4 +364,6 @@ __all__ = [
     "canonical_key",
     "reciprocal_sum",
     "parse_link",
+    "parse_kervaire",
+    "parse_bounds",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import partial
 from math import gcd
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -89,23 +90,13 @@ def _family_237m(bounds) -> Iterator[Member]:
         )
 
 
-def _family_kkk1p(bounds) -> Iterator[Member]:
+def _family_k1p(count: int, bounds) -> Iterator[Member]:
+    # (k, ..., k, k+1, p) with count k's
     for k in _span(bounds, "k", 2):
         for p in _span(bounds, "p", 2):
             yield Member(
                 (("k", k), ("p", p)),
-                BPExponents((k, k, k + 1, p)),
-                fixed=(k, k + 1),
-                varying=p,
-            )
-
-
-def _family_kkkk1p(bounds) -> Iterator[Member]:
-    for k in _span(bounds, "k", 2):
-        for p in _span(bounds, "p", 2):
-            yield Member(
-                (("k", k), ("p", p)),
-                BPExponents((k, k, k, k + 1, p)),
+                BPExponents((k,) * count + (k + 1, p)),
                 fixed=(k, k + 1),
                 varying=p,
             )
@@ -174,8 +165,8 @@ class Family(NamedTuple):
 FAMILIES = {
     "bp-box": Family(_bp_box),
     "237m": Family(_family_237m, notes=_notes_237m),
-    "kkk1p": Family(_family_kkk1p),
-    "kkkk1p": Family(_family_kkkk1p),
+    "kkk1p": Family(partial(_family_k1p, 2)),
+    "kkkk1p": Family(partial(_family_k1p, 3)),
     "pqrpqr": Family(_family_pqr),
     "kervaire": Family(_family_kervaire, refine=_refine_kervaire),
 }

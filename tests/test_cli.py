@@ -1,5 +1,6 @@
 """Command line surface: grammar, subcommands, exit codes, config."""
 
+import io
 import json
 
 import pytest
@@ -219,6 +220,35 @@ def test_search_append_and_query(capsys, tmp_path):
     assert payload["skipped"] == 1
 
 
+def test_search_and_query_rows_as_text(capsys, tmp_path):
+    catalog = str(tmp_path / "atlas.jsonl")
+    code, out, _ = run(
+        capsys, "search", "--family", "kkkk1p", "--bounds", "k=2:2,p=5:6",
+        "--append", "--catalog", catalog,
+    )
+    assert code == 0
+    assert out == (
+        "examined: 2\n"
+        "matched: 2\n"
+        "notes: []\n"
+        "records:\n"
+        "  key=bp:2,2,2,3,5  sign=positive  betti=0  torsion=unknown"
+        "  sphere=rational_homology_sphere[1]  signature=8\n"
+        "  key=bp:2,2,2,3,6  sign=positive  betti=2  torsion=unknown"
+        "  sphere=not_a_sphere  signature=8\n"
+        "appended: 2\n"
+        "skipped: 0\n"
+    )
+    code, out, _ = run(capsys, "catalog", "query", "--betti", "2", "--catalog", catalog)
+    assert code == 0
+    assert out == (
+        "matched: 1\n"
+        "records:\n"
+        "  key=bp:2,2,2,3,6  sign=positive  betti=2  torsion=unknown"
+        "  sphere=not_a_sphere  signature=8\n"
+    )
+
+
 def test_search_budget_exit_code(capsys):
     code, _, err = run(
         capsys, "search", "--family", "237m", "--bounds", "m=5:41",
@@ -239,10 +269,22 @@ def test_search_refuses_huge_coprime_exponents_up_front(capsys):
     assert "budget" in err
 
 
-@pytest.mark.parametrize("command", ["signature", "casson", "bp8", "sphere"])
-def test_single_link_commands_refuse_huge_exponents_up_front(capsys, command):
-    # the same vector a search refuses: exit 3 before any signature work
-    code, out, err = run(capsys, command, "bp:1000003,1000033,1000037")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the same vector a search refuses: exit 3 before any signature work
+        ["signature", "bp:1000003,1000033,1000037"],
+        ["casson", "bp:1000003,1000033,1000037"],
+        ["bp8", "bp:1000003,1000033,1000037"],
+        ["sphere", "bp:1000003,1000033,1000037"],
+        # a coin-count table of ~10^12 cells, a 40001 x 40001 metric
+        ["monomials", "bp:1000003,1000033"],
+        ["curvature", "heisenberg", "--n", "20000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_single_link_commands_refuse_huge_exponents_up_front(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
     assert "budget" in err
@@ -261,6 +303,12 @@ def test_budget_flag_raises_single_link_bound(capsys, tmp_path):
         capsys, "casson", "bp:5,3,2", "--config", str(cfg), "--budget", str(cost)
     )
     assert payload["casson"] == -1
+    # a Heisenberg fit in dimension d = 5 costs d^3 = 125
+    code, _, err = run(capsys, "curvature", "heisenberg", "--n", "2", "--budget", "124")
+    assert code == 3
+    assert "budget" in err
+    payload = run_json(capsys, "curvature", "heisenberg", "--n", "2", "--budget", "125")
+    assert payload["nu"] == "6"
 
 
 def test_search_bp8_sweep(capsys):
@@ -336,6 +384,23 @@ def test_catalog_append_from_file(capsys, tmp_path):
     assert payload["added"] == 1
     assert payload["corrupt_input"] == 1
     assert "corrupt line 2" in err
+
+
+def test_catalog_append_from_stdin(capsys, tmp_path, monkeypatch):
+    catalog = str(tmp_path / "atlas.jsonl")
+    from linkatlas import BPExponents as BP, build_record
+
+    rec = build_record(BP((5, 3, 2)))
+    feed = json.dumps(rec.to_json()) + "\n\n{not json\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(feed))
+    code, out, err = run(
+        capsys, "catalog", "append", "--file", "-", "--catalog", catalog, "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["added"] == 1
+    assert payload["corrupt_input"] == 1
+    assert "corrupt line 3" in err
 
 
 def test_catalog_query_reverify(capsys, tmp_path):

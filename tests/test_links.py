@@ -26,6 +26,7 @@ from linkatlas import (
     solve_weights,
 )
 from linkatlas.errors import DimensionUnsupported
+from linkatlas.links import parse_bounds, parse_kervaire
 
 
 def test_weight_system_sorts_and_normalizes():
@@ -268,3 +269,18 @@ def test_canonical_key():
 def test_reciprocal_sum_exact():
     assert reciprocal_sum((5, 3, 2)) == Fraction(31, 30)
     assert reciprocal_sum((2, 3, 7, 42)) == 1
+
+
+def test_parse_kervaire_and_bounds():
+    assert parse_kervaire("kervaire:3,5@7") == ((3, 5), 7)
+    assert parse_bounds("k=2:8, p=2:600") == {"k": (2, 8), "p": (2, 600)}
+    for bad in ("kervaire:3,5", "kervaire:3@5,7", "bp:3,5@7"):
+        with pytest.raises(InvalidInput, match="kervaire form is"):
+            parse_kervaire(bad)
+    with pytest.raises(InvalidInput, match="got 'x'"):
+        parse_kervaire("kervaire:y@x")
+    for bad in ("k=2", "k:2:8", "k=2:3:4"):
+        with pytest.raises(InvalidInput, match="bounds look like"):
+            parse_bounds(bad)
+    with pytest.raises(InvalidInput, match="got 'a:5'"):
+        parse_bounds("m=a:5")

@@ -66,6 +66,21 @@ def test_pqr_family_skips_non_coprime():
     assert all(len({p, q, r}) == 3 for p, q, r in triples)
 
 
+def test_k1p_families_members_in_order():
+    # (k, ..., k, k+1, p): two k's for kkk1p, three for kkkk1p
+    bounds = {"k": (2, 3), "p": (5, 6)}
+    for family, count in (("kkk1p", 2), ("kkkk1p", 3)):
+        members = _members(SearchSpec(family, bounds, Predicate()))
+        assert [m.exponents.exponents for m in members] == [
+            (k,) * count + (k + 1, p) for k in (2, 3) for p in (5, 6)
+        ]
+        assert [m.params for m in members] == [
+            (("k", k), ("p", p)) for k in (2, 3) for p in (5, 6)
+        ]
+        assert all(m.fixed == (m.params[0][1], m.params[0][1] + 1) for m in members)
+        assert [m.varying for m in members] == [5, 6, 5, 6]
+
+
 def test_bp_box_dedupes_permutations():
     spec = SearchSpec("bp-box", {"a0": (2, 3), "a1": (2, 3)}, Predicate())
     result = run_search(spec)
