@@ -3,17 +3,31 @@
 One record per line, keyed by the canonical form of the link (sorted
 exponents for Brieskorn-Pham input, sorted primitive weights plus
 degree otherwise).  Appends are idempotent: a key already present is
-skipped.  Malformed lines are reported with their line number and
-skipped; they never abort a read.
+skipped.  Malformed lines, and lines that are not valid UTF-8, are
+reported with their line number and skipped; they never abort a read.
+
+Beside the catalog, an append keeps `<catalog>.keys`: a JSON object
+holding the keys present, the corrupt lines (line number and reason)
+and a stamp of the catalog it describes (crc32, byte length and last
+character of the file).  An append reads the whole catalog once to
+compute its stamp; only when the stamp matches does it trust the
+index, otherwise it re-reads every record.  The index is a cache:
+deleting it is always safe, and failing to read or write it is never
+an error.  An append holds an exclusive `flock` on the catalog from
+computing the stamp until the index is written, so two appends cannot
+both add one key.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
+import zlib
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from math import prod
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 from .betti import TorsionForm, betti, torsion_closed_form
 from .errors import InconsistentInvariants
@@ -216,9 +230,14 @@ class AppendResult:
     corrupt: tuple[CorruptLine, ...]
 
 
-def read_records(lines: Iterable[str]) -> ReadResult:
+def read_records(
+    lines: Iterable[str], keep: Callable[[InvariantRecord], bool] | None = None
+) -> ReadResult:
     """Records of JSONL lines.  Blank lines are ignored; a malformed
-    line is reported with its line number and skipped."""
+    line, or one holding bytes that are not UTF-8 (decoded with
+    errors="surrogateescape"), is reported with its line number and
+    skipped.  A valid record that keep rejects is dropped as soon as it
+    has been validated."""
     records: list[InvariantRecord] = []
     corrupt: list[CorruptLine] = []
     for lineno, line in enumerate(lines, start=1):
@@ -226,67 +245,151 @@ def read_records(lines: Iterable[str]) -> ReadResult:
         if not line:
             continue
         try:
-            records.append(InvariantRecord.from_json(json.loads(line)))
+            if not line.isascii():
+                line.encode("utf-8")
+            rec = InvariantRecord.from_json(json.loads(line))
+        except UnicodeEncodeError:
+            corrupt.append(CorruptLine(lineno, "not valid UTF-8"))
         except (ValueError, TypeError) as exc:
             corrupt.append(CorruptLine(lineno, str(exc)))
+        else:
+            if keep is None or keep(rec):
+                records.append(rec)
     return ReadResult(tuple(records), tuple(corrupt))
 
 
-def read_catalog(path: str) -> ReadResult:
-    """The records of the catalog at path; a missing file holds none."""
+def read_catalog(
+    path, keep: Callable[[InvariantRecord], bool] | None = None
+) -> ReadResult:
+    """The records of the catalog at path that keep accepts (all when
+    keep is None); a missing file holds none."""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except FileNotFoundError:
         return ReadResult((), ())
     with fh:
-        return read_records(fh)
+        return read_records(fh, keep)
 
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def catalog_append(path: str, records: Iterable[InvariantRecord]) -> AppendResult:
+def _stamp(path) -> list:
+    """[crc32, byte length, last character] of the file at path."""
+    crc = size = 0
+    last = ""
+    with open(
+        path, "r", encoding="utf-8", errors="surrogateescape", newline=""
+    ) as fh:
+        while chunk := fh.read(1 << 20):
+            data = chunk.encode("utf-8", "surrogateescape")
+            crc = zlib.crc32(data, crc)
+            size += len(data)
+            last = chunk[-1]
+    return [crc, size, last]
+
+
+def _index_path(path) -> str:
+    return os.fspath(path) + ".keys"
+
+
+def _load_index(path, stamp: list):
+    """(keys, corrupt lines) from the index beside the catalog at path,
+    or None when it is missing, unreadable, malformed or not stamped
+    with stamp."""
+    try:
+        with open(_index_path(path), "r", encoding="utf-8") as fh:
+            index = json.loads(fh.read())
+        if index["stamp"] != stamp:
+            return None
+        keys = index["keys"]
+        corrupt = tuple(CorruptLine(n, reason) for n, reason in index["corrupt"])
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+    if not (
+        isinstance(keys, list)
+        and all(isinstance(k, str) for k in keys)
+        and all(type(c.lineno) is int and isinstance(c.reason, str) for c in corrupt)
+    ):
+        return None
+    return dict.fromkeys(keys), corrupt
+
+
+def _save_index(path, stamp: list, keys, corrupt) -> None:
+    index = {
+        "stamp": stamp,
+        "keys": list(keys),
+        "corrupt": [[c.lineno, c.reason] for c in corrupt],
+    }
+    target = _index_path(path)
+    try:
+        with open(target + ".tmp", "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(index))
+        os.replace(target + ".tmp", target)
+    except OSError:
+        pass  # the index is a cache; the next append rescans
+
+
+def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
     """Append records not already present (by key).  Existing corrupt
-    lines are reported but left in place."""
-    existing = read_catalog(path)
-    seen = {r.key for r in existing.records}
-    added = skipped = 0
+    lines are reported but left in place; a partial last line is ended
+    before the first new record."""
     with open(path, "a", encoding="utf-8") as fh:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        stamp = _stamp(path)
+        index = _load_index(path, stamp)
+        if index is None:
+            keys: dict[str, None] = {}
+
+            def note_key(rec: InvariantRecord) -> bool:
+                keys[rec.key] = None
+                return False
+
+            corrupt = read_catalog(path, note_key).corrupt
+        else:
+            keys, corrupt = index
+        lines = []
+        skipped = 0
         for rec in records:
-            if rec.key in seen:
+            if rec.key in keys:
                 skipped += 1
                 continue
             if rec.timestamp is None:
                 rec = replace(rec, timestamp=_now())
-            fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-            seen.add(rec.key)
-            added += 1
-    return AppendResult(added, skipped, existing.corrupt)
+            lines.append(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+            keys[rec.key] = None
+        if lines:
+            text = "".join(lines)
+            if stamp[2] not in ("", "\n"):
+                text = "\n" + text
+            fh.write(text)
+            data = text.encode("utf-8")
+            stamp = [zlib.crc32(data, stamp[0]), stamp[1] + len(data), "\n"]
+        if lines or index is None:
+            _save_index(path, stamp, keys, corrupt)
+    return AppendResult(len(lines), skipped, corrupt)
 
 
 def catalog_query(
-    path: str,
+    path,
     sign: str | None = None,
     middle_betti: int | None = None,
     sphere: str | None = None,
     nvars: int | None = None,
 ) -> ReadResult:
     """Filter catalog records; results sorted by key."""
-    data = read_catalog(path)
-    out = []
-    for rec in data.records:
-        if sign is not None and rec.sign != sign:
-            continue
-        if middle_betti is not None and rec.middle_betti != middle_betti:
-            continue
-        if sphere is not None and rec.sphere.kind != sphere:
-            continue
-        if nvars is not None and parse_key(rec.key).nvars != nvars:
-            continue
-        out.append(rec)
-    out.sort(key=lambda r: r.key)
-    return ReadResult(tuple(out), data.corrupt)
+
+    def keep(rec: InvariantRecord) -> bool:
+        return (
+            (sign is None or rec.sign == sign)
+            and (middle_betti is None or rec.middle_betti == middle_betti)
+            and (sphere is None or rec.sphere.kind == sphere)
+            and (nvars is None or parse_key(rec.key).nvars == nvars)
+        )
+
+    data = read_catalog(path, keep)
+    return ReadResult(tuple(sorted(data.records, key=lambda r: r.key)), data.corrupt)
 
 
 def reverify_record(rec: InvariantRecord) -> list[str]:

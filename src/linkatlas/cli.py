@@ -17,6 +17,7 @@ catalog, budget; command line flags win.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -354,9 +355,13 @@ def cmd_catalog(args):
     cfg = _settings(args)
     if args.mode == "append":
         if args.file == "-":
+            if isinstance(sys.stdin, io.TextIOWrapper):
+                sys.stdin.reconfigure(errors="surrogateescape")
             batch = cat.read_records(sys.stdin)
         else:
-            with open(args.file, "r", encoding="utf-8") as fh:
+            with open(
+                args.file, "r", encoding="utf-8", errors="surrogateescape"
+            ) as fh:
                 batch = cat.read_records(fh)
         _report_corrupt(batch.corrupt)
         result = cat.catalog_append(cfg["catalog"], batch.records)
@@ -471,7 +476,16 @@ def main(argv=None) -> int:
     if args.command == "catalog" and args.mode == "append" and not args.file:
         parser.error("catalog append needs --file")
     try:
-        _emit(sys.stdout, args.fn(args), args.json)
+        payload = args.fn(args)
+        try:
+            _emit(sys.stdout, payload, args.json)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone (`| head`): send what is left, and the
+            # flush at exit, nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     except BoundsTooLarge as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -1,6 +1,10 @@
 """InvariantRecord construction and the JSONL catalog."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,3 +187,185 @@ def test_reverify(tmp_path):
     assert len(issues) == 2
     assert any("middle_betti" in msg for msg in issues)
     assert any("sign" in msg for msg in issues)
+
+
+# --- the key index beside the catalog ----------------------------------
+#
+# The oracle is always a fresh read_catalog of the file: whatever the
+# index holds, an append must skip exactly the keys the catalog holds
+# and report exactly the corrupt lines a full scan reports.
+
+
+def _recs(*exponents):
+    return [build_record(BPExponents(e)) for e in exponents]
+
+
+def _line(rec):
+    return json.dumps(rec.to_json(), sort_keys=True) + "\n"
+
+
+def _keys(path):
+    return [r.key for r in read_catalog(path).records]
+
+
+def test_index_written_beside_the_catalog(tmp_path):
+    path = tmp_path / "atlas.jsonl"
+    catalog_append(path, _recs((5, 3, 2), (7, 3, 2)))
+    index = json.loads((tmp_path / "atlas.jsonl.keys").read_text(encoding="utf-8"))
+    assert sorted(index["keys"]) == ["bp:2,3,5", "bp:2,3,7"]
+    assert index["corrupt"] == []
+    assert index["stamp"][1] == path.stat().st_size
+
+
+def test_index_after_delete_and_reappend(tmp_path):
+    # the catalog is removed but its .keys file is left behind
+    path = tmp_path / "atlas.jsonl"
+    catalog_append(path, _recs((5, 3, 2), (7, 3, 2)))
+    path.unlink()
+    again = catalog_append(path, _recs((7, 3, 2), (11, 3, 2)))
+    assert (again.added, again.skipped) == (2, 0)
+    assert _keys(path) == ["bp:2,3,7", "bp:2,3,11"]
+    third = catalog_append(path, _recs((5, 3, 2), (11, 3, 2)))
+    assert (third.added, third.skipped) == (1, 1)
+
+
+def test_index_after_external_rewrite_to_larger_content(tmp_path):
+    path = tmp_path / "atlas.jsonl"
+    catalog_append(path, _recs((5, 3, 2)))
+    path.write_text(
+        "".join(_line(r) for r in _recs((7, 3, 2), (11, 3, 2), (13, 3, 2))),
+        encoding="utf-8",
+    )
+    result = catalog_append(path, _recs((5, 3, 2), (13, 3, 2)))
+    assert (result.added, result.skipped) == (1, 1)
+    assert sorted(_keys(path)) == sorted(
+        ["bp:2,3,5", "bp:2,3,7", "bp:2,3,11", "bp:2,3,13"]
+    )
+
+
+def test_index_after_same_size_edit_of_one_key(tmp_path):
+    path = tmp_path / "atlas.jsonl"
+    catalog_append(path, _recs((5, 3, 2), (11, 3, 2)))
+    before = path.stat()
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace('"bp:2,3,5"', '"bp:2,3,7"'), encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+    assert _keys(path) == ["bp:2,3,7", "bp:2,3,11"]
+
+    result = catalog_append(path, _recs((7, 3, 2), (5, 3, 2)))
+    assert (result.added, result.skipped) == (1, 1)
+    assert _keys(path) == ["bp:2,3,7", "bp:2,3,11", "bp:2,3,5"]
+
+
+def test_index_after_external_append(tmp_path):
+    path = tmp_path / "atlas.jsonl"
+    catalog_append(path, _recs((5, 3, 2)))
+    with open(path, "a", encoding="utf-8") as fh:  # a shell's >>
+        fh.write(_line(build_record(BPExponents((7, 3, 2)))))
+    result = catalog_append(path, _recs((7, 3, 2), (11, 3, 2)))
+    assert (result.added, result.skipped) == (1, 1)
+    assert _keys(path) == ["bp:2,3,5", "bp:2,3,7", "bp:2,3,11"]
+
+
+def _stamp_of(path):
+    index_path = path.parent / (path.name + ".keys")
+    return json.loads(index_path.read_text(encoding="utf-8"))["stamp"]
+
+
+@pytest.mark.parametrize(
+    "index_text",
+    [
+        lambda stamp: None,  # missing
+        lambda stamp: "garbage {",
+        lambda stamp: "[]",
+        lambda stamp: json.dumps({"stamp": stamp, "keys": "bp:2,3,7", "corrupt": []}),
+        lambda stamp: json.dumps({"stamp": stamp, "keys": [7], "corrupt": []}),
+        lambda stamp: json.dumps({"stamp": stamp, "keys": [], "corrupt": [[1]]}),
+        lambda stamp: json.dumps(
+            {"stamp": [stamp[0] ^ 1] + stamp[1:], "keys": ["bp:2,3,11"], "corrupt": []}
+        ),
+    ],
+    ids=[
+        "missing", "garbage", "list", "keys-string", "keys-int", "corrupt-short",
+        "wrong-stamp",
+    ],
+)
+def test_unusable_index_means_a_full_scan(tmp_path, index_text):
+    path = tmp_path / "atlas.jsonl"
+    catalog_append(path, _recs((5, 3, 2), (7, 3, 2)))
+    index_path = tmp_path / "atlas.jsonl.keys"
+    text = index_text(_stamp_of(path))
+    if text is None:
+        index_path.unlink()
+    else:
+        index_path.write_text(text, encoding="utf-8")
+
+    result = catalog_append(path, _recs((7, 3, 2), (11, 3, 2)))
+    assert (result.added, result.skipped) == (1, 1)
+    assert _keys(path) == ["bp:2,3,5", "bp:2,3,7", "bp:2,3,11"]
+    # the rescan left a usable index behind
+    assert sorted(json.loads(index_path.read_text(encoding="utf-8"))["keys"]) == sorted(
+        _keys(path)
+    )
+
+
+def test_indexed_corrupt_lines_match_a_full_scan(tmp_path):
+    path = tmp_path / "atlas.jsonl"
+    path.write_bytes(
+        _line(build_record(BPExponents((5, 3, 2)))).encode()
+        + b"not json\n\n"
+        + b'{"key": "bp:2,3,7", "sign": "nope"}\n'
+        + b"\xff\xfe\n"
+        + b'{"key": "bp:2,3,'  # cut mid-line
+    )
+    want = read_catalog(path).corrupt
+    assert [bad.lineno for bad in want] == [2, 4, 5, 6]
+    for batch in ([(7, 3, 2)], [(7, 3, 2), (11, 3, 2)], [(13, 3, 2), (5, 3, 2)]):
+        result = catalog_append(path, _recs(*batch))
+        assert result.corrupt == want
+        assert read_catalog(path).corrupt == want
+    assert _keys(path) == ["bp:2,3,5", "bp:2,3,7", "bp:2,3,11", "bp:2,3,13"]
+
+
+_APPENDER = """
+import sys
+from linkatlas.catalog import InvariantRecord, catalog_append
+from linkatlas.spheres import SphereVerdict
+
+path, lo, hi = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+sys.stdin.readline()  # start together
+added = 0
+for start in range(lo, hi, 40):
+    batch = [
+        InvariantRecord("bp:2,3,%d" % c, "positive", 0, "torsion_free",
+                        SphereVerdict("homology_sphere"))
+        for c in range(start, min(start + 40, hi))
+    ]
+    added += catalog_append(path, batch).added
+print(added)
+"""
+
+
+def test_two_processes_append_overlapping_batches(tmp_path):
+    # each batch of one process shares half its keys with a batch of the
+    # other that is appended at about the same time
+    path = tmp_path / "atlas.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _APPENDER, str(path), str(lo), str(hi)],
+            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        for lo, hi in ((7, 1207), (27, 1227))
+    ]
+    for p in procs:
+        p.stdin.write("go\n")
+        p.stdin.flush()
+    added = [int(p.communicate()[0]) for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    keys = _keys(path)
+    assert len(keys) == len(set(keys)) == 1220
+    assert set(keys) == {"bp:2,3,%d" % c for c in range(7, 1227)}
+    assert sum(added) == 1220
+    assert read_catalog(path).corrupt == ()

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -401,6 +405,124 @@ def test_catalog_append_from_stdin(capsys, tmp_path, monkeypatch):
     assert payload["added"] == 1
     assert payload["corrupt_input"] == 1
     assert "corrupt line 3" in err
+
+
+def _cut_catalog(path):
+    """A catalog of two records whose second line was cut mid-line."""
+    from linkatlas import BPExponents as BP, build_record
+
+    first, second = (
+        json.dumps(build_record(BP(e)).to_json()) for e in ((5, 3, 2), (7, 3, 2))
+    )
+    path.write_text(first + "\n" + second[:20], encoding="utf-8")
+
+
+def _stored_keys(path):
+    from linkatlas import read_catalog
+
+    data = read_catalog(path)
+    return [r.key for r in data.records], [bad.lineno for bad in data.corrupt]
+
+
+def test_catalog_append_ends_a_cut_last_line(capsys, tmp_path):
+    catalog = tmp_path / "atlas.jsonl"
+    _cut_catalog(catalog)
+    from linkatlas import BPExponents as BP, build_record
+
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text(
+        "".join(
+            json.dumps(build_record(BP(e)).to_json()) + "\n"
+            for e in ((11, 3, 2), (13, 3, 2))
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run(
+        capsys, "catalog", "append", "--file", str(feed), "--catalog", str(catalog),
+        "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["added"] == 2
+    assert err.startswith("corrupt line 2: ")
+    assert _stored_keys(catalog) == (["bp:2,3,5", "bp:2,3,11", "bp:2,3,13"], [2])
+
+
+def test_search_append_ends_a_cut_last_line(capsys, tmp_path):
+    catalog = tmp_path / "atlas.jsonl"
+    _cut_catalog(catalog)
+    payload = run_json(
+        capsys, "search", "--family", "kkkk1p", "--bounds", "k=2:2,p=5:6",
+        "--append", "--catalog", str(catalog),
+    )
+    assert payload["appended"] == 2
+    assert _stored_keys(catalog) == (
+        ["bp:2,3,5", "bp:2,2,2,3,5", "bp:2,2,2,3,6"], [2],
+    )
+
+
+def test_non_utf8_lines_are_corrupt_lines(capsys, tmp_path):
+    from linkatlas import BPExponents as BP, build_record
+
+    good = json.dumps(build_record(BP((5, 3, 2))).to_json()).encode()
+    catalog = tmp_path / "atlas.jsonl"
+    accented = good.replace(b"torsion_free", b"t\xc3\xa9")  # valid UTF-8
+    catalog.write_bytes(good + b"\n\xff\n" + accented + b"\n")
+    code, out, err = run(capsys, "catalog", "query", "--catalog", str(catalog), "--json")
+    assert code == 0
+    assert json.loads(out)["matched"] == 2  # the valid UTF-8 line still reads
+    assert err == "corrupt line 2: not valid UTF-8\n"
+
+    payload = run_json(
+        capsys, "search", "--family", "kkkk1p", "--bounds", "k=2:2,p=5:5",
+        "--append", "--catalog", str(catalog),
+    )
+    assert payload["appended"] == 1
+
+    feed = tmp_path / "feed.jsonl"
+    feed.write_bytes(b"\xfe\xff\n" + good.replace(b"bp:2,3,5", b"bp:2,3,7") + b"\n")
+    code, out, err = run(
+        capsys, "catalog", "append", "--file", str(feed), "--catalog", str(catalog),
+        "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    got = (payload["added"], payload["corrupt_input"], payload["corrupt_catalog"])
+    assert got == (1, 1, 1)
+    assert err == "corrupt line 1: not valid UTF-8\ncorrupt line 2: not valid UTF-8\n"
+
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+
+def _cli(*argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.Popen(
+        [sys.executable, "-m", "linkatlas.cli", *argv], env=env, **kwargs
+    )
+
+
+def test_non_utf8_stdin_batch_is_a_corrupt_line(tmp_path):
+    proc = _cli(
+        "catalog", "append", "--file", "-", "--catalog", str(tmp_path / "a.jsonl"),
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    out, err = proc.communicate(b"\xff\n")
+    assert proc.returncode == 0
+    assert err == b"corrupt line 1: not valid UTF-8\n"
+    assert b"corrupt_input: 1" in out
+
+
+def test_closed_stdout_is_not_an_io_error():
+    # ~100 kB of rows, more than a pipe holds, so the writer meets the close
+    proc = _cli(
+        "search", "--family", "bp-box", "--bounds", "a0=2:18,a1=2:18,a2=2:18",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"examined: 4913\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0
+    assert err == b""
 
 
 def test_catalog_query_reverify(capsys, tmp_path):
