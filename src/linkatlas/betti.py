@@ -78,6 +78,12 @@ def betti(ws: WeightSystem) -> BettiResult:
     return BettiResult(total, ws.link_dim, quotients)
 
 
+def betti_cost(nvars: int) -> int:
+    """Budget estimate of betti: its terms table holds at most one entry
+    per subset of the nvars quotients."""
+    return 1 << nvars
+
+
 def is_rational_homology_sphere(ws: WeightSystem) -> bool:
     return betti(ws).middle_betti == 0
 

@@ -6,6 +6,10 @@ degree otherwise).  Appends are idempotent: a key already present is
 skipped.  Malformed lines, and lines that are not valid UTF-8, are
 reported with their line number and skipped; they never abort a read.
 
+A null record of a (2n+1)-dimensional link carries the note
+"null structure: (lambda, nu) = (-2, 2n+2)", the constants of
+eta.null_constants(n); a 1-dimensional link (n = 0) gets no note.
+
 Beside the catalog, an append keeps `<catalog>.keys`: a JSON object
 holding the keys present, the corrupt lines (line number and reason)
 and a stamp of the catalog it describes (crc32, byte length and last
@@ -29,8 +33,9 @@ from datetime import datetime, timezone
 from math import prod
 from typing import Callable, Iterable
 
-from .betti import TorsionForm, betti, torsion_closed_form
+from .betti import TorsionForm, betti, betti_cost, torsion_closed_form
 from .errors import InconsistentInvariants
+from .eta import null_constants
 from .links import (
     BPExponents,
     WeightSystem,
@@ -41,6 +46,8 @@ from .links import (
     parse_link as parse_key,
 )
 from .spheres import (
+    BP8_ORDER,
+    SIGNATURE_NVARS,
     SphereVerdict,
     bp8_residue,
     brieskorn_signature,
@@ -113,7 +120,7 @@ class InvariantRecord:
             raise ValueError("bad sphere %r" % (sphere,))
         residue = sphere.get("bp8_residue")
         if residue is not None and (
-            not isinstance(residue, int) or not 0 <= residue < 28
+            not isinstance(residue, int) or not 0 <= residue < BP8_ORDER
         ):
             raise ValueError("bad bp8_residue %r" % (residue,))
         sig = obj.get("signature")
@@ -172,7 +179,7 @@ def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
         torsion = TorsionForm("unknown")
 
     signature = None
-    if exps is not None and exps.nvars in (3, 5):
+    if exps is not None and exps.nvars in SIGNATURE_NVARS:
         sig = brieskorn_signature(exps)
         # the lattice points with integer t are the eigenvalue-1 part, so
         # they must number exactly the middle Betti number
@@ -187,9 +194,9 @@ def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
     sphere = _sphere_verdict(exps, ws, middle, torsion, signature)
 
     note = None
-    if sign.value == "null":
-        n = ws.nvars - 1
-        note = "null structure: (lambda, nu) = (-2, %d)" % (2 * n + 2)
+    if sign.value == "null" and ws.link_dim > 1:  # EtaConstants needs n >= 1
+        c = null_constants((ws.link_dim - 1) // 2)
+        note = "null structure: (lambda, nu) = (%s, %s)" % (c.lam, c.nu)
 
     return InvariantRecord(
         key=canonical_key(source),
@@ -203,10 +210,10 @@ def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
 
 
 def record_cost(source: BPExponents | WeightSystem) -> int:
-    """Budget estimate: 2^nvars for the Betti sum plus
+    """Budget estimate: betti_cost for the Betti sum plus
     spheres.signature_cost when a signature will be computed."""
-    cost = 1 << source.nvars
-    if isinstance(source, BPExponents) and source.nvars in (3, 5):
+    cost = betti_cost(source.nvars)
+    if isinstance(source, BPExponents) and source.nvars in SIGNATURE_NVARS:
         cost += signature_cost(source.exponents)
     return cost
 

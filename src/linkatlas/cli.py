@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import catalog as cat
 from . import curvature, eta, links, search, spheres
-from .betti import betti as betti_of, torsion_closed_form
+from .betti import betti as betti_of, betti_cost, torsion_closed_form
 from .errors import AtlasError, BoundsTooLarge, InvalidInput
 from .links import parse_link
 
@@ -40,22 +40,16 @@ def _rat(text: str) -> Fraction:
         raise InvalidInput("expected a rational like 3 or -5/2, got %r" % text)
 
 
-def _jsonable(value):
+def _fraction_text(value) -> str:
+    """json.dumps default: an exact rational is written as "p/q"."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "value") and not isinstance(value, (int, float, str)):
-        return value.value  # enums
-    return value
+    raise TypeError("%r is not JSON serializable" % (value,))
 
 
 def _emit(out, payload: dict, as_json: bool) -> None:
-    payload = _jsonable(payload)
     if as_json:
-        print(json.dumps(payload, sort_keys=True), file=out)
+        print(json.dumps(payload, sort_keys=True, default=_fraction_text), file=out)
         return
     for key, val in payload.items():
         if isinstance(val, list) and val and isinstance(val[0], dict):
@@ -103,11 +97,7 @@ def _settings(args) -> dict:
 
 
 def _budgeted(args, cost: int) -> None:
-    """Refuse up front (exit 3) work whose estimated cost exceeds the
-    budget, as a search would refuse it."""
-    budget = _settings(args)["budget"]
-    if cost > budget:
-        raise BoundsTooLarge("estimated cost %d exceeds budget %d" % (cost, budget))
+    search.charge(cost, _settings(args)["budget"])
 
 
 # --- subcommand bodies -------------------------------------------------
@@ -125,10 +115,10 @@ def cmd_classify(args):
         "weights": list(ws.weights),
         "degree": ws.degree,
         "link_dim": ws.link_dim,
-        "sign": links.classify_sign(ws),
+        "sign": links.classify_sign(ws).value,
     }
     if ws.nvars == 3:
-        payload["pi1"] = links.pi1_class(ws)
+        payload["pi1"] = links.pi1_class(ws).value
         payload["ade"] = links.ade_match(ws)
     if ws.nvars == 4:
         payload["well_formed"] = links.is_well_formed(ws)
@@ -138,6 +128,7 @@ def cmd_classify(args):
 def cmd_betti(args):
     obj = parse_link(args.link)
     ws = _ws_of(obj)
+    _budgeted(args, betti_cost(ws.nvars))
     res = betti_of(ws)
     payload = {
         "key": links.canonical_key(obj),
@@ -158,7 +149,7 @@ def cmd_weights_solve(args):
     return {
         "weights": list(ws.weights),
         "degree": ws.degree,
-        "sign": links.classify_sign(ws),
+        "sign": links.classify_sign(ws).value,
     }
 
 
@@ -173,7 +164,7 @@ def cmd_sphere(args):
     if args.link.startswith("kervaire:"):
         rs, a = links.parse_kervaire(args.link)
         verdict, sign = spheres.kervaire_classify(rs, a)
-        return {"kind": verdict.kind, "sign": sign, "a_mod_8": a % 8}
+        return {"kind": verdict.kind, "sign": sign.value, "a_mod_8": a % 8}
     obj = parse_link(args.link)
     _budgeted(args, cat.record_cost(obj))
     rec = cat.build_record(obj)
@@ -226,7 +217,7 @@ def _constants(args) -> eta.EtaConstants:
 
 
 def _eta_payload(c: eta.EtaConstants) -> dict:
-    return {"n": c.n, "lam": c.lam, "nu": c.nu, "sign": c.sign}
+    return {"n": c.n, "lam": c.lam, "nu": c.nu, "sign": c.sign.value}
 
 
 def cmd_eta(args):
@@ -281,7 +272,8 @@ def cmd_curvature(args):
         payload["expected_nu"] = expected.nu
         payload["agrees"] = fit.lam == expected.lam and fit.nu == expected.nu
         return payload
-    # check-ew
+    # check-ew: one tangent evaluation per sample
+    _budgeted(args, args.samples)
     worst = curvature.ew_function_check(
         args.n, args.samples, offset=args.offset, seed=args.seed
     )
@@ -386,6 +378,9 @@ def cmd_catalog(args):
         "records": _record_rows(result.records),
     }
     if args.reverify:
+        _budgeted(
+            args, sum(cat.record_cost(parse_link(rec.key)) for rec in result.records)
+        )
         issues = {
             rec.key: problems
             for rec in result.records

@@ -29,6 +29,7 @@ from typing import Mapping, Sequence
 
 from .errors import DegenerateMetric, InvalidInput, PoleProximity
 from .eta import heisenberg_alpha_squared
+from .links import row_reduce
 
 Rational = Fraction | int
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -104,17 +105,8 @@ class MetricAlgebra:
 def _inverse(g: Matrix) -> list[list[Fraction]]:
     d = len(g)
     a = [list(row) + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(g)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if a[r][col] != 0), None)
-        if piv is None:
-            raise DegenerateMetric("frame metric is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(d):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    if row_reduce(a)[:d] != list(range(d)):
+        raise DegenerateMetric("frame metric is singular")
     return [row[d:] for row in a]
 
 

@@ -138,6 +138,29 @@ def classify_sign(ws: WeightSystem) -> SignClass:
     return SignClass.NEGATIVE
 
 
+def row_reduce(a: list[list[Fraction]]) -> list[int]:
+    """Bring the rows of a to reduced row echelon form in place, by
+    exact Gauss-Jordan elimination; returns the pivot columns."""
+    pivots = []
+    row = 0
+    for col in range(len(a[0])):
+        piv = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = 1 / a[row][col]
+        a[row] = [x * inv for x in a[row]]
+        for r in range(len(a)):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(a):
+            break
+    return pivots
+
+
 def solve_weights(rows: Sequence[Sequence[int]]) -> WeightSystem:
     """Recover the weight system from the exponent rows of a polynomial.
 
@@ -162,25 +185,7 @@ def solve_weights(rows: Sequence[Sequence[int]]) -> WeightSystem:
 
     ncols = nvars + 1
     a = [[Fraction(x) for x in r] + [Fraction(-1)] for r in mat]
-
-    # Gauss elimination to row echelon form.
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(len(a)):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(a):
-            break
+    pivots = row_reduce(a)
 
     free = [c for c in range(ncols) if c not in pivots]
     if len(free) == 0:

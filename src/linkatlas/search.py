@@ -5,7 +5,9 @@ exponent vector.  A search enumerates the family, evaluates the
 predicate in exact arithmetic, and returns matching invariant records
 deduplicated by canonical key and sorted.  The estimated cost
 (catalog.record_cost per member) is checked against the budget before
-any heavy work starts; a search never silently truncates.
+any heavy work starts, and so is the number of parameter tuples inside
+the bounds before any member is generated; a search never silently
+truncates.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import partial
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import InvariantRecord, build_record, record_cost
@@ -198,13 +200,16 @@ def _coprime_hits(member: Member) -> int:
     return sum(1 for q in set(member.fixed) if gcd(member.varying, q) == 1)
 
 
+def charge(cost: int, budget: int) -> int:
+    """The one budget refusal: raise BoundsTooLarge (exit 3) before any
+    work whose estimated cost exceeds the budget; returns the cost."""
+    if cost > budget:
+        raise BoundsTooLarge("estimated cost %d exceeds budget %d" % (cost, budget))
+    return cost
+
+
 def check_budget(members: list[Member], budget: int) -> int:
-    total = sum(record_cost(m.exponents) for m in members)
-    if total > budget:
-        raise BoundsTooLarge(
-            "estimated cost %d exceeds budget %d" % (total, budget)
-        )
-    return total
+    return charge(sum(record_cost(m.exponents) for m in members), budget)
 
 
 def _evaluated(
@@ -213,6 +218,8 @@ def _evaluated(
     """(member, record) pairs of a search in enumeration order, after
     min_coprime_fixed and the budget check and with the family's refine
     hook applied.  Nothing is built until the first pair is taken."""
+    # every family enumerates at most the parameter tuples inside the bounds
+    charge(prod(max(0, hi - lo + 1) for lo, hi in spec.bounds.values()), budget)
     members = _members(spec)
     pred = spec.predicate
 

@@ -39,6 +39,10 @@ from .errors import (
 from .links import BPExponents, SignClass, _as_exponents, bp_link, classify_sign
 
 
+SIGNATURE_NVARS = (3, 5)  # exponent counts whose links have a symmetric middle form
+BP8_ORDER = 28  # order of bP_8, the exotic 7-spheres bounding parallelizable manifolds
+
+
 @dataclass(frozen=True)
 class SignatureResult:
     positive: int
@@ -127,16 +131,21 @@ def _by_step(
     return pos, neg
 
 
+def _signature_exponents(a: Sequence[int] | BPExponents) -> tuple[int, ...]:
+    exps = _as_exponents(a).exponents
+    if len(exps) not in SIGNATURE_NVARS:
+        raise DimensionUnsupported(
+            "signature defined for %d or %d exponents" % SIGNATURE_NVARS
+        )
+    return exps
+
+
 def brieskorn_signature(a: Sequence[int] | BPExponents) -> SignatureResult:
     """Signature pair of the Milnor fiber lattice count.
 
-    Supported for 3 and 5 exponents (links of dimension 3 and 7, where
-    the middle intersection form is symmetric).
+    Supported for the exponent counts in SIGNATURE_NVARS.
     """
-    exps = _as_exponents(a).exponents
-    if len(exps) not in (3, 5):
-        raise DimensionUnsupported("signature defined for 3 or 5 exponents")
-    *prefix, last = sorted(exps)
+    *prefix, last = sorted(_signature_exponents(a))
     d, residues, cumulative = _prefix_histogram(tuple(prefix))
     # a residue costs two floor divisions, a step four bisections
     count = _by_residue if len(residues) <= 3 * (last - 1) else _by_step
@@ -159,9 +168,7 @@ def signature_cost(exps: Sequence[int]) -> int:
 
 def brieskorn_signature_direct(a: Sequence[int] | BPExponents) -> SignatureResult:
     """Nested-loop oracle for the same count; cost Prod(a_i - 1)."""
-    exps = _as_exponents(a).exponents
-    if len(exps) not in (3, 5):
-        raise DimensionUnsupported("signature defined for 3 or 5 exponents")
+    exps = _signature_exponents(a)
     d = lcm(*exps)
     steps = [d // x for x in exps]
     pos = neg = 0
@@ -197,11 +204,10 @@ def is_homology_3_sphere(a: Sequence[int] | BPExponents) -> bool:
 
 
 def bp8_residue(signature: int) -> int | None:
-    """Class of a 7-dimensional rational homology sphere link in the
-    cyclic group of order 28 of exotic spheres bounding parallelizable
-    manifolds: (signature / 8) mod 28, None when 8 does not divide the
+    """Class of a 7-dimensional rational homology sphere link in bP_8:
+    (signature / 8) mod BP8_ORDER, None when 8 does not divide the
     signature."""
-    return (signature // 8) % 28 if signature % 8 == 0 else None
+    return (signature // 8) % BP8_ORDER if signature % 8 == 0 else None
 
 
 def bp8_class(a: Sequence[int] | BPExponents) -> SphereVerdict:

@@ -11,12 +11,18 @@ import pytest
 from linkatlas import (
     BPExponents,
     InvariantRecord,
+    Predicate,
+    SearchSpec,
     WeightSystem,
     build_record,
     catalog_append,
     catalog_query,
+    eta_fit,
+    heisenberg_algebra,
+    null_constants,
     read_catalog,
     reverify_record,
+    run_search,
 )
 from linkatlas.catalog import parse_key, record_cost
 from linkatlas.errors import InconsistentInvariants, InvalidInput
@@ -36,8 +42,39 @@ def test_build_record_poincare():
 def test_build_record_null_link():
     rec = build_record(BPExponents((2, 3, 7, 42)))
     assert rec.sign == "null"
-    assert rec.constants_note == "null structure: (lambda, nu) = (-2, 8)"
+    assert rec.constants_note == "null structure: (lambda, nu) = (-2, 6)"
     assert rec.signature is None  # nvars 4 has no signature
+
+
+@pytest.mark.parametrize("nvars, lo, hi", [(2, 2, 4), (3, 2, 6), (4, 2, 6), (5, 4, 6)])
+def test_null_notes_are_the_eta_null_constants(nvars, lo, hi):
+    bounds = {"a%d" % i: (lo, hi) for i in range(nvars)}
+    result = run_search(SearchSpec("bp-box", bounds, Predicate(sign="null")))
+    assert result.records
+    # nvars exponents cut out a link of dimension 2 nvars - 3 = 2n + 1
+    n = nvars - 2
+    for rec in result.records:
+        if n == 0:
+            assert rec.constants_note is None
+            continue
+        c = null_constants(n)
+        assert c.lam + c.nu == 2 * n
+        assert rec.constants_note == (
+            "null structure: (lambda, nu) = (%s, %s)" % (c.lam, c.nu)
+        )
+
+
+def test_null_note_of_bp333_is_the_heisenberg_fit():
+    # the 3-dimensional null link carries the constants the Heisenberg
+    # frame H(1) fits exactly
+    fit = eta_fit(heisenberg_algebra(1))
+    assert fit.is_eta_einstein and (fit.lam, fit.nu) == (-2, 4)
+    rec = build_record(BPExponents((3, 3, 3)))
+    assert rec.sign == "null"
+    assert rec.constants_note == (
+        "null structure: (lambda, nu) = (%s, %s)" % (fit.lam, fit.nu)
+    )
+    assert build_record(BPExponents((2, 2))).constants_note is None
 
 
 def test_build_record_weight_system():

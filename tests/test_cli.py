@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from linkatlas.catalog import record_cost
+from linkatlas.catalog import build_record, record_cost
 from linkatlas.cli import CONFIG_ENV, load_config, main, parse_link
 from linkatlas.errors import InvalidInput
 from linkatlas.links import BPExponents, WeightSystem
@@ -292,6 +292,38 @@ def test_single_link_commands_refuse_huge_exponents_up_front(capsys, argv):
     assert code == 3
     assert out == ""
     assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv, cost",
+    [
+        # the 2^3 entries of the Betti terms table
+        (["betti", "bp:2,3,5"], 8),
+        # one tangent evaluation per sample
+        (["curvature", "check-ew", "--samples", "20"], 20),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else str(v),
+)
+def test_betti_and_check_ew_are_charged(capsys, argv, cost):
+    code, out, err = run(capsys, *argv, "--budget", str(cost - 1))
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+    run_json(capsys, *argv, "--budget", str(cost))
+
+
+def test_reverify_is_charged_before_any_rebuild(capsys, tmp_path):
+    catalog = tmp_path / "atlas.jsonl"
+    obj = build_record(BPExponents((5, 3, 2))).to_json()
+    catalog.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    argv = ["catalog", "query", "--reverify", "--catalog", str(catalog)]
+    code, out, err = run(capsys, *argv, "--budget", "1")
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+    cost = record_cost(BPExponents((2, 3, 5)))
+    payload = run_json(capsys, *argv, "--budget", str(cost))
+    assert payload["reverify_failures"] == {}
 
 
 def test_budget_flag_raises_single_link_bound(capsys, tmp_path):

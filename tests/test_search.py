@@ -11,8 +11,9 @@ from linkatlas import (
     run_search,
     seven_sphere_sweep,
 )
+from linkatlas.cli import main
 from linkatlas.errors import InvalidInput
-from linkatlas.search import check_budget, _members
+from linkatlas.search import FAMILIES, Family, check_budget, _members
 
 
 def test_237m_positive_count():
@@ -102,6 +103,25 @@ def test_search_budget_refusal():
     spec = SearchSpec("237m", {"m": (5, 41)}, Predicate())
     with pytest.raises(BoundsTooLarge):
         run_search(spec, budget=10)
+
+
+def test_bounds_refused_before_enumeration(monkeypatch, capsys):
+    # reversed spans hold no tuples: they stay invalid input, however long
+    reversed_spans = {"a0": (3000, 2), "a1": (3000, 2)}
+    with pytest.raises(InvalidInput):
+        run_search(SearchSpec("bp-box", reversed_spans, Predicate()))
+
+    def never(bounds):
+        pytest.fail("members enumerated before the bounds were charged")
+        yield
+
+    monkeypatch.setitem(FAMILIES, "bp-box", Family(never))
+    bounds = {"a%d" % i: (2, 1001) for i in range(3)}  # 10^9 tuples
+    with pytest.raises(BoundsTooLarge):
+        run_search(SearchSpec("bp-box", bounds, Predicate()))
+    argv = ["search", "--family", "bp-box", "--bounds", "a0=2:1001,a1=2:1001,a2=2:1001"]
+    assert main(argv) == 3
+    assert "budget" in capsys.readouterr().err
 
 
 def test_budget_estimate_counts_signature_cost():
