@@ -56,7 +56,8 @@ def main():
         hits = catalog_query(str(path), sign="positive").records
         print("query sign=positive:", [r.key for r in hits])
 
-        # Reverification recomputes every stored invariant from the key.
+        # Reverification recomputes every stored invariant from the key
+        # alone; records a kervaire search refined would be flagged.
         issues = [issue for rec in hits for issue in reverify_record(rec)]
         print("reverify issues:", issues or "none")
 

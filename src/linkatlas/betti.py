@@ -80,8 +80,9 @@ def betti(ws: WeightSystem) -> BettiResult:
 
 def betti_cost(nvars: int) -> int:
     """Budget estimate of betti: its terms table holds at most one entry
-    per subset of the nvars quotients."""
-    return 1 << nvars
+    per subset of the nvars quotients, and each entry is an integer
+    that grows with nvars, so nvars * 2^nvars."""
+    return nvars << nvars
 
 
 def is_rational_homology_sphere(ws: WeightSystem) -> bool:

@@ -33,11 +33,19 @@ from datetime import datetime, timezone
 from math import prod
 from typing import Callable, Iterable
 
-from .betti import TorsionForm, betti, betti_cost, torsion_closed_form
+from .betti import (
+    TORSION_FREE,
+    TORSION_UNKNOWN,
+    TorsionForm,
+    betti,
+    betti_cost,
+    torsion_closed_form,
+)
 from .errors import InconsistentInvariants
 from .eta import null_constants
 from .links import (
     BPExponents,
+    SignClass,
     WeightSystem,
     bp_link,
     canonical_key,
@@ -48,6 +56,7 @@ from .links import (
 from .spheres import (
     BP8_ORDER,
     SIGNATURE_NVARS,
+    SPHERE_KINDS,
     SphereVerdict,
     bp8_residue,
     brieskorn_signature,
@@ -57,15 +66,7 @@ from .spheres import (
 
 TOOL_VERSION = "0.1.0"
 
-_SIGNS = ("positive", "null", "negative")
-_SPHERE_KINDS = (
-    "standard_sphere",
-    "kervaire_sphere",
-    "homology_sphere",
-    "rational_homology_sphere",
-    "not_a_sphere",
-    "undetermined",
-)
+_SIGNS = tuple(s.value for s in SignClass)
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ class InvariantRecord:
             raise ValueError("bad middle_betti %r" % (mb,))
         if not isinstance(torsion, str):
             raise ValueError("bad torsion %r" % (torsion,))
-        if not isinstance(sphere, dict) or sphere.get("kind") not in _SPHERE_KINDS:
+        if not isinstance(sphere, dict) or sphere.get("kind") not in SPHERE_KINDS:
             raise ValueError("bad sphere %r" % (sphere,))
         residue = sphere.get("bp8_residue")
         if residue is not None and (
@@ -153,7 +154,7 @@ def _sphere_verdict(
         return SphereVerdict("homology_sphere")
     if middle != 0:
         return SphereVerdict("not_a_sphere")
-    if ws.nvars == 4 and torsion.kind == "torsion_free":
+    if ws.nvars == 4 and torsion == TORSION_FREE:
         # simply connected 5-manifold with H_2 = 0 is the standard sphere
         return SphereVerdict("standard_sphere")
     if ws.nvars == 5 and signature is not None:
@@ -172,11 +173,11 @@ def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
     if exps is not None and exps.nvars == 4:
         torsion = torsion_closed_form(exps)
     elif exps is not None and exps.nvars == 3 and exps.pairwise_coprime():
-        torsion = TorsionForm("torsion_free")
+        torsion = TORSION_FREE
     elif ws.nvars == 4 and is_well_formed(ws):
-        torsion = TorsionForm("torsion_free")
+        torsion = TORSION_FREE
     else:
-        torsion = TorsionForm("unknown")
+        torsion = TORSION_UNKNOWN
 
     signature = None
     if exps is not None and exps.nvars in SIGNATURE_NVARS:
@@ -194,7 +195,7 @@ def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
     sphere = _sphere_verdict(exps, ws, middle, torsion, signature)
 
     note = None
-    if sign.value == "null" and ws.link_dim > 1:  # EtaConstants needs n >= 1
+    if sign is SignClass.NULL and ws.link_dim > 1:  # EtaConstants needs n >= 1
         c = null_constants((ws.link_dim - 1) // 2)
         note = "null structure: (lambda, nu) = (%s, %s)" % (c.lam, c.nu)
 
@@ -404,14 +405,10 @@ def reverify_record(rec: InvariantRecord) -> list[str]:
     mismatches.  An empty list means the record still checks out."""
     fresh = build_record(parse_key(rec.key))
     issues = []
-    for field in ("sign", "middle_betti", "torsion", "signature"):
+    for field in ("sign", "middle_betti", "torsion", "signature", "sphere"):
         old, new = getattr(rec, field), getattr(fresh, field)
         if old != new:
             issues.append("%s: stored %r, recomputed %r" % (field, old, new))
-    if rec.sphere != fresh.sphere:
-        issues.append(
-            "sphere: stored %r, recomputed %r" % (rec.sphere, fresh.sphere)
-        )
     return issues
 
 

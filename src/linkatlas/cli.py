@@ -11,7 +11,8 @@ command also takes kervaire:r_1,...,r_2m@a, e.g. kervaire:3,5@7
 
 Exit codes: 0 success, 2 invalid input, 3 bounds over budget, 4 I/O.
 Configuration (key=value file named by --config or ATLAS_CONFIG):
-catalog, budget; command line flags win.
+catalog, budget; command line flags win.  main resolves it once, for
+every command, into args.catalog and args.budget.
 """
 
 from __future__ import annotations
@@ -75,29 +76,15 @@ def load_config(path: str | None) -> dict:
             key, val = key.strip(), val.strip()
             if not sep or key not in DEFAULTS:
                 raise InvalidInput(
-                    "config line %d: expected catalog/budget = value"
-                    % lineno
+                    "config line %d: expected %s = value" % (lineno, "/".join(DEFAULTS))
                 )
             try:
-                resolved[key] = val if key == "catalog" else int(val)
+                resolved[key] = type(DEFAULTS[key])(val)
             except ValueError:
                 raise InvalidInput(
                     "config line %d: %s needs an integer, got %r" % (lineno, key, val)
                 ) from None
     return resolved
-
-
-def _settings(args) -> dict:
-    cfg = load_config(args.config)
-    if args.catalog is not None:
-        cfg["catalog"] = args.catalog
-    if args.budget is not None:
-        cfg["budget"] = args.budget
-    return cfg
-
-
-def _budgeted(args, cost: int) -> None:
-    search.charge(cost, _settings(args)["budget"])
 
 
 # --- subcommand bodies -------------------------------------------------
@@ -128,7 +115,7 @@ def cmd_classify(args):
 def cmd_betti(args):
     obj = parse_link(args.link)
     ws = _ws_of(obj)
-    _budgeted(args, betti_cost(ws.nvars))
+    search.charge(betti_cost(ws.nvars), args.budget)
     res = betti_of(ws)
     payload = {
         "key": links.canonical_key(obj),
@@ -156,7 +143,7 @@ def cmd_weights_solve(args):
 def cmd_monomials(args):
     ws = _ws_of(parse_link(args.link))
     # the coin-count table has degree + 1 cells, passed once per variable
-    _budgeted(args, ws.nvars * (ws.degree + 1))
+    search.charge(ws.nvars * (ws.degree + 1), args.budget)
     return {"count": links.count_monomials(ws)}
 
 
@@ -166,7 +153,7 @@ def cmd_sphere(args):
         verdict, sign = spheres.kervaire_classify(rs, a)
         return {"kind": verdict.kind, "sign": sign.value, "a_mod_8": a % 8}
     obj = parse_link(args.link)
-    _budgeted(args, cat.record_cost(obj))
+    search.charge(cat.record_cost(obj), args.budget)
     rec = cat.build_record(obj)
     payload = {
         "key": rec.key,
@@ -183,7 +170,7 @@ def _bp_arg(args) -> links.BPExponents:
     obj = parse_link(args.link)
     if not isinstance(obj, links.BPExponents):
         raise InvalidInput("this command needs Brieskorn-Pham input bp:...")
-    _budgeted(args, cat.record_cost(obj))
+    search.charge(cat.record_cost(obj), args.budget)
     return obj
 
 
@@ -259,7 +246,7 @@ def _fit_payload(fit: curvature.RicciFit) -> dict:
 def cmd_curvature(args):
     if args.mode == "heisenberg":
         # d = 2n+1: d^3 covers the Jacobi triples and the metric inverse
-        _budgeted(args, (2 * args.n + 1) ** 3)
+        search.charge((2 * args.n + 1) ** 3, args.budget)
         return _fit_payload(curvature.eta_fit(curvature.heisenberg_algebra(args.n)))
     if args.mode == "berger":
         if args.scale is None:
@@ -273,7 +260,7 @@ def cmd_curvature(args):
         payload["agrees"] = fit.lam == expected.lam and fit.nu == expected.nu
         return payload
     # check-ew: one tangent evaluation per sample
-    _budgeted(args, args.samples)
+    search.charge(args.samples, args.budget)
     worst = curvature.ew_function_check(
         args.n, args.samples, offset=args.offset, seed=args.seed
     )
@@ -302,12 +289,11 @@ def _record_rows(records) -> list[dict]:
 
 
 def cmd_search(args):
-    cfg = _settings(args)
     bounds = links.parse_bounds(args.bounds)
     if args.bp8_sweep:
         if args.family != "kkkk1p":
             raise InvalidInput("--bp8-sweep applies to the kkkk1p family")
-        sweep = search.seven_sphere_sweep(bounds, budget=cfg["budget"])
+        sweep = search.seven_sphere_sweep(bounds, budget=args.budget)
         return {
             "distinct_residues": sweep.distinct,
             "examined": sweep.examined,
@@ -319,12 +305,11 @@ def cmd_search(args):
     pred = search.Predicate(
         sign=args.sign,
         middle_betti=args.betti,
-        rational_sphere=args.rational_sphere,
         pairwise_coprime=args.pairwise_coprime,
         min_coprime_fixed=args.min_coprime_fixed,
     )
     spec = search.SearchSpec(args.family, bounds, pred)
-    result = search.run_search(spec, budget=cfg["budget"])
+    result = search.run_search(spec, budget=args.budget)
     payload = {
         "examined": result.examined,
         "matched": result.matched,
@@ -332,7 +317,7 @@ def cmd_search(args):
         "records": _record_rows(result.records),
     }
     if args.append:
-        added = cat.catalog_append(cfg["catalog"], result.records)
+        added = cat.catalog_append(args.catalog, result.records)
         payload["appended"] = added.added
         payload["skipped"] = added.skipped
     return payload
@@ -344,7 +329,6 @@ def _report_corrupt(corrupt) -> None:
 
 
 def cmd_catalog(args):
-    cfg = _settings(args)
     if args.mode == "append":
         if args.file == "-":
             if isinstance(sys.stdin, io.TextIOWrapper):
@@ -356,7 +340,7 @@ def cmd_catalog(args):
             ) as fh:
                 batch = cat.read_records(fh)
         _report_corrupt(batch.corrupt)
-        result = cat.catalog_append(cfg["catalog"], batch.records)
+        result = cat.catalog_append(args.catalog, batch.records)
         _report_corrupt(result.corrupt)
         return {
             "added": result.added,
@@ -366,7 +350,7 @@ def cmd_catalog(args):
         }
     # query
     result = cat.catalog_query(
-        cfg["catalog"],
+        args.catalog,
         sign=args.sign,
         middle_betti=args.betti,
         sphere=args.sphere,
@@ -378,8 +362,9 @@ def cmd_catalog(args):
         "records": _record_rows(result.records),
     }
     if args.reverify:
-        _budgeted(
-            args, sum(cat.record_cost(parse_link(rec.key)) for rec in result.records)
+        search.charge(
+            sum(cat.record_cost(parse_link(rec.key)) for rec in result.records),
+            args.budget,
         )
         issues = {
             rec.key: problems
@@ -425,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
+    signs = [s.value for s in links.SignClass]
     for name, fn, help_, positional in _SINGLE_ARG:
         add(name, fn, help_).add_argument(positional)
 
@@ -446,9 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("search", cmd_search, "enumerate a link family")
     p.add_argument("--family", required=True, choices=sorted(search.FAMILIES))
     p.add_argument("--bounds", required=True, help="k=2:8,p=2:600")
-    p.add_argument("--sign", choices=["positive", "null", "negative"])
-    p.add_argument("--betti", type=int)
-    p.add_argument("--rational-sphere", action="store_true")
+    p.add_argument("--sign", choices=signs)
+    betti_filter = p.add_mutually_exclusive_group()
+    betti_filter.add_argument("--betti", type=int)
+    betti_filter.add_argument(
+        "--rational-sphere", action="store_const", const=0, dest="betti"
+    )
     p.add_argument("--pairwise-coprime", action="store_true")
     p.add_argument("--min-coprime-fixed", type=int)
     p.add_argument("--bp8-sweep", action="store_true")
@@ -457,9 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("catalog", cmd_catalog, "JSONL catalog maintenance")
     p.add_argument("mode", choices=["append", "query"])
     p.add_argument("--file", help="records to append (JSONL, - for stdin)")
-    p.add_argument("--sign", choices=["positive", "null", "negative"])
+    p.add_argument("--sign", choices=signs)
     p.add_argument("--betti", type=int)
-    p.add_argument("--sphere")
+    p.add_argument("--sphere", choices=spheres.SPHERE_KINDS)
     p.add_argument("--nvars", type=int)
     p.add_argument("--reverify", action="store_true")
     return parser
@@ -471,6 +460,10 @@ def main(argv=None) -> int:
     if args.command == "catalog" and args.mode == "append" and not args.file:
         parser.error("catalog append needs --file")
     try:
+        cfg = load_config(args.config)
+        for key in DEFAULTS:
+            if getattr(args, key) is None:
+                setattr(args, key, cfg[key])
         payload = args.fn(args)
         try:
             _emit(sys.stdout, payload, args.json)

@@ -246,14 +246,19 @@ def ew_function_check(
     xibar is the rescaled Reeb field alpha d/dz, so the identity reads
     alpha^2 tan^2 - alpha^2 sec^2 + alpha^2 = 0 pointwise.  Floats are
     appropriate here (alpha is irrational); samples within 1e-6 of a
-    pole of tan raise PoleProximity instead of returning garbage.
+    pole of tan raise PoleProximity instead of returning garbage.  A
+    non-finite offset, or no sample at all, raises InvalidInput.
     """
+    if not math.isfinite(offset):
+        raise InvalidInput("offset must be finite, got %r" % offset)
     alpha = math.sqrt(float(heisenberg_alpha_squared(n)))
     if isinstance(samples, int):
         rng = random.Random(seed)
         zs = [rng.uniform(-1.5, 1.5) for _ in range(samples)]
     else:
         zs = [float(z) for z in samples]
+    if not zs:
+        raise InvalidInput("need at least one sample")
     worst = 0.0
     for z in zs:
         t = z + offset

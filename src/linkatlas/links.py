@@ -242,16 +242,14 @@ def is_well_formed(ws: WeightSystem) -> bool:
 
 
 def pi1_class(ws: WeightSystem) -> Pi1Class:
-    """Fundamental group size for 3-dimensional links: finite iff
-    d < |w|, infinite nilpotent iff d = |w|, infinite otherwise."""
+    """Fundamental group size for 3-dimensional links, by sign class."""
     if ws.nvars != 3:
         raise DimensionUnsupported("pi1 classification needs nvars = 3")
-    diff = ws.degree - ws.total_weight
-    if diff < 0:
-        return Pi1Class.FINITE
-    if diff == 0:
-        return Pi1Class.INFINITE_NILPOTENT
-    return Pi1Class.INFINITE
+    return {
+        SignClass.POSITIVE: Pi1Class.FINITE,
+        SignClass.NULL: Pi1Class.INFINITE_NILPOTENT,
+        SignClass.NEGATIVE: Pi1Class.INFINITE,
+    }[classify_sign(ws)]
 
 
 _E_SYSTEMS = {
@@ -344,13 +342,19 @@ def parse_kervaire(text: str) -> tuple[tuple[int, ...], int]:
 
 def parse_bounds(text: str) -> dict[str, tuple[int, int]]:
     """Parse search bounds such as k=2:8,p=2:600 into {name: (lo, hi)}.
-    Malformed text raises InvalidInput."""
+    Malformed text, or a name given twice, raises InvalidInput."""
     bounds = {}
+    repeated = []
     for part in text.split(","):
         key, sep, span = part.partition("=")
         if not sep or span.count(":") != 1:
             raise InvalidInput("bounds look like k=2:8,p=2:600")
-        bounds[key.strip()] = _ints(span, ":")
+        key = key.strip()
+        if key in bounds:
+            repeated.append(key)
+        bounds[key] = _ints(span, ":")
+    if repeated:
+        raise InvalidInput("bound %r given twice" % repeated[0])
     return bounds
 
 

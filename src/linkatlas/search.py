@@ -37,7 +37,6 @@ class Predicate:
 
     sign: str | None = None
     middle_betti: int | None = None
-    rational_sphere: bool = False
     pairwise_coprime: bool = False
     min_coprime_fixed: int | None = None
 
@@ -51,7 +50,6 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class Member:
-    params: tuple[tuple[str, int], ...]
     exponents: BPExponents
     # distinct exponents the varying parameter must dodge, and its value
     fixed: tuple[int, ...] | None = None
@@ -76,63 +74,68 @@ def _span(bounds: Mapping[str, tuple[int, int]], key: str, lo_min: int) -> range
     return range(lo, hi + 1)
 
 
+def _spans(bounds, lo_mins: Mapping[str, int]) -> list[range]:
+    """The spans of the bounds named in lo_mins, in order, each checked
+    against its least value; a missing bound, or one the family does not
+    take, raises InvalidInput."""
+    spans = [_span(bounds, k, lo) for k, lo in lo_mins.items()]
+    extra = [k for k in bounds if k not in lo_mins]
+    if extra:
+        raise InvalidInput(
+            "family takes no bound %r (its bounds: %s)"
+            % (extra[0], ", ".join(lo_mins))
+        )
+    return spans
+
+
 def _bp_box(bounds) -> Iterator[Member]:
-    keys = sorted(bounds, key=lambda k: (len(k), k))
-    if not keys or any(not k.startswith("a") for k in keys):
+    keys = ["a%d" % i for i in range(len(bounds))]
+    if not keys or set(keys) != set(bounds):
         raise InvalidInput("bp-box bounds use keys a0, a1, ...")
-    spans = [_span(bounds, k, 2) for k in keys]
-    for tup in itertools.product(*spans):
-        yield Member(tuple(zip(keys, tup)), BPExponents(tup))
+    for tup in itertools.product(*_spans(bounds, dict.fromkeys(keys, 2))):
+        yield Member(BPExponents(tup))
 
 
 def _family_237m(bounds) -> Iterator[Member]:
-    for m in _span(bounds, "m", 2):
-        yield Member(
-            (("m", m),), BPExponents((2, 3, 7, m)), fixed=(2, 3, 7), varying=m
-        )
+    (ms,) = _spans(bounds, {"m": 2})
+    for m in ms:
+        yield Member(BPExponents((2, 3, 7, m)), fixed=(2, 3, 7), varying=m)
 
 
 def _family_k1p(count: int, bounds) -> Iterator[Member]:
     # (k, ..., k, k+1, p) with count k's
-    for k in _span(bounds, "k", 2):
-        for p in _span(bounds, "p", 2):
+    ks, ps = _spans(bounds, {"k": 2, "p": 2})
+    for k in ks:
+        for p in ps:
             yield Member(
-                (("k", k), ("p", p)),
-                BPExponents((k,) * count + (k + 1, p)),
-                fixed=(k, k + 1),
-                varying=p,
+                BPExponents((k,) * count + (k + 1, p)), fixed=(k, k + 1), varying=p
             )
 
 
 def _family_pqr(bounds) -> Iterator[Member]:
-    for p in _span(bounds, "p", 2):
-        for q in _span(bounds, "q", 2):
+    ps, qs, rs = _spans(bounds, {"p": 2, "q": 2, "r": 2})
+    for p in ps:
+        for q in qs:
             if q <= p or gcd(p, q) != 1:
                 continue
-            for r in _span(bounds, "r", 2):
+            for r in rs:
                 if r <= q or gcd(r, p) != 1 or gcd(r, q) != 1:
                     continue
-                yield Member(
-                    (("p", p), ("q", q), ("r", r)),
-                    BPExponents((p, q, r, p * q * r)),
-                )
+                yield Member(BPExponents((p, q, r, p * q * r)))
 
 
 def _family_kervaire(bounds) -> Iterator[Member]:
-    rkeys = sorted(
-        (k for k in bounds if k.startswith("r")), key=lambda k: (len(k), k)
-    )
-    if not rkeys or len(rkeys) % 2:
+    count = sum(1 for k in bounds if k.startswith("r"))
+    rkeys = ["r%d" % i for i in range(1, count + 1)]
+    if not rkeys or count % 2 or not set(rkeys) <= set(bounds):
         raise InvalidInput("kervaire bounds use r1..r2m (even count) and a")
-    spans = [_span(bounds, k, 1) for k in rkeys]
+    *spans, a_span = _spans(bounds, {**dict.fromkeys(rkeys, 1), "a": 2})
     for rs in itertools.product(*spans):
         if any(gcd(x, y) != 1 for x, y in itertools.combinations(rs, 2)):
             continue
-        for a in _span(bounds, "a", 2):
+        for a in a_span:
             exps = BPExponents((2,) + tuple(2 * x for x in rs) + (a,))
-            yield Member(
-                tuple(zip(rkeys, rs)) + (("a", a),), exps, fixed=rs, varying=a
-            )
+            yield Member(exps, fixed=rs, varying=a)
 
 
 def _refine_kervaire(member: Member, record: InvariantRecord) -> InvariantRecord:
@@ -188,8 +191,6 @@ def _passes(member: Member, pred: Predicate, record: InvariantRecord) -> bool:
     if pred.sign is not None and record.sign != pred.sign:
         return False
     if pred.middle_betti is not None and record.middle_betti != pred.middle_betti:
-        return False
-    if pred.rational_sphere and record.middle_betti != 0:
         return False
     if pred.pairwise_coprime and not member.exponents.pairwise_coprime():
         return False

@@ -53,10 +53,19 @@ class SignatureResult:
         return self.positive - self.negative
 
 
+SPHERE_KINDS = (
+    "standard_sphere",
+    "kervaire_sphere",
+    "homology_sphere",
+    "rational_homology_sphere",
+    "not_a_sphere",
+    "undetermined",
+)
+
+
 @dataclass(frozen=True)
 class SphereVerdict:
-    """kind is one of standard_sphere, kervaire_sphere, homology_sphere,
-    rational_homology_sphere, not_a_sphere, undetermined."""
+    """kind is one of SPHERE_KINDS."""
 
     kind: str
     bp8_residue: int | None = None
@@ -253,6 +262,7 @@ def kervaire_classify(
 
 __all__ = [
     "SignatureResult",
+    "SPHERE_KINDS",
     "SphereVerdict",
     "brieskorn_signature",
     "brieskorn_signature_direct",

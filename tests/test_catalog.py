@@ -126,12 +126,12 @@ def test_parse_key():
 
 
 def test_record_cost():
-    # 2^nvars, plus the prefix build (1 + 2 steps) and the last-factor loop (2)
-    assert record_cost(BPExponents((5, 3, 2))) == 8 + 5
+    # nvars 2^nvars, plus the prefix build (1 + 2 steps) and the last-factor loop (2)
+    assert record_cost(BPExponents((5, 3, 2))) == 24 + 5
     # prefix cells capped at 2 lcm: 7 + 49 + 16*7 + 16*8 build steps, 128 loop
-    assert record_cost(BPExponents((8, 8, 8, 9, 599))) == 32 + 296 + 128
-    assert record_cost(BPExponents((2, 3, 7, 42))) == 16
-    assert record_cost(WeightSystem((1, 1, 1), 3)) == 8
+    assert record_cost(BPExponents((8, 8, 8, 9, 599))) == 160 + 296 + 128
+    assert record_cost(BPExponents((2, 3, 7, 42))) == 64
+    assert record_cost(WeightSystem((1, 1, 1), 3)) == 24
 
 
 def test_build_record_refuses_betti_signature_mismatch(monkeypatch):
@@ -406,3 +406,32 @@ def test_two_processes_append_overlapping_batches(tmp_path):
     assert set(keys) == {"bp:2,3,%d" % c for c in range(7, 1227)}
     assert sum(added) == 1220
     assert read_catalog(path).corrupt == ()
+
+
+def _produced_records():
+    """Records as the producers build them: bp-box searches over 2 to 5
+    exponents, a kervaire search (refined verdicts), and weight systems."""
+    for n, hi in ((2, 7), (3, 5), (4, 4), (5, 3)):
+        bounds = {"a%d" % i: (2, hi) for i in range(n)}
+        yield from run_search(SearchSpec("bp-box", bounds, Predicate())).records
+    kervaire = {"r1": (1, 3), "r2": (1, 5), "a": (3, 9)}
+    yield from run_search(SearchSpec("kervaire", kervaire, Predicate())).records
+    for key in ("w:1,1,1@3", "w:6,10,15@30", "w:1,1,4,6@12", "w:13,43,101,158@316"):
+        yield build_record(parse_key(key))
+
+
+def test_every_produced_record_reads_back():
+    # a producer must never emit a sign or sphere kind the reader rejects
+    seen = set()
+    for rec in _produced_records():
+        again = InvariantRecord.from_json(json.loads(json.dumps(rec.to_json())))
+        assert again == rec
+        seen.add((rec.sign, rec.sphere.kind))
+    assert {sign for sign, _ in seen} == {"positive", "null", "negative"}
+    assert {kind for _, kind in seen} >= {
+        "standard_sphere",
+        "kervaire_sphere",
+        "homology_sphere",
+        "rational_homology_sphere",
+        "not_a_sphere",
+    }

@@ -297,8 +297,8 @@ def test_single_link_commands_refuse_huge_exponents_up_front(capsys, argv):
 @pytest.mark.parametrize(
     "argv, cost",
     [
-        # the 2^3 entries of the Betti terms table
-        (["betti", "bp:2,3,5"], 8),
+        # the 2^3 entries of the Betti terms table, each priced at nvars = 3
+        (["betti", "bp:2,3,5"], 24),
         # one tangent evaluation per sample
         (["curvature", "check-ew", "--samples", "20"], 20),
     ],
@@ -374,6 +374,11 @@ def _bad_config(tmp_path):
     return ["search", "--family", "237m", "--bounds", "m=5:6", "--config", str(cfg)]
 
 
+def _bad_config_classify(tmp_path):
+    # the config is resolved for every command, not only those that use it
+    return ["classify", "bp:2,3,5"] + _bad_config(tmp_path)[-2:]
+
+
 def _bad_catalog_key(tmp_path):
     from linkatlas import BPExponents as BP, build_record
 
@@ -393,13 +398,72 @@ def _bad_catalog_key(tmp_path):
         lambda tmp: ["search", "--family", "kkkk1p", "--bounds", "p=2:5", "--bp8-sweep"],
         _bad_config,
         _bad_catalog_key,
+        _bad_config_classify,
+        # each family takes exactly its own bound names, each name once
+        lambda tmp: ["search", "--family", "237m", "--bounds", "m=5:41,m=6:7"],
+        lambda tmp: ["search", "--family", "bp-box", "--bounds", "a0=2:3,a2=2:3"],
+        lambda tmp: ["search", "--family", "237m", "--bounds", "m=5:41,x=1:3"],
+        lambda tmp: ["search", "--family", "kkk1p", "--bounds", "k=2:3,p=2:3,q=1:1"],
+        lambda tmp: [
+            "search", "--family", "kervaire", "--bounds", "r1=1:3,r2=1:5,a=3:9,zz=1:2",
+        ],
+        lambda tmp: ["search", "--family", "kervaire", "--bounds", "rx=1:3,ry=1:5,a=3:9"],
+        lambda tmp: ["curvature", "check-ew", "--offset", "inf"],
+        lambda tmp: ["curvature", "check-ew", "--offset", "nan"],
+        lambda tmp: ["curvature", "check-ew", "--samples", "0"],
+        lambda tmp: ["curvature", "check-ew", "--samples", "-5"],
     ],
-    ids=["weight-degree", "kervaire-a", "bounds", "sweep-no-k", "config", "catalog-key"],
+    ids=[
+        "weight-degree", "kervaire-a", "bounds", "sweep-no-k", "config", "catalog-key",
+        "config-classify", "bound-repeated", "bp-box-gap", "237m-extra", "kkk1p-extra",
+        "kervaire-extra", "kervaire-r-names", "offset-inf", "offset-nan", "samples-0",
+        "samples-negative",
+    ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     code, _, err = run(capsys, *argv(tmp_path))
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_unused_bound_span_is_charged_before_its_name_is_checked(capsys):
+    code, out, err = run(
+        capsys, "search", "--family", "237m", "--bounds", "m=5:41,x=1:300000000",
+    )
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "query", "--sphere", "homology-sphere"],
+        ["search", "--family", "237m", "--bounds", "m=5:9", "--betti", "3",
+         "--rational-sphere"],
+    ],
+    ids=["unknown-sphere-kind", "betti-and-rational-sphere"],
+)
+def test_parser_refuses_filters_no_record_can_match(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_rational_sphere_is_betti_zero(capsys, as_json):
+    argv = ["search", "--family", "bp-box", "--bounds", "a0=2:4,a1=2:4,a2=2:5"]
+    argv += ["--json"] * as_json
+    alias = run(capsys, *argv, "--rational-sphere")
+    assert alias == run(capsys, *argv, "--betti", "0")
+    assert alias[0] == 0 and "bp:2,3,5" in alias[1]
+
+
+def test_missing_config_fails_every_command(capsys, tmp_path):
+    missing = str(tmp_path / "missing.conf")
+    code, out, err = run(capsys, "classify", "bp:2,3,5", "--config", missing)
+    assert (code, out) == (4, "")
+    assert "i/o error" in err
 
 
 def test_catalog_append_from_file(capsys, tmp_path):

@@ -251,3 +251,15 @@ def test_ew_function_pole_guard():
         ew_function_check(1, [math.pi / 2 + math.pi])
     with pytest.raises(PoleProximity):
         ew_function_check(1, [0.0], offset=math.pi / 2)
+
+
+@pytest.mark.parametrize(
+    "samples, offset",
+    [(10, math.inf), (10, math.nan), (0, 0.0), (-5, 0.0)],
+    ids=["offset-inf", "offset-nan", "samples-0", "samples-negative"],
+)
+def test_ew_check_refuses_non_finite_offset_and_no_samples(samples, offset):
+    # inf used to end in a math domain error, and nan or no samples in a
+    # residual of 0.0 that checked nothing
+    with pytest.raises(InvalidInput):
+        ew_function_check(1, samples, offset=offset)

@@ -62,7 +62,7 @@ def test_pqr_family_skips_non_coprime():
         "pqrpqr", {"p": (2, 4), "q": (3, 6), "r": (5, 7)}, Predicate()
     )
     members = _members(spec)
-    triples = [tuple(v for _, v in m.params) for m in members]
+    triples = [m.exponents.exponents[:3] for m in members]
     assert (2, 4, 5) not in [t[:3] for t in triples]
     assert all(len({p, q, r}) == 3 for p, q, r in triples)
 
@@ -75,10 +75,9 @@ def test_k1p_families_members_in_order():
         assert [m.exponents.exponents for m in members] == [
             (k,) * count + (k + 1, p) for k in (2, 3) for p in (5, 6)
         ]
-        assert [m.params for m in members] == [
-            (("k", k), ("p", p)) for k in (2, 3) for p in (5, 6)
-        ]
-        assert all(m.fixed == (m.params[0][1], m.params[0][1] + 1) for m in members)
+        ends = [(m.exponents.exponents[0], m.exponents.exponents[-1]) for m in members]
+        assert ends == [(k, p) for k in (2, 3) for p in (5, 6)]
+        assert all(m.fixed == (k, k + 1) for m, (k, _) in zip(members, ends))
         assert [m.varying for m in members] == [5, 6, 5, 6]
 
 
@@ -127,8 +126,8 @@ def test_bounds_refused_before_enumeration(monkeypatch, capsys):
 def test_budget_estimate_counts_signature_cost():
     spec = SearchSpec("bp-box", {"a0": (5, 5), "a1": (3, 3), "a2": (2, 2)}, Predicate())
     members = _members(spec)
-    # 2^3 for the Betti sum plus 3 prefix build steps and 2 loop items
-    assert check_budget(members, 10**6) == 8 + 5
+    # 3 * 2^3 for the Betti sum plus 3 prefix build steps and 2 loop items
+    assert check_budget(members, 10**6) == 24 + 5
 
 
 def test_min_coprime_fixed_needs_varying_parameter():
