@@ -28,7 +28,7 @@ import fcntl
 import json
 import os
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from math import prod
 from typing import Callable, Iterable
@@ -60,7 +60,6 @@ from .spheres import (
     SphereVerdict,
     bp8_residue,
     brieskorn_signature,
-    is_homology_3_sphere,
     signature_cost,
 )
 
@@ -82,20 +81,7 @@ class InvariantRecord:
     timestamp: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "key": self.key,
-            "sign": self.sign,
-            "middle_betti": self.middle_betti,
-            "torsion": self.torsion,
-            "sphere": {
-                "kind": self.sphere.kind,
-                "bp8_residue": self.sphere.bp8_residue,
-            },
-            "signature": self.signature,
-            "constants_note": self.constants_note,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-        }
+        return {**vars(self), "sphere": dict(vars(self.sphere))}
 
     @classmethod
     def from_json(cls, obj: dict) -> "InvariantRecord":
@@ -113,7 +99,7 @@ class InvariantRecord:
             raise ValueError("bad key")
         if sign not in _SIGNS:
             raise ValueError("bad sign %r" % (sign,))
-        if not isinstance(mb, int) or isinstance(mb, bool) or mb < 0:
+        if type(mb) is not int or mb < 0:
             raise ValueError("bad middle_betti %r" % (mb,))
         if not isinstance(torsion, str):
             raise ValueError("bad torsion %r" % (torsion,))
@@ -121,15 +107,21 @@ class InvariantRecord:
             raise ValueError("bad sphere %r" % (sphere,))
         residue = sphere.get("bp8_residue")
         if residue is not None and (
-            not isinstance(residue, int) or not 0 <= residue < BP8_ORDER
+            type(residue) is not int or not 0 <= residue < BP8_ORDER
         ):
             raise ValueError("bad bp8_residue %r" % (residue,))
         sig = obj.get("signature")
-        if sig is not None and (not isinstance(sig, int) or isinstance(sig, bool)):
+        if sig is not None and type(sig) is not int:
             raise ValueError("bad signature %r" % (sig,))
         note = obj.get("constants_note")
         if note is not None and not isinstance(note, str):
             raise ValueError("bad constants_note %r" % (note,))
+        version = obj.get("tool_version", TOOL_VERSION)
+        if not isinstance(version, str):
+            raise ValueError("bad tool_version %r" % (version,))
+        stamp = obj.get("timestamp")
+        if stamp is not None and not isinstance(stamp, str):
+            raise ValueError("bad timestamp %r" % (stamp,))
         return cls(
             key=key,
             sign=sign,
@@ -138,19 +130,17 @@ class InvariantRecord:
             sphere=SphereVerdict(sphere["kind"], residue),
             signature=sig,
             constants_note=note,
-            tool_version=obj.get("tool_version", TOOL_VERSION),
-            timestamp=obj.get("timestamp"),
+            tool_version=version,
+            timestamp=stamp,
         )
 
 
 def _sphere_verdict(
-    exps: BPExponents | None,
-    ws: WeightSystem,
-    middle: int,
-    torsion: TorsionForm,
-    signature: int | None,
+    ws: WeightSystem, middle: int, torsion: TorsionForm, signature: int | None
 ) -> SphereVerdict:
-    if ws.nvars == 3 and exps is not None and is_homology_3_sphere(exps):
+    # build_record marks a 3-variable link torsion-free exactly when its
+    # BP exponents are pairwise coprime: an integral homology sphere
+    if ws.nvars == 3 and torsion == TORSION_FREE:
         return SphereVerdict("homology_sphere")
     if middle != 0:
         return SphereVerdict("not_a_sphere")
@@ -192,7 +182,7 @@ def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
             )
         signature = sig.signature
 
-    sphere = _sphere_verdict(exps, ws, middle, torsion, signature)
+    sphere = _sphere_verdict(ws, middle, torsion, signature)
 
     note = None
     if sign is SignClass.NULL and ws.link_dim > 1:  # EtaConstants needs n >= 1
@@ -379,14 +369,13 @@ def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
     return AppendResult(len(lines), skipped, corrupt)
 
 
-def catalog_query(
-    path,
+def record_filter(
     sign: str | None = None,
     middle_betti: int | None = None,
     sphere: str | None = None,
     nvars: int | None = None,
-) -> ReadResult:
-    """Filter catalog records; results sorted by key."""
+) -> Callable[[InvariantRecord], bool]:
+    """Predicate on records: every filter that is not None must match."""
 
     def keep(rec: InvariantRecord) -> bool:
         return (
@@ -396,19 +385,28 @@ def catalog_query(
             and (nvars is None or parse_key(rec.key).nvars == nvars)
         )
 
-    data = read_catalog(path, keep)
+    return keep
+
+
+def catalog_query(path, **filters) -> ReadResult:
+    """Catalog records that pass record_filter(**filters); results
+    sorted by key."""
+    data = read_catalog(path, record_filter(**filters))
     return ReadResult(tuple(sorted(data.records, key=lambda r: r.key)), data.corrupt)
 
 
 def reverify_record(rec: InvariantRecord) -> list[str]:
-    """Recompute the mathematical fields from the key and report any
-    mismatches.  An empty list means the record still checks out."""
+    """Rebuild the record from its key and report every field that
+    differs, apart from the write-time fields.  An empty list means the
+    record still checks out."""
     fresh = build_record(parse_key(rec.key))
     issues = []
-    for field in ("sign", "middle_betti", "torsion", "signature", "sphere"):
-        old, new = getattr(rec, field), getattr(fresh, field)
+    for field in fields(InvariantRecord):
+        if field.name in ("tool_version", "timestamp"):
+            continue
+        old, new = getattr(rec, field.name), getattr(fresh, field.name)
         if old != new:
-            issues.append("%s: stored %r, recomputed %r" % (field, old, new))
+            issues.append("%s: stored %r, recomputed %r" % (field.name, old, new))
     return issues
 
 
@@ -424,6 +422,7 @@ __all__ = [
     "read_records",
     "read_catalog",
     "catalog_append",
+    "record_filter",
     "catalog_query",
     "reverify_record",
 ]

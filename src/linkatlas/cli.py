@@ -22,6 +22,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import catalog as cat
@@ -180,16 +181,11 @@ def cmd_casson(args):
 
 def cmd_signature(args):
     res = spheres.brieskorn_signature(_bp_arg(args))
-    return {
-        "positive": res.positive,
-        "negative": res.negative,
-        "signature": res.signature,
-    }
+    return {**asdict(res), "signature": res.signature}
 
 
 def cmd_bp8(args):
-    verdict = spheres.bp8_class(_bp_arg(args))
-    return {"kind": verdict.kind, "bp8_residue": verdict.bp8_residue}
+    return asdict(spheres.bp8_class(_bp_arg(args)))
 
 
 def _constants(args) -> eta.EtaConstants:
@@ -204,7 +200,7 @@ def _constants(args) -> eta.EtaConstants:
 
 
 def _eta_payload(c: eta.EtaConstants) -> dict:
-    return {"n": c.n, "lam": c.lam, "nu": c.nu, "sign": c.sign.value}
+    return {**asdict(c), "sign": c.sign.value}
 
 
 def cmd_eta(args):
@@ -233,14 +229,7 @@ def cmd_eta(args):
 
 
 def _fit_payload(fit: curvature.RicciFit) -> dict:
-    return {
-        "n": fit.n,
-        "lam": fit.lam,
-        "nu": fit.nu,
-        "residual": fit.residual,
-        "k_contact_residual": fit.k_contact_residual,
-        "eta_einstein": fit.is_eta_einstein,
-    }
+    return {**asdict(fit), "eta_einstein": fit.is_eta_einstein}
 
 
 def cmd_curvature(args):
@@ -288,11 +277,22 @@ def _record_rows(records) -> list[dict]:
     return rows
 
 
+# the search flags --bp8-sweep would ignore, by dest
+_NOT_SWEPT = {
+    "append": "--append", "sign": "--sign", "betti": "--betti/--rational-sphere",
+    "pairwise_coprime": "--pairwise-coprime", "min_coprime_fixed": "--min-coprime-fixed"
+}
+
+
 def cmd_search(args):
     bounds = links.parse_bounds(args.bounds)
     if args.bp8_sweep:
         if args.family != "kkkk1p":
             raise InvalidInput("--bp8-sweep applies to the kkkk1p family")
+        for dest, flag in _NOT_SWEPT.items():
+            value = getattr(args, dest)
+            if value is not None and value is not False:  # --betti 0 counts
+                raise InvalidInput("--bp8-sweep does not take %s" % flag)
         sweep = search.seven_sphere_sweep(bounds, budget=args.budget)
         return {
             "distinct_residues": sweep.distinct,

@@ -50,8 +50,9 @@ class WeightSystem:
     degree: int
 
     def __post_init__(self) -> None:
-        w = tuple(int(x) for x in self.weights)
-        d = int(self.degree)
+        w, d = tuple(self.weights), self.degree
+        if any(type(x) is not int for x in (*w, d)):  # no bool, float or str
+            raise InvalidInput("weights and degree must be integers")
         if len(w) < 2:
             raise InvalidInput("need at least two weights")
         if any(x < 1 for x in w) or d < 1:
@@ -91,7 +92,9 @@ class BPExponents:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        a = tuple(int(x) for x in self.exponents)
+        a = tuple(self.exponents)
+        if any(type(x) is not int for x in a):  # no bool, float or str
+            raise InvalidInput("exponents must be integers")
         if len(a) < 2:
             raise InvalidInput("need at least two exponents")
         if any(x < 2 for x in a):

@@ -18,7 +18,7 @@ from functools import partial
 from math import gcd, prod
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .catalog import InvariantRecord, build_record, record_cost
+from .catalog import InvariantRecord, build_record, record_cost, record_filter
 from .errors import BoundsTooLarge, InvalidInput
 from .links import BPExponents
 from .spheres import kervaire_classify
@@ -187,16 +187,6 @@ def _members(spec: SearchSpec) -> list[Member]:
     return list(family.generate(spec.bounds))
 
 
-def _passes(member: Member, pred: Predicate, record: InvariantRecord) -> bool:
-    if pred.sign is not None and record.sign != pred.sign:
-        return False
-    if pred.middle_betti is not None and record.middle_betti != pred.middle_betti:
-        return False
-    if pred.pairwise_coprime and not member.exponents.pairwise_coprime():
-        return False
-    return True
-
-
 def _coprime_hits(member: Member) -> int:
     return sum(1 for q in set(member.fixed) if gcd(member.varying, q) == 1)
 
@@ -242,11 +232,15 @@ def _evaluated(
 
 
 def run_search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> SearchResult:
+    pred = spec.predicate
+    keep = record_filter(pred.sign, pred.middle_betti)
     members = []
     matched: dict[str, InvariantRecord] = {}
     for member, rec in _evaluated(spec, budget):
         members.append(member)
-        if _passes(member, spec.predicate, rec):
+        if keep(rec) and (
+            not pred.pairwise_coprime or member.exponents.pairwise_coprime()
+        ):
             matched.setdefault(rec.key, rec)
 
     notes = FAMILIES[spec.family].notes(spec, members)

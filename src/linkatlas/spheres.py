@@ -244,14 +244,15 @@ def kervaire_classify(
     here.  The sign class of the accompanying structure is returned
     alongside (negative exactly when sum 1/r_i < (a-2)/a).
     """
-    rs = tuple(int(x) for x in r)
+    rs = tuple(r)
     if len(rs) < 2 or len(rs) % 2:
         raise DimensionUnsupported("need an even count 2m >= 2 of r_i")
     if any(x < 1 for x in rs) or a < 2:
         raise InvalidInput("r_i must be >= 1 and a >= 2")
+    # BPExponents refuses a non-integer r_i or a
+    exps = BPExponents((2,) + tuple(2 * x for x in rs) + (a,))
     if any(gcd(x, y) != 1 for x, y in itertools.combinations(rs, 2)):
         raise NotPairwiseCoprime("r must be pairwise coprime")
-    exps = BPExponents((2,) + tuple(2 * x for x in rs) + (int(a),))
     sign = classify_sign(bp_link(exps))
     if a % 2 == 0:
         return SphereVerdict("undetermined"), sign

@@ -1,5 +1,6 @@
 """InvariantRecord construction and the JSONL catalog."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -109,6 +110,10 @@ def test_from_json_validation():
         lambda o: o.update(sphere={"kind": "mystery"}),
         lambda o: o.update(sphere={"kind": "rational_homology_sphere", "bp8_residue": 28}),
         lambda o: o.update(signature="eight"),
+        # a bool is an int to Python, but never a residue
+        lambda o: o.update(sphere={"kind": "rational_homology_sphere", "bp8_residue": True}),
+        lambda o: o.update(tool_version=5),
+        lambda o: o.update(timestamp={"a": 1}),
     ):
         obj = json.loads(json.dumps(good))
         mutate(obj)
@@ -217,13 +222,49 @@ def test_query_filters(tmp_path):
 def test_reverify(tmp_path):
     rec = build_record(BPExponents((5, 3, 2)))
     assert reverify_record(rec) == []
-    import dataclasses
-
     tampered = dataclasses.replace(rec, middle_betti=9, sign="negative")
     issues = reverify_record(tampered)
     assert len(issues) == 2
     assert any("middle_betti" in msg for msg in issues)
     assert any("sign" in msg for msg in issues)
+
+
+def test_reverify_reports_a_stale_null_note():
+    # the note every catalog held before the null rule was mended
+    rec = build_record(BPExponents((2, 3, 7, 42)))
+    assert rec.constants_note == "null structure: (lambda, nu) = (-2, 6)"
+    stale = dataclasses.replace(
+        rec, constants_note="null structure: (lambda, nu) = (-2, 8)"
+    )
+    assert reverify_record(stale) == [
+        "constants_note: stored 'null structure: (lambda, nu) = (-2, 8)', "
+        "recomputed 'null structure: (lambda, nu) = (-2, 6)'"
+    ]
+
+
+def test_reverify_reports_a_non_canonical_key():
+    # stored under bp:7,3,2, the record escapes append dedupe of bp:2,3,7
+    rec = dataclasses.replace(build_record(BPExponents((7, 3, 2))), key="bp:7,3,2")
+    assert reverify_record(rec) == ["key: stored 'bp:7,3,2', recomputed 'bp:2,3,7'"]
+
+
+def test_reverify_reports_a_null_note_on_a_negative_record():
+    rec = build_record(BPExponents((2, 3, 11)))
+    assert rec.sign == "negative" and rec.constants_note is None
+    tampered = dataclasses.replace(
+        rec, constants_note="null structure: (lambda, nu) = (-2, 4)"
+    )
+    assert reverify_record(tampered) == [
+        "constants_note: stored 'null structure: (lambda, nu) = (-2, 4)', "
+        "recomputed None"
+    ]
+
+
+def test_reverify_ignores_the_write_time_fields():
+    rec = build_record(BPExponents((5, 3, 2)))
+    assert reverify_record(
+        dataclasses.replace(rec, tool_version="0.0.1", timestamp="2001-01-01")
+    ) == []
 
 
 # --- the key index beside the catalog ----------------------------------

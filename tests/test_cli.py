@@ -389,6 +389,18 @@ def _bad_catalog_key(tmp_path):
     return ["catalog", "query", "--nvars", "3", "--catalog", str(catalog)]
 
 
+_SWEEP = ["search", "--family", "kkkk1p", "--bounds", "k=2:2,p=2:30", "--bp8-sweep"]
+# extra search flags --bp8-sweep would ignore, and the name its refusal gives
+_SWEEP_REFUSED = [
+    (["--append"], "--append"),
+    (["--sign", "negative"], "--sign"),
+    (["--betti", "0"], "--betti/--rational-sphere"),
+    (["--rational-sphere"], "--betti/--rational-sphere"),
+    (["--pairwise-coprime"], "--pairwise-coprime"),
+    (["--min-coprime-fixed", "1"], "--min-coprime-fixed"),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -412,18 +424,31 @@ def _bad_catalog_key(tmp_path):
         lambda tmp: ["curvature", "check-ew", "--offset", "nan"],
         lambda tmp: ["curvature", "check-ew", "--samples", "0"],
         lambda tmp: ["curvature", "check-ew", "--samples", "-5"],
+        # --bp8-sweep refuses the search flags it would ignore
+        *(lambda tmp, extra=extra: _SWEEP + extra for extra, _ in _SWEEP_REFUSED),
     ],
     ids=[
         "weight-degree", "kervaire-a", "bounds", "sweep-no-k", "config", "catalog-key",
         "config-classify", "bound-repeated", "bp-box-gap", "237m-extra", "kkk1p-extra",
         "kervaire-extra", "kervaire-r-names", "offset-inf", "offset-nan", "samples-0",
-        "samples-negative",
+        "samples-negative", *("sweep" + extra[0][1:] for extra, _ in _SWEEP_REFUSED),
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     code, _, err = run(capsys, *argv(tmp_path))
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "extra, flag", _SWEEP_REFUSED, ids=[extra[0][2:] for extra, _ in _SWEEP_REFUSED]
+)
+def test_bp8_sweep_names_the_flag_it_refuses(capsys, tmp_path, extra, flag):
+    catalog = tmp_path / "atlas.jsonl"
+    code, out, err = run(capsys, *_SWEEP, *extra, "--catalog", str(catalog))
+    assert (code, out) == (2, "")
+    assert err == "error: --bp8-sweep does not take %s\n" % flag
+    assert not catalog.exists()
 
 
 def test_unused_bound_span_is_charged_before_its_name_is_checked(capsys):
@@ -617,6 +642,7 @@ def test_closed_stdout_is_not_an_io_error():
     assert proc.stdout.readline() == b"examined: 4913\n"
     proc.stdout.close()
     err = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait() == 0
     assert err == b""
 

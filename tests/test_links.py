@@ -49,6 +49,13 @@ def test_weight_system_rejects_bad_input():
         WeightSystem((2, 4), 5)
 
 
+def test_weight_system_refuses_non_integer_entries():
+    # each of these was once rounded or coerced by int()
+    for weights, degree in (((True, 2), 3), ((1.5, 2), 3), ((1, 2), 3.0), (("1", 2), 3)):
+        with pytest.raises(InvalidInput, match="must be integers"):
+            WeightSystem(weights, degree)
+
+
 def test_weight_system_properties():
     ws = WeightSystem((6, 10, 15), 30)
     assert ws.nvars == 3
@@ -68,6 +75,15 @@ def test_bp_exponents_validation():
     assert a.pairwise_coprime()
     assert not BPExponents((6, 10, 15)).pairwise_coprime()
     assert str(a) == "bp:5,3,2"
+
+
+def test_bp_exponents_refuse_non_integer_entries():
+    # BPExponents((2.7, 3, 5)) was once (2, 3, 5)
+    for exps in ((2.7, 3, 5), (2.9, 3.2, 5.99), (True, 3, 5), ("2", 3, 5)):
+        with pytest.raises(InvalidInput, match="must be integers"):
+            BPExponents(exps)
+        with pytest.raises(InvalidInput):
+            bp_link(exps)
 
 
 def test_bp_link_examples():

@@ -1,5 +1,9 @@
 """Family searches, budget refusal and the seven-sphere sweep."""
 
+import itertools
+import json
+from math import gcd
+
 import pytest
 
 from linkatlas import (
@@ -14,6 +18,38 @@ from linkatlas import (
 from linkatlas.cli import main
 from linkatlas.errors import InvalidInput
 from linkatlas.search import FAMILIES, Family, check_budget, _members
+
+
+BOX = {"a0": (2, 12), "a1": (2, 12), "a2": (3, 14)}
+
+
+def _coprime_box_keys():
+    spans = (range(lo, hi + 1) for lo, hi in BOX.values())
+    return {
+        "bp:%d,%d,%d" % tuple(sorted(t))
+        for t in itertools.product(*spans)
+        if gcd(t[0], t[1]) == gcd(t[0], t[2]) == gcd(t[1], t[2]) == 1
+    }
+
+
+def test_pairwise_coprime_predicate_matches_a_gcd_filter():
+    spec = SearchSpec("bp-box", BOX, Predicate(pairwise_coprime=True))
+    result = run_search(spec)
+    assert result.examined == 11 * 11 * 12
+    assert {r.key for r in result.records} == _coprime_box_keys()
+    # the flag combines with the record filters
+    spec = SearchSpec("bp-box", BOX, Predicate(sign="positive", pairwise_coprime=True))
+    positive = {r.key for r in run_search(spec).records}
+    assert positive == {"bp:2,3,5"}
+
+
+def test_pairwise_coprime_flag_matches_a_gcd_filter(capsys):
+    bounds = ",".join("%s=%d:%d" % (k, lo, hi) for k, (lo, hi) in BOX.items())
+    main(["search", "--family", "bp-box", "--bounds", bounds, "--pairwise-coprime", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    keys = {row["key"] for row in payload["records"]}
+    assert keys == _coprime_box_keys()
+    assert payload["matched"] == len(keys)
 
 
 def test_237m_positive_count():

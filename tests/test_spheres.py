@@ -192,6 +192,10 @@ def test_kervaire_guards():
         kervaire_classify((3, 5, 7), 9)
     with pytest.raises(InvalidInput):
         kervaire_classify((0, 5), 7)
+    # a = 7.9 once took its sign from a = 7 and its verdict from 7.9
+    for rs, a in (((3, 5), 7.9), ((3.0, 5), 7)):
+        with pytest.raises(InvalidInput, match="must be integers"):
+            kervaire_classify(rs, a)
 
 
 def test_kervaire_matches_reciprocal_trichotomy():
