@@ -2,7 +2,8 @@
 
 One record per line, keyed by the canonical form of the link (sorted
 exponents for Brieskorn-Pham input, sorted primitive weights plus
-degree otherwise).  Appends are idempotent: a key already present is
+degree otherwise); a key in any other form makes its line corrupt
+("bad key ...").  Appends are idempotent: a key already present is
 skipped.  Malformed lines, and lines that are not valid UTF-8, are
 reported with their line number and skipped; they never abort a read.
 
@@ -10,16 +11,23 @@ A null record of a (2n+1)-dimensional link carries the note
 "null structure: (lambda, nu) = (-2, 2n+2)", the constants of
 eta.null_constants(n); a 1-dimensional link (n = 0) gets no note.
 
-Beside the catalog, an append keeps `<catalog>.keys`: a JSON object
-holding the keys present, the corrupt lines (line number and reason)
-and a stamp of the catalog it describes (crc32, byte length and last
-character of the file).  An append reads the whole catalog once to
-compute its stamp; only when the stamp matches does it trust the
-index, otherwise it re-reads every record.  The index is a cache:
-deleting it is always safe, and failing to read or write it is never
-an error.  An append holds an exclusive `flock` on the catalog from
-computing the stamp until the index is written, so two appends cannot
-both add one key.
+Beside the catalog lives an index, `<catalog>.keys`: a JSON object
+holding, for every valid record line in file order, its line number,
+key, sign, middle Betti number, sphere kind and variable count; the
+corrupt lines (line number and reason); the number of lines the reader
+counts; and a stamp of the catalog it describes (crc32, byte length
+and last character of the file).  Appends and queries read the whole
+catalog once to compute its stamp, and trust the index only when the
+stamp matches.  An append then skips the keys it lists and adds the
+records it writes; a query decodes only the lines whose indexed fields
+pass its filters, and validates them again.  Without a matching index,
+either one reads every record and writes a fresh index.  The index is
+a cache: deleting it is always safe, and failing to read or write it
+is never an error.  An append holds an exclusive `flock` on the
+catalog from computing the stamp until the index is written, so two
+appends cannot both add one key; a query holds a shared one from the
+stamp until its last line is read and any index it writes is in
+place, so it never sees half a batch.
 """
 
 from __future__ import annotations
@@ -28,10 +36,10 @@ import fcntl
 import json
 import os
 import zlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from math import prod
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable
 
 from .betti import (
     TORSION_FREE,
@@ -41,7 +49,7 @@ from .betti import (
     betti_cost,
     torsion_closed_form,
 )
-from .errors import InconsistentInvariants
+from .errors import AtlasError, InconsistentInvariants
 from .eta import null_constants
 from .links import (
     BPExponents,
@@ -66,6 +74,14 @@ from .spheres import (
 TOOL_VERSION = "0.1.0"
 
 _SIGNS = tuple(s.value for s in SignClass)
+
+
+def _is_canonical(key: str) -> bool:
+    """Whether key parses and is the canonical key of what it parses to."""
+    try:
+        return canonical_key(parse_key(key)) == key
+    except AtlasError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -95,8 +111,8 @@ class InvariantRecord:
             sphere = obj["sphere"]
         except KeyError as exc:
             raise ValueError("missing field %s" % exc) from None
-        if not isinstance(key, str) or not key:
-            raise ValueError("bad key")
+        if not isinstance(key, str) or not _is_canonical(key):
+            raise ValueError("bad key %r" % (key,))
         if sign not in _SIGNS:
             raise ValueError("bad sign %r" % (sign,))
         if type(mb) is not int or mb < 0:
@@ -229,16 +245,24 @@ class AppendResult:
 
 
 def read_records(
-    lines: Iterable[str], keep: Callable[[InvariantRecord], bool] | None = None
+    lines: Iterable[str],
+    keep: Callable[[InvariantRecord], bool] | None = None,
+    only: Container[int] | None = None,
+    index: _Index | None = None,
 ) -> ReadResult:
     """Records of JSONL lines.  Blank lines are ignored; a malformed
     line, or one holding bytes that are not UTF-8 (decoded with
     errors="surrogateescape"), is reported with its line number and
     skipped.  A valid record that keep rejects is dropped as soon as it
-    has been validated."""
+    has been validated.  When only is given, just the lines with those
+    numbers are decoded.  A given index is filled with every valid
+    record, the corrupt lines and the line count."""
     records: list[InvariantRecord] = []
     corrupt: list[CorruptLine] = []
+    lineno = 0
     for lineno, line in enumerate(lines, start=1):
+        if only is not None and lineno not in only:
+            continue
         line = line.strip()
         if not line:
             continue
@@ -251,22 +275,31 @@ def read_records(
         except (ValueError, TypeError) as exc:
             corrupt.append(CorruptLine(lineno, str(exc)))
         else:
+            if index is not None:
+                index.add(lineno, rec)
             if keep is None or keep(rec):
                 records.append(rec)
+    if index is not None:
+        index.count = lineno
+        index.corrupt = tuple(corrupt)
     return ReadResult(tuple(records), tuple(corrupt))
 
 
 def read_catalog(
-    path, keep: Callable[[InvariantRecord], bool] | None = None
+    path,
+    keep: Callable[[InvariantRecord], bool] | None = None,
+    only: Container[int] | None = None,
+    index: _Index | None = None,
 ) -> ReadResult:
-    """The records of the catalog at path that keep accepts (all when
-    keep is None); a missing file holds none."""
+    """read_records of the catalog at path, whose lines are numbered
+    as text-mode iteration with universal newlines yields them; a
+    missing file holds none."""
     try:
         fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except FileNotFoundError:
         return ReadResult((), ())
     with fh:
-        return read_records(fh, keep)
+        return read_records(fh, keep, only, index)
 
 
 def _now() -> str:
@@ -292,61 +325,118 @@ def _index_path(path) -> str:
     return os.fspath(path) + ".keys"
 
 
-def _load_index(path, stamp: list):
-    """(keys, corrupt lines) from the index beside the catalog at path,
-    or None when it is missing, unreadable, malformed or not stamped
-    with stamp."""
+# the index's columns, one entry per valid record line, and their types
+_COLUMNS = {
+    "lines": int,
+    "keys": str,
+    "sign": int,
+    "middle_betti": int,
+    "sphere": int,
+    "nvars": int,
+}
+
+
+def _position(table: tuple, value) -> int:
+    return table.index(value) if value in table else -1
+
+
+@dataclass
+class _Index:
+    """The index beside a catalog (see the module docstring); sign and
+    sphere kind are stored as positions in _SIGNS and SPHERE_KINDS."""
+
+    stamp: list
+    count: int = 0  # the lines read_records counts in the catalog
+    corrupt: tuple[CorruptLine, ...] = ()
+    lines: list[int] = field(default_factory=list)
+    keys: list[str] = field(default_factory=list)
+    sign: list[int] = field(default_factory=list)
+    middle_betti: list[int] = field(default_factory=list)
+    sphere: list[int] = field(default_factory=list)
+    nvars: list[int] = field(default_factory=list)
+
+    def add(self, lineno: int, rec: InvariantRecord) -> None:
+        self.lines.append(lineno)
+        self.keys.append(rec.key)
+        self.sign.append(_SIGNS.index(rec.sign))
+        self.middle_betti.append(rec.middle_betti)
+        self.sphere.append(SPHERE_KINDS.index(rec.sphere.kind))
+        self.nvars.append(parse_key(rec.key).nvars)
+
+    def select(
+        self,
+        sign: str | None = None,
+        middle_betti: int | None = None,
+        sphere: str | None = None,
+        nvars: int | None = None,
+    ) -> set[int]:
+        """Line numbers of the records record_filter(...) keeps."""
+        rows = range(len(self.lines))
+        for column, want in (
+            (self.sign, None if sign is None else _position(_SIGNS, sign)),
+            (self.middle_betti, middle_betti),
+            (self.sphere, None if sphere is None else _position(SPHERE_KINDS, sphere)),
+            (self.nvars, nvars),
+        ):
+            if want is not None:
+                rows = [i for i in rows if column[i] == want]
+        return {self.lines[i] for i in rows}
+
+
+def _load_index(path, stamp: list) -> _Index | None:
+    """The index beside the catalog at path, or None when it is
+    missing, unreadable, malformed or not stamped with stamp."""
     try:
         with open(_index_path(path), "r", encoding="utf-8") as fh:
-            index = json.loads(fh.read())
-        if index["stamp"] != stamp:
+            data = json.loads(fh.read())
+        if data["stamp"] != stamp:
             return None
-        keys = index["keys"]
-        corrupt = tuple(CorruptLine(n, reason) for n, reason in index["corrupt"])
+        count = data["count"]
+        corrupt = tuple(CorruptLine(n, reason) for n, reason in data["corrupt"])
+        columns = {name: data[name] for name in _COLUMNS}
     except (OSError, ValueError, TypeError, KeyError):
         return None
     if not (
-        isinstance(keys, list)
-        and all(isinstance(k, str) for k in keys)
+        type(count) is int
         and all(type(c.lineno) is int and isinstance(c.reason, str) for c in corrupt)
+        and all(isinstance(column, list) for column in columns.values())
+        and len({len(column) for column in columns.values()}) == 1
+        and all(
+            set(map(type, columns[name])) <= {kind} for name, kind in _COLUMNS.items()
+        )
     ):
         return None
-    return dict.fromkeys(keys), corrupt
+    return _Index(stamp, count, corrupt, **columns)
 
 
-def _save_index(path, stamp: list, keys, corrupt) -> None:
-    index = {
-        "stamp": stamp,
-        "keys": list(keys),
-        "corrupt": [[c.lineno, c.reason] for c in corrupt],
-    }
+def _save_index(path, index: _Index) -> None:
+    data = vars(index) | {"corrupt": [[c.lineno, c.reason] for c in index.corrupt]}
     target = _index_path(path)
+    # two queries may write at once, each the same text; a reader that
+    # meets a half-written index takes it for malformed and rescans
     try:
         with open(target + ".tmp", "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(index))
+            fh.write(json.dumps(data))
         os.replace(target + ".tmp", target)
     except OSError:
-        pass  # the index is a cache; the next append rescans
+        pass  # the index is a cache; the next append or query rescans
 
 
 def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
     """Append records not already present (by key).  Existing corrupt
     lines are reported but left in place; a partial last line is ended
-    before the first new record."""
+    before the first new record.  The records are indexed as given, not
+    decoded again: they are taken to be as build_record and read_records
+    make them."""
     with open(path, "a", encoding="utf-8") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         stamp = _stamp(path)
         index = _load_index(path, stamp)
-        if index is None:
-            keys: dict[str, None] = {}
-
-            def note_key(rec: InvariantRecord) -> bool:
-                keys[rec.key] = None
-                return False
-
-            corrupt = read_catalog(path, note_key).corrupt
-        else:
-            keys, corrupt = index
+        rescanned = index is None
+        if rescanned:
+            index = _Index(stamp)
+            read_catalog(path, lambda rec: False, index=index)
+        keys = dict.fromkeys(index.keys)
         lines = []
         skipped = 0
         for rec in records:
@@ -357,16 +447,20 @@ def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
                 rec = replace(rec, timestamp=_now())
             lines.append(json.dumps(rec.to_json(), sort_keys=True) + "\n")
             keys[rec.key] = None
+            # a cut last line, or one ended by "\r", was counted already;
+            # the "\n" written to end it starts no line of its own
+            index.add(index.count + len(lines), rec)
         if lines:
             text = "".join(lines)
             if stamp[2] not in ("", "\n"):
                 text = "\n" + text
             fh.write(text)
             data = text.encode("utf-8")
-            stamp = [zlib.crc32(data, stamp[0]), stamp[1] + len(data), "\n"]
-        if lines or index is None:
-            _save_index(path, stamp, keys, corrupt)
-    return AppendResult(len(lines), skipped, corrupt)
+            index.stamp = [zlib.crc32(data, stamp[0]), stamp[1] + len(data), "\n"]
+            index.count += len(lines)
+        if lines or rescanned:
+            _save_index(path, index)
+    return AppendResult(len(lines), skipped, index.corrupt)
 
 
 def record_filter(
@@ -389,10 +483,31 @@ def record_filter(
 
 
 def catalog_query(path, **filters) -> ReadResult:
-    """Catalog records that pass record_filter(**filters); results
-    sorted by key."""
-    data = read_catalog(path, record_filter(**filters))
-    return ReadResult(tuple(sorted(data.records, key=lambda r: r.key)), data.corrupt)
+    """Catalog records that pass record_filter(**filters), sorted by
+    key, and the catalog's corrupt lines: the same answer as
+    read_catalog(path, record_filter(**filters)), sorted."""
+    keep = record_filter(**filters)
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except FileNotFoundError:
+        return ReadResult((), ())
+    with fh:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
+        stamp = _stamp(path)
+        index = _load_index(path, stamp)
+        if index is None:
+            index = _Index(stamp)
+            data = read_catalog(path, keep, index=index)
+            _save_index(path, index)
+            corrupt = data.corrupt
+        else:
+            only, corrupt = index.select(**filters), index.corrupt
+            del index  # freed before the matched lines are decoded
+            data = read_catalog(path, keep, only)
+            # a served line can still be corrupt: appends index records
+            # without decoding them again
+            corrupt = tuple(sorted(corrupt + data.corrupt, key=lambda c: c.lineno))
+    return ReadResult(tuple(sorted(data.records, key=lambda r: r.key)), corrupt)
 
 
 def reverify_record(rec: InvariantRecord) -> list[str]:

@@ -93,12 +93,13 @@ class BPExponents:
 
     def __post_init__(self) -> None:
         a = tuple(self.exponents)
-        if any(type(x) is not int for x in a):  # no bool, float or str
-            raise InvalidInput("exponents must be integers")
+        for x in a:  # one pass: every catalog key read comes through here
+            if type(x) is not int:  # no bool, float or str
+                raise InvalidInput("exponents must be integers")
+            if x < 2:
+                raise InvalidInput("exponents must be at least 2")
         if len(a) < 2:
             raise InvalidInput("need at least two exponents")
-        if any(x < 2 for x in a):
-            raise InvalidInput("exponents must be at least 2")
         object.__setattr__(self, "exponents", a)
 
     @property

@@ -1,10 +1,13 @@
 """InvariantRecord construction and the JSONL catalog."""
 
 import dataclasses
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -25,7 +28,13 @@ from linkatlas import (
     reverify_record,
     run_search,
 )
-from linkatlas.catalog import parse_key, record_cost
+from linkatlas.catalog import (
+    _load_index,
+    _stamp,
+    parse_key,
+    record_cost,
+    record_filter,
+)
 from linkatlas.errors import InconsistentInvariants, InvalidInput
 
 
@@ -292,6 +301,7 @@ def test_index_written_beside_the_catalog(tmp_path):
     index = json.loads((tmp_path / "atlas.jsonl.keys").read_text(encoding="utf-8"))
     assert sorted(index["keys"]) == ["bp:2,3,5", "bp:2,3,7"]
     assert index["corrupt"] == []
+    assert (index["lines"], index["count"], index["nvars"]) == ([1, 2], 2, [3, 3])
     assert index["stamp"][1] == path.stat().st_size
 
 
@@ -346,43 +356,70 @@ def test_index_after_external_append(tmp_path):
     assert _keys(path) == ["bp:2,3,5", "bp:2,3,7", "bp:2,3,11"]
 
 
-def _stamp_of(path):
+def _index_of(path):
     index_path = path.parent / (path.name + ".keys")
-    return json.loads(index_path.read_text(encoding="utf-8"))["stamp"]
+    return json.loads(index_path.read_text(encoding="utf-8"))
+
+
+def _index_is_current(path):
+    return _load_index(path, _stamp(path)) is not None
+
+
+def _with(index, **changes):
+    return json.dumps(dict(index, **changes))
 
 
 @pytest.mark.parametrize(
     "index_text",
     [
-        lambda stamp: None,  # missing
-        lambda stamp: "garbage {",
-        lambda stamp: "[]",
-        lambda stamp: json.dumps({"stamp": stamp, "keys": "bp:2,3,7", "corrupt": []}),
-        lambda stamp: json.dumps({"stamp": stamp, "keys": [7], "corrupt": []}),
-        lambda stamp: json.dumps({"stamp": stamp, "keys": [], "corrupt": [[1]]}),
-        lambda stamp: json.dumps(
-            {"stamp": [stamp[0] ^ 1] + stamp[1:], "keys": ["bp:2,3,11"], "corrupt": []}
+        lambda index: None,  # missing
+        lambda index: "garbage {",
+        lambda index: "[]",
+        lambda index: _with(index, keys="bp:2,3,7"),
+        lambda index: _with(index, keys=[7, 7]),
+        lambda index: _with(index, corrupt=[[1]]),
+        lambda index: _with(
+            index, stamp=[index["stamp"][0] ^ 1] + index["stamp"][1:], keys=["bp:2,3,11"]
         ),
+        # the format before the filter columns: keys only, stamp valid
+        lambda index: json.dumps(
+            {"stamp": index["stamp"], "keys": index["keys"], "corrupt": []}
+        ),
+        lambda index: _with(index, nvars=index["nvars"][:1]),
+        lambda index: _with(index, lines=["1", 2]),
     ],
     ids=[
         "missing", "garbage", "list", "keys-string", "keys-int", "corrupt-short",
-        "wrong-stamp",
+        "wrong-stamp", "keys-only", "column-short", "line-not-int",
     ],
 )
 def test_unusable_index_means_a_full_scan(tmp_path, index_text):
     path = tmp_path / "atlas.jsonl"
     catalog_append(path, _recs((5, 3, 2), (7, 3, 2)))
     index_path = tmp_path / "atlas.jsonl.keys"
-    text = index_text(_stamp_of(path))
-    if text is None:
-        index_path.unlink()
-    else:
-        index_path.write_text(text, encoding="utf-8")
+    good = _index_of(path)
 
+    def spoil():
+        text = index_text(good)
+        if text is None:
+            index_path.unlink()
+        else:
+            index_path.write_text(text, encoding="utf-8")
+        assert not _index_is_current(path)
+
+    spoil()
+    assert catalog_query(path, nvars=3).records == read_catalog(path).records
+    assert catalog_query(path, sign="null").records == ()
+    # the query's rescan left a usable index behind
+    assert _index_is_current(path)
+    assert sorted(_index_of(path)["keys"]) == sorted(_keys(path))
+
+    spoil()
     result = catalog_append(path, _recs((7, 3, 2), (11, 3, 2)))
     assert (result.added, result.skipped) == (1, 1)
     assert _keys(path) == ["bp:2,3,5", "bp:2,3,7", "bp:2,3,11"]
     # the rescan left a usable index behind
+    assert _index_is_current(path)
     assert sorted(json.loads(index_path.read_text(encoding="utf-8"))["keys"]) == sorted(
         _keys(path)
     )
@@ -404,6 +441,127 @@ def test_indexed_corrupt_lines_match_a_full_scan(tmp_path):
         assert result.corrupt == want
         assert read_catalog(path).corrupt == want
     assert _keys(path) == ["bp:2,3,5", "bp:2,3,7", "bp:2,3,11", "bp:2,3,13"]
+
+
+# --- queries served from the index ------------------------------------
+#
+# The oracle is a full scan: read_catalog of the file, filtered by
+# record_filter and sorted by key, with every corrupt line it reports.
+# Each comparison first checks that the index is current, so the query
+# under test decodes only the lines the index picks.
+
+_FILTERS = [
+    dict(zip(("sign", "middle_betti", "sphere", "nvars"), values))
+    for values in itertools.product(
+        (None, "positive", "null", "negative"),
+        (None, 0, 12),
+        (None, "homology_sphere", "not_a_sphere", "rational_homology_sphere"),
+        (None, 3, 4, 5),
+    )
+]
+
+_BASE = (
+    (5, 3, 2), (7, 3, 2), (3, 3, 3), (2, 3, 7, 42), (4, 4, 4, 4), (2, 2, 2, 3, 5),
+)
+
+
+def _assert_queries_match_a_full_scan(path, filters=_FILTERS):
+    scan = read_catalog(path)
+    for f in filters:
+        assert _index_is_current(path)
+        got = catalog_query(path, **f)
+        want = sorted(filter(record_filter(**f), scan.records), key=lambda r: r.key)
+        assert (list(got.records), got.corrupt) == (want, scan.corrupt), f
+
+
+def _append_text(path, text):
+    with open(path, "a", encoding="utf-8", newline="") as fh:  # a shell's >>
+        fh.write(text)
+
+
+def _rewrite_with_line_ends(path, end):
+    text = path.read_text(encoding="utf-8")
+    path.write_bytes(text.replace("\n", end).encode())
+
+
+def _edit_one_key_in_place(path):
+    before = path.stat()
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace('"bp:2,3,5"', '"bp:2,3,9"'), encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+
+
+def _write_corrupt_lines(path):
+    path.write_bytes(
+        _line(build_record(BPExponents((5, 3, 2)))).encode()
+        + b"not json\n\n"
+        + b'{"key": "bp:2,3,7", "sign": "nope"}\n'
+        + b"\xff\xfe\n"
+        + b'{"key": "bp:2,3,'  # cut mid-line
+    )
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda path: _append_text(path, _line(build_record(BPExponents((7, 3, 2))))),
+        lambda path: _append_text(path, "\n  \n" + _line(_recs((11, 3, 2))[0]) + "\n"),
+        _write_corrupt_lines,
+        lambda path: _append_text(path, _line(_recs((11, 3, 2))[0])[:30]),
+        lambda path: _rewrite_with_line_ends(path, "\r"),
+        lambda path: _rewrite_with_line_ends(path, "\r\n"),
+        lambda path: _append_text(path, "\n\r"),
+        _edit_one_key_in_place,
+        lambda path: _append_text(path, _line(_recs((11, 3, 2))[0])),
+    ],
+    ids=[
+        "duplicate-key", "blank-lines", "corrupt-lines", "partial-last-line",
+        "cr-endings", "crlf-endings", "cr-last", "same-size-edit", "external-append",
+    ],
+)
+def test_index_served_queries_match_a_full_scan(tmp_path, change):
+    path = tmp_path / "atlas.jsonl"
+    catalog_append(path, _recs(*_BASE))
+    change(path)
+    catalog_query(path)  # rescans a changed catalog and writes its index
+    for batch in ([(6, 6, 6, 2), (5, 3, 2)], [(2, 3, 6), (2, 2, 2, 3, 7), (13, 3, 2)]):
+        catalog_append(path, _recs(*batch))
+        _assert_queries_match_a_full_scan(path)
+    # the same after an append that found the index stale and rescanned
+    change(path)
+    catalog_append(path, _recs((2, 2, 2, 3, 11), (2, 2, 2, 3, 13)))
+    _assert_queries_match_a_full_scan(path)
+
+
+def test_an_index_served_query_decodes_only_the_lines_it_returns(tmp_path, monkeypatch):
+    import linkatlas.catalog as catalog
+
+    path = tmp_path / "atlas.jsonl"
+    catalog_append(path, _recs(*_BASE))
+    _append_text(path, _line(_recs((7, 3, 2))[0]))  # a second bp:2,3,7 line
+    catalog_query(path)  # writes the index
+    picked = []
+    real = catalog.read_catalog
+
+    def spy(path, keep=None, only=None):
+        picked.append(only)
+        return real(path, keep, only)
+
+    monkeypatch.setattr(catalog, "read_catalog", spy)
+    for f in _FILTERS:
+        got = catalog_query(path, **f)
+        assert len(picked.pop()) == len(got.records), f
+
+
+def test_queries_between_appends_match_a_full_scan(tmp_path):
+    path = tmp_path / "atlas.jsonl"
+    pool = list(_produced_records())
+    rng = random.Random(5)
+    for _ in range(12):
+        catalog_append(path, rng.sample(pool, 12))
+        _assert_queries_match_a_full_scan(path, rng.sample(_FILTERS, 8))
+    assert len(_keys(path)) == len(set(_keys(path))) > 60
 
 
 _APPENDER = """
@@ -447,6 +605,30 @@ def test_two_processes_append_overlapping_batches(tmp_path):
     assert set(keys) == {"bp:2,3,%d" % c for c in range(7, 1227)}
     assert sum(added) == 1220
     assert read_catalog(path).corrupt == ()
+
+
+def test_queries_during_appends_see_whole_batches(tmp_path):
+    # one process appends 40-record batches while this one queries; a
+    # query must never see part of a batch, or a half-written line
+    path = tmp_path / "atlas.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _APPENDER, str(path), "7", "1207"],
+        env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+    proc.stdin.write("go\n")
+    proc.stdin.flush()
+    filters = ({}, {"sign": "positive", "nvars": 3}, {"middle_betti": 0})
+    seen = []
+    deadline = time.monotonic() + 60
+    while proc.poll() is None and time.monotonic() < deadline:
+        result = catalog_query(path, **filters[len(seen) % 3])
+        seen.append(len(result.records))
+        assert result.corrupt == ()
+    assert int(proc.communicate(timeout=60)[0]) == 1200
+    assert proc.returncode == 0
+    assert seen and all(n % 40 == 0 for n in seen)
+    assert len(catalog_query(path, sign="positive", nvars=3).records) == 1200
 
 
 def _produced_records():

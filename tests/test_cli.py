@@ -389,6 +389,35 @@ def _bad_catalog_key(tmp_path):
     return ["catalog", "query", "--nvars", "3", "--catalog", str(catalog)]
 
 
+def test_unparseable_catalog_key_is_a_corrupt_line(capsys, tmp_path):
+    # such a line once made `catalog query --nvars` exit 2
+    code, out, err = run(capsys, *_bad_catalog_key(tmp_path), "--json")
+    assert code == 0
+    assert json.loads(out)["matched"] == 0
+    assert err == "corrupt line 1: bad key 'bp:2,x'\n"
+
+
+def test_non_canonical_key_is_not_appended_beside_its_canonical_form(capsys, tmp_path):
+    catalog = str(tmp_path / "atlas.jsonl")
+    run_json(
+        capsys, "search", "--family", "bp-box", "--bounds", "a0=2:2,a1=3:3,a2=7:7",
+        "--append", "--catalog", catalog,
+    )
+    obj = build_record(BPExponents((7, 3, 2))).to_json()
+    obj["key"] = "bp:7,3,2"
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "catalog", "append", "--file", str(feed), "--catalog", catalog, "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["added"], payload["skipped"], payload["corrupt_input"]) == (0, 0, 1)
+    assert err == "corrupt line 1: bad key 'bp:7,3,2'\n"
+    rows = run_json(capsys, "catalog", "query", "--catalog", catalog)["records"]
+    assert [r["key"] for r in rows] == ["bp:2,3,7"]
+
+
 _SWEEP = ["search", "--family", "kkkk1p", "--bounds", "k=2:2,p=2:30", "--bp8-sweep"]
 # extra search flags --bp8-sweep would ignore, and the name its refusal gives
 _SWEEP_REFUSED = [
@@ -409,7 +438,6 @@ _SWEEP_REFUSED = [
         lambda tmp: ["search", "--family", "237m", "--bounds", "m=a:5"],
         lambda tmp: ["search", "--family", "kkkk1p", "--bounds", "p=2:5", "--bp8-sweep"],
         _bad_config,
-        _bad_catalog_key,
         _bad_config_classify,
         # each family takes exactly its own bound names, each name once
         lambda tmp: ["search", "--family", "237m", "--bounds", "m=5:41,m=6:7"],
@@ -428,8 +456,7 @@ _SWEEP_REFUSED = [
         *(lambda tmp, extra=extra: _SWEEP + extra for extra, _ in _SWEEP_REFUSED),
     ],
     ids=[
-        "weight-degree", "kervaire-a", "bounds", "sweep-no-k", "config", "catalog-key",
-        "config-classify", "bound-repeated", "bp-box-gap", "237m-extra", "kkk1p-extra",
+        "weight-degree", "kervaire-a", "bounds", "sweep-no-k", "config", "config-classify", "bound-repeated", "bp-box-gap", "237m-extra", "kkk1p-extra",
         "kervaire-extra", "kervaire-r-names", "offset-inf", "offset-nan", "samples-0",
         "samples-negative", *("sweep" + extra[0][1:] for extra, _ in _SWEEP_REFUSED),
     ],
