@@ -11,23 +11,24 @@ A null record of a (2n+1)-dimensional link carries the note
 "null structure: (lambda, nu) = (-2, 2n+2)", the constants of
 eta.null_constants(n); a 1-dimensional link (n = 0) gets no note.
 
-Beside the catalog lives an index, `<catalog>.keys`: a JSON object
-holding, for every valid record line in file order, its line number,
-key, sign, middle Betti number, sphere kind and variable count; the
+Each catalog filter is defined once, in FILTERS, which record_filter,
+catalog_query and the index all read.  Beside the catalog lives that
+index, `<catalog>.keys`: a JSON object holding, for every valid record
+line in file order, its line number, key and one column per filter; the
 corrupt lines (line number and reason); the number of lines the reader
-counts; and a stamp of the catalog it describes (crc32, byte length
-and last character of the file).  Appends and queries read the whole
+counts; and a stamp of the catalog it describes (crc32, byte length and
+last character of the file).  Appends and queries read the whole
 catalog once to compute its stamp, and trust the index only when the
-stamp matches.  An append then skips the keys it lists and adds the
-records it writes; a query decodes only the lines whose indexed fields
-pass its filters, and validates them again.  Without a matching index,
-either one reads every record and writes a fresh index.  The index is
-a cache: deleting it is always safe, and failing to read or write it
-is never an error.  An append holds an exclusive `flock` on the
-catalog from computing the stamp until the index is written, so two
-appends cannot both add one key; a query holds a shared one from the
-stamp until its last line is read and any index it writes is in
-place, so it never sees half a batch.
+stamp matches; else they first rebuild it from every record and save
+it.  An append then skips the keys it lists and adds the records it
+writes; a query always answers from the index, decoding only the lines
+whose indexed fields pass its filters, and validates them again.  The
+index is a cache: deleting it is always safe, failing to read or write
+it is never an error, and a failed write leaves nothing behind.  An
+append holds an exclusive `flock` on the catalog from computing the
+stamp until the index is written, so two appends cannot both add one
+key; a query holds a shared one from the stamp until its last line is
+read and any index it writes is in place, so it never sees half a batch.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ import fcntl
 import json
 import os
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from math import prod
+from operator import attrgetter
 from typing import Callable, Container, Iterable
 
 from .betti import (
@@ -59,6 +62,7 @@ from .links import (
     canonical_key,
     classify_sign,
     is_well_formed,
+    key_nvars,
     parse_link as parse_key,
 )
 from .spheres import (
@@ -149,6 +153,25 @@ class InvariantRecord:
             tool_version=version,
             timestamp=stamp,
         )
+
+
+# each catalog filter, by keyword: the record value it compares and, for
+# text, the table whose positions the index stores; also the index's
+# column order
+FILTERS = {
+    "sign": (attrgetter("sign"), _SIGNS),
+    "middle_betti": (attrgetter("middle_betti"), None),
+    "sphere": (attrgetter("sphere.kind"), SPHERE_KINDS),
+    "nvars": (lambda rec: key_nvars(rec.key), None),
+}
+
+
+def _code(table: tuple | None, value):
+    """What the index stores for a filter value: its position in the
+    table (-1, which no record has, when it is not there), or itself."""
+    if table is None:
+        return value
+    return table.index(value) if value in table else -1
 
 
 def _sphere_verdict(
@@ -325,60 +348,32 @@ def _index_path(path) -> str:
     return os.fspath(path) + ".keys"
 
 
-# the index's columns, one entry per valid record line, and their types
-_COLUMNS = {
-    "lines": int,
-    "keys": str,
-    "sign": int,
-    "middle_betti": int,
-    "sphere": int,
-    "nvars": int,
-}
-
-
-def _position(table: tuple, value) -> int:
-    return table.index(value) if value in table else -1
-
-
 @dataclass
 class _Index:
-    """The index beside a catalog (see the module docstring); sign and
-    sphere kind are stored as positions in _SIGNS and SPHERE_KINDS."""
+    """The index beside a catalog (see the module docstring): one column
+    per FILTERS entry, holding the _code of each record's value."""
 
     stamp: list
     count: int = 0  # the lines read_records counts in the catalog
     corrupt: tuple[CorruptLine, ...] = ()
     lines: list[int] = field(default_factory=list)
     keys: list[str] = field(default_factory=list)
-    sign: list[int] = field(default_factory=list)
-    middle_betti: list[int] = field(default_factory=list)
-    sphere: list[int] = field(default_factory=list)
-    nvars: list[int] = field(default_factory=list)
+    columns: dict[str, list[int]] = field(
+        default_factory=lambda: {name: [] for name in FILTERS}
+    )
 
     def add(self, lineno: int, rec: InvariantRecord) -> None:
         self.lines.append(lineno)
         self.keys.append(rec.key)
-        self.sign.append(_SIGNS.index(rec.sign))
-        self.middle_betti.append(rec.middle_betti)
-        self.sphere.append(SPHERE_KINDS.index(rec.sphere.kind))
-        self.nvars.append(parse_key(rec.key).nvars)
+        for name, (value, table) in FILTERS.items():
+            self.columns[name].append(_code(table, value(rec)))
 
-    def select(
-        self,
-        sign: str | None = None,
-        middle_betti: int | None = None,
-        sphere: str | None = None,
-        nvars: int | None = None,
-    ) -> set[int]:
-        """Line numbers of the records record_filter(...) keeps."""
+    def select(self, **filters) -> set[int]:
+        """Line numbers of the records record_filter(**filters) keeps."""
         rows = range(len(self.lines))
-        for column, want in (
-            (self.sign, None if sign is None else _position(_SIGNS, sign)),
-            (self.middle_betti, middle_betti),
-            (self.sphere, None if sphere is None else _position(SPHERE_KINDS, sphere)),
-            (self.nvars, nvars),
-        ):
-            if want is not None:
+        for name, (_, table) in FILTERS.items():
+            if filters.get(name) is not None:
+                column, want = self.columns[name], _code(table, filters[name])
                 rows = [i for i in rows if column[i] == want]
         return {self.lines[i] for i in rows}
 
@@ -391,35 +386,50 @@ def _load_index(path, stamp: list) -> _Index | None:
             data = json.loads(fh.read())
         if data["stamp"] != stamp:
             return None
-        count = data["count"]
+        count, lines, keys = data["count"], data["lines"], data["keys"]
         corrupt = tuple(CorruptLine(n, reason) for n, reason in data["corrupt"])
-        columns = {name: data[name] for name in _COLUMNS}
+        columns = {name: data[name] for name in FILTERS}
     except (OSError, ValueError, TypeError, KeyError):
         return None
+    typed = [(lines, int), (keys, str), *((c, int) for c in columns.values())]
     if not (
         type(count) is int
         and all(type(c.lineno) is int and isinstance(c.reason, str) for c in corrupt)
-        and all(isinstance(column, list) for column in columns.values())
-        and len({len(column) for column in columns.values()}) == 1
-        and all(
-            set(map(type, columns[name])) <= {kind} for name, kind in _COLUMNS.items()
-        )
+        and all(isinstance(column, list) for column, _ in typed)
+        and len({len(column) for column, _ in typed}) == 1
+        and all(set(map(type, column)) <= {kind} for column, kind in typed)
     ):
         return None
-    return _Index(stamp, count, corrupt, **columns)
+    return _Index(stamp, count, corrupt, lines, keys, columns)
 
 
 def _save_index(path, index: _Index) -> None:
-    data = vars(index) | {"corrupt": [[c.lineno, c.reason] for c in index.corrupt]}
+    data = {"stamp": index.stamp, "count": index.count}
+    data["corrupt"] = [[c.lineno, c.reason] for c in index.corrupt]
+    data.update(lines=index.lines, keys=index.keys, **index.columns)
     target = _index_path(path)
     # two queries may write at once, each the same text; a reader that
-    # meets a half-written index takes it for malformed and rescans
+    # meets a half-written index takes it for malformed and rebuilds it
     try:
         with open(target + ".tmp", "w", encoding="utf-8") as fh:
             fh.write(json.dumps(data))
         os.replace(target + ".tmp", target)
-    except OSError:
-        pass  # the index is a cache; the next append or query rescans
+    except OSError:  # the index is a cache; the next append or query rebuilds
+        with suppress(OSError):
+            os.remove(target + ".tmp")
+
+
+def _current_index(path) -> _Index:
+    """The index of the catalog at path, under the caller's lock: the
+    saved one when its stamp matches, else one rebuilt from every record
+    and saved."""
+    stamp = _stamp(path)
+    index = _load_index(path, stamp)
+    if index is None:
+        index = _Index(stamp)
+        read_catalog(path, lambda rec: False, index=index)
+        _save_index(path, index)
+    return index
 
 
 def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
@@ -430,12 +440,7 @@ def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
     make them."""
     with open(path, "a", encoding="utf-8") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-        stamp = _stamp(path)
-        index = _load_index(path, stamp)
-        rescanned = index is None
-        if rescanned:
-            index = _Index(stamp)
-            read_catalog(path, lambda rec: False, index=index)
+        index = _current_index(path)
         keys = dict.fromkeys(index.keys)
         lines = []
         skipped = 0
@@ -452,32 +457,32 @@ def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
             index.add(index.count + len(lines), rec)
         if lines:
             text = "".join(lines)
-            if stamp[2] not in ("", "\n"):
+            if index.stamp[2] not in ("", "\n"):
                 text = "\n" + text
             fh.write(text)
             data = text.encode("utf-8")
-            index.stamp = [zlib.crc32(data, stamp[0]), stamp[1] + len(data), "\n"]
+            crc, size, _ = index.stamp
+            index.stamp = [zlib.crc32(data, crc), size + len(data), "\n"]
             index.count += len(lines)
-        if lines or rescanned:
             _save_index(path, index)
     return AppendResult(len(lines), skipped, index.corrupt)
 
 
-def record_filter(
-    sign: str | None = None,
-    middle_betti: int | None = None,
-    sphere: str | None = None,
-    nvars: int | None = None,
-) -> Callable[[InvariantRecord], bool]:
-    """Predicate on records: every filter that is not None must match."""
+def record_filter(**filters) -> Callable[[InvariantRecord], bool]:
+    """Predicate on records: each FILTERS entry named with a value that
+    is not None must match."""
+    unknown = sorted(filters.keys() - FILTERS.keys())
+    if unknown:
+        raise TypeError(
+            "record_filter() got an unexpected keyword argument %r" % unknown[0]
+        )
+    checks = [(FILTERS[k][0], want) for k, want in filters.items() if want is not None]
 
     def keep(rec: InvariantRecord) -> bool:
-        return (
-            (sign is None or rec.sign == sign)
-            and (middle_betti is None or rec.middle_betti == middle_betti)
-            and (sphere is None or rec.sphere.kind == sphere)
-            and (nvars is None or parse_key(rec.key).nvars == nvars)
-        )
+        for value, want in checks:
+            if value(rec) != want:
+                return False
+        return True
 
     return keep
 
@@ -485,7 +490,8 @@ def record_filter(
 def catalog_query(path, **filters) -> ReadResult:
     """Catalog records that pass record_filter(**filters), sorted by
     key, and the catalog's corrupt lines: the same answer as
-    read_catalog(path, record_filter(**filters)), sorted."""
+    read_catalog(path, record_filter(**filters)), sorted.  The index
+    picks the lines; only those are decoded."""
     keep = record_filter(**filters)
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -493,20 +499,13 @@ def catalog_query(path, **filters) -> ReadResult:
         return ReadResult((), ())
     with fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
-        stamp = _stamp(path)
-        index = _load_index(path, stamp)
-        if index is None:
-            index = _Index(stamp)
-            data = read_catalog(path, keep, index=index)
-            _save_index(path, index)
-            corrupt = data.corrupt
-        else:
-            only, corrupt = index.select(**filters), index.corrupt
-            del index  # freed before the matched lines are decoded
-            data = read_catalog(path, keep, only)
-            # a served line can still be corrupt: appends index records
-            # without decoding them again
-            corrupt = tuple(sorted(corrupt + data.corrupt, key=lambda c: c.lineno))
+        index = _current_index(path)
+        only, corrupt = index.select(**filters), index.corrupt
+        del index  # freed before the matched lines are decoded
+        data = read_catalog(path, keep, only)
+    # a served line can still be corrupt: appends index records without
+    # decoding them again
+    corrupt = tuple(sorted(corrupt + data.corrupt, key=lambda c: c.lineno))
     return ReadResult(tuple(sorted(data.records, key=lambda r: r.key)), corrupt)
 
 
@@ -537,6 +536,7 @@ __all__ = [
     "read_records",
     "read_catalog",
     "catalog_append",
+    "FILTERS",
     "record_filter",
     "catalog_query",
     "reverify_record",

@@ -35,7 +35,27 @@ CONFIG_ENV = "ATLAS_CONFIG"
 DEFAULTS = {"catalog": "atlas.jsonl", "budget": search.DEFAULT_BUDGET}
 
 
+# the most digits a rational argument may have before its exponent, the
+# largest exponent it may have, and the most digits of eta --n.  Such a
+# rational has up to 1,600 digits above or below the line, and the
+# largest output (nu of eta transform, from --n, --lam and --scale) about
+# 4,000, which still prints: str(int) stops at 4,300 digits
+MAX_DIGITS = 800
+
+
 def _rat(text: str) -> Fraction:
+    """Parse an exact rational, refusing one too large to print before
+    Fraction builds it (1e30000000 would take minutes)."""
+    mantissa, _, exponent = text.upper().partition("E")
+    try:
+        shift = abs(int(exponent)) if exponent else 0
+    except ValueError:
+        shift = 0  # not a rational: Fraction says so below
+    if sum(map(str.isdecimal, mantissa)) > MAX_DIGITS or shift > MAX_DIGITS:
+        raise InvalidInput(
+            "a rational may have at most %d digits and an exponent of at most %d"
+            % (MAX_DIGITS, MAX_DIGITS)
+        )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -189,6 +209,8 @@ def cmd_bp8(args):
 
 
 def _constants(args) -> eta.EtaConstants:
+    if abs(args.n) >= 10**MAX_DIGITS:
+        raise InvalidInput("--n may have at most %d digits" % MAX_DIGITS)
     if args.lam is not None:
         c = eta.EtaConstants.of(args.n, _rat(args.lam))
         if args.nu is not None and Fraction(c.nu) != _rat(args.nu):
@@ -350,11 +372,7 @@ def cmd_catalog(args):
         }
     # query
     result = cat.catalog_query(
-        args.catalog,
-        sign=args.sign,
-        middle_betti=args.betti,
-        sphere=args.sphere,
-        nvars=args.nvars,
+        args.catalog, **{name: getattr(args, name) for name in cat.FILTERS}
     )
     _report_corrupt(result.corrupt)
     payload = {
@@ -447,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["append", "query"])
     p.add_argument("--file", help="records to append (JSONL, - for stdin)")
     p.add_argument("--sign", choices=signs)
-    p.add_argument("--betti", type=int)
+    p.add_argument("--betti", type=int, dest="middle_betti", metavar="BETTI")
     p.add_argument("--sphere", choices=spheres.SPHERE_KINDS)
     p.add_argument("--nvars", type=int)
     p.add_argument("--reverify", action="store_true")

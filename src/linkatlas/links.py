@@ -294,6 +294,12 @@ def canonical_key(obj: WeightSystem | BPExponents) -> str:
     return "w:%s@%d" % (",".join(map(str, obj.weights)), obj.degree)
 
 
+def key_nvars(key: str) -> int:
+    """Variable count of a canonical key, bp: or w:...@d, without
+    parsing it: one more than its commas."""
+    return key.count(",") + 1
+
+
 def reciprocal_sum(a: Sequence[int] | BPExponents) -> Fraction:
     """sum 1/a_i; the sign class of a BP link compares this against 1."""
     exps = _as_exponents(a).exponents
@@ -375,6 +381,7 @@ __all__ = [
     "pi1_class",
     "ade_match",
     "canonical_key",
+    "key_nvars",
     "reciprocal_sum",
     "parse_link",
     "parse_kervaire",

@@ -233,7 +233,7 @@ def _evaluated(
 
 def run_search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> SearchResult:
     pred = spec.predicate
-    keep = record_filter(pred.sign, pred.middle_betti)
+    keep = record_filter(sign=pred.sign, middle_betti=pred.middle_betti)
     members = []
     matched: dict[str, InvariantRecord] = {}
     for member, rec in _evaluated(spec, budget):

@@ -425,6 +425,40 @@ def test_unusable_index_means_a_full_scan(tmp_path, index_text):
     )
 
 
+def test_failed_index_write_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "atlas.jsonl"
+    catalog_append(path, _recs((5, 3, 2), (7, 3, 2)))
+    _append_text(path, "not json\n")
+    index_path = tmp_path / "atlas.jsonl.keys"
+    index_path.unlink()
+    index_path.mkdir()  # the index can be neither read nor replaced
+    scan = read_catalog(path)
+    for f in ({}, {"nvars": 3}, {"sign": "negative"}):
+        got = catalog_query(path, **f)
+        want = sorted(filter(record_filter(**f), scan.records), key=lambda r: r.key)
+        assert (list(got.records), got.corrupt) == (want, scan.corrupt)
+        assert sorted(os.listdir(tmp_path)) == ["atlas.jsonl", "atlas.jsonl.keys"]
+    result = catalog_append(path, _recs((7, 3, 2), (11, 3, 2)))
+    assert (result.added, result.skipped, result.corrupt) == (1, 1, scan.corrupt)
+    assert sorted(os.listdir(tmp_path)) == ["atlas.jsonl", "atlas.jsonl.keys"]
+    assert index_path.is_dir()
+
+
+def test_unknown_filter_is_refused_before_the_catalog_is_read(tmp_path, monkeypatch):
+    import linkatlas.catalog as catalog
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("the catalog was opened")
+
+    monkeypatch.setattr(catalog, "open", no_open, raising=False)
+    with pytest.raises(TypeError, match="colour"):
+        record_filter(colour=1)
+    with pytest.raises(TypeError, match="colour"):
+        catalog_query(tmp_path / "atlas.jsonl", colour=1)
+    with pytest.raises(TypeError, match="colour"):
+        catalog_query(tmp_path / "atlas.jsonl", sign="null", colour=None)
+
+
 def test_indexed_corrupt_lines_match_a_full_scan(tmp_path):
     path = tmp_path / "atlas.jsonl"
     path.write_bytes(

@@ -9,8 +9,8 @@ import sys
 
 import pytest
 
-from linkatlas.catalog import build_record, record_cost
-from linkatlas.cli import CONFIG_ENV, load_config, main, parse_link
+from linkatlas.catalog import FILTERS, build_record, catalog_query, record_cost
+from linkatlas.cli import CONFIG_ENV, MAX_DIGITS, load_config, main, parse_link
 from linkatlas.errors import InvalidInput
 from linkatlas.links import BPExponents, WeightSystem
 
@@ -253,6 +253,32 @@ def test_search_and_query_rows_as_text(capsys, tmp_path):
     )
 
 
+# each catalog filter's `catalog query` flag, and a value that matches some
+# records of the catalog below but not all
+_FILTER_FLAGS = {
+    "sign": ("--sign", "negative"),
+    "middle_betti": ("--betti", 0),
+    "sphere": ("--sphere", "homology_sphere"),
+    "nvars": ("--nvars", 3),
+}
+
+
+def test_every_filter_has_a_query_flag_that_agrees(capsys, tmp_path):
+    assert set(_FILTER_FLAGS) == set(FILTERS)
+    catalog = str(tmp_path / "atlas.jsonl")
+    for bounds in ("a0=2:5,a1=2:7,a2=2:9", "a0=2:3,a1=2:3,a2=2:4,a3=2:5"):
+        run_json(
+            capsys, "search", "--family", "bp-box", "--bounds", bounds,
+            "--append", "--catalog", catalog,
+        )
+    total = len(catalog_query(catalog).records)
+    for name, (flag, value) in _FILTER_FLAGS.items():
+        want = len(catalog_query(catalog, **{name: value}).records)
+        assert 0 < want < total, name
+        payload = run_json(capsys, "catalog", "query", flag, str(value), "--catalog", catalog)
+        assert payload["matched"] == want, name
+
+
 def test_search_budget_exit_code(capsys):
     code, _, err = run(
         capsys, "search", "--family", "237m", "--bounds", "m=5:41",
@@ -454,17 +480,73 @@ _SWEEP_REFUSED = [
         lambda tmp: ["curvature", "check-ew", "--samples", "-5"],
         # --bp8-sweep refuses the search flags it would ignore
         *(lambda tmp, extra=extra: _SWEEP + extra for extra, _ in _SWEEP_REFUSED),
+        # rationals too large to print, or to build at all
+        lambda tmp: ["eta", "scalar", "--n", "1", "--lam", "1e4400", "--json"],
+        lambda tmp: ["eta", "transform", "--n", "1", "--lam", "1", "--scale", "1e4400"],
+        lambda tmp: ["curvature", "berger", "--scale", "1e4400"],
+        lambda tmp: ["eta", "scalar", "--n", "7" * 3000, "--lam", "7" * 3000],
+        lambda tmp: ["eta", "scalar", "--n", "1", "--lam", "1e30000000"],
+        lambda tmp: ["eta", "scalar", "--n", "1", "--nu", "1E-30000000"],
+        lambda tmp: ["eta", "einstein", "--n", "1", "--lam", "1/" + "7" * 3000],
+        # one digit, or one exponent step, past the largest accepted input
+        lambda tmp: ["eta", "scalar", "--n", "9" * (MAX_DIGITS + 1), "--lam", "1"],
+        lambda tmp: ["eta", "scalar", "--n", "1", "--lam", "9" * (MAX_DIGITS + 1)],
+        lambda tmp: ["eta", "ew", "--n", "1", "--nu", "1/1" + "0" * MAX_DIGITS],
+        lambda tmp: ["eta", "scalar", "--n", "1", "--lam", "1e%d" % (MAX_DIGITS + 1)],
+        lambda tmp: ["eta", "scalar", "--n", "1", "--lam", "1e-%d" % (MAX_DIGITS + 1)],
+        lambda tmp: [
+            "eta", "transform", "--n", "1", "--lam", "1", "--scale", "2e%d" % (MAX_DIGITS + 1)
+        ],
+        lambda tmp: ["curvature", "berger", "--scale", "." + "9" * (MAX_DIGITS + 1)],
     ],
     ids=[
         "weight-degree", "kervaire-a", "bounds", "sweep-no-k", "config", "config-classify", "bound-repeated", "bp-box-gap", "237m-extra", "kkk1p-extra",
         "kervaire-extra", "kervaire-r-names", "offset-inf", "offset-nan", "samples-0",
         "samples-negative", *("sweep" + extra[0][1:] for extra, _ in _SWEEP_REFUSED),
+        "lam-1e4400", "scale-1e4400", "berger-1e4400", "n-and-lam-3000-digits",
+        "lam-1e30000000", "nu-1e-30000000", "denominator-3000-digits", "n-over-bound",
+        "lam-over-bound", "nu-over-bound", "exponent-over-bound",
+        "negative-exponent-over-bound", "scale-over-bound", "berger-over-bound",
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     code, _, err = run(capsys, *argv(tmp_path))
     assert code == 2
     assert err.startswith("error: ")
+
+
+_NINES = "9" * MAX_DIGITS
+# the largest rationals accepted: the most digits, and the largest
+# exponent either way
+_AT_BOUND = [_NINES + "e%d" % MAX_DIGITS, "." + _NINES + "E-%d" % MAX_DIGITS]
+
+
+@pytest.mark.parametrize(
+    "mode", ["transform", "einstein", "lorentzian", "ew", "scalar", "berger"]
+)
+def test_rationals_at_the_digit_bound_print(capsys, mode):
+    if mode == "berger":
+        calls = [["curvature", "berger", "--scale", s] for s in _AT_BOUND]
+    else:
+        calls = [
+            ["eta", mode, "--n", n, "--lam=" + sign + lam]
+            + (["--scale", scale] if mode == "transform" else [])
+            for n in ("1", _NINES)
+            for sign in ("", "-")
+            for lam in _AT_BOUND
+            for scale in _AT_BOUND
+        ]
+    printed = 0
+    for argv in calls:
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, *argv, *extra)
+            # a constant outside the mode's domain is refused by the maths,
+            # with the value in the message; none by the digit bound
+            assert (code, err) == (0, "") or (
+                code == 2 and err.startswith("error: ") and "at most" not in err
+            ), argv
+            printed += len(out + err) > MAX_DIGITS
+    assert printed == 2 * len(calls)
 
 
 @pytest.mark.parametrize(
