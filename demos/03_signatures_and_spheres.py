@@ -7,11 +7,14 @@ it separates the oriented diffeomorphism types of homotopy 7-spheres.
 """
 
 from linkatlas import (
+    BPExponents,
+    NotASphere,
     bp8_class,
     bp_link,
     brieskorn_signature,
     brieskorn_signature_direct,
     casson_invariant,
+    build_record,
     kervaire_classify,
     seven_sphere_sweep,
 )
@@ -40,6 +43,11 @@ def main():
     for exps in ((2, 2, 2, 3, 5), (2, 2, 2, 3, 7), (2, 2, 2, 3, 11)):
         verdict = bp8_class(exps)
         print("L%s: %s, residue %s" % (exps, verdict.kind, verdict.bp8_residue))
+    # Betti number 0 is not enough: H_3 of L(2,2,2,4,5) has order 5.
+    try:
+        bp8_class((2, 2, 2, 4, 5))
+    except NotASphere as exc:
+        print("L(2, 2, 2, 4, 5): no bP_8 class,", exc)
 
     # Kervaire-type links L(2,2r1,...,2r2m,a): the class depends only on
     # a mod 8, the sign class on sum 1/ri against (a-2)/a.
@@ -47,6 +55,9 @@ def main():
     for r, a in (((3, 5), 7), ((3, 5), 11), ((3, 5), 4)):
         verdict, sign = kervaire_classify(r, a)
         print("r=%s a=%d -> %s, %s" % (r, a, verdict.kind, sign.value))
+    # The record of the same link reads the class off Delta(-1) mod 8.
+    rec = build_record(BPExponents((2, 6, 10, 11)))
+    print("%s -> %s" % (rec.key, rec.sphere.kind))
 
     # Sweep L(k,k,k,k+1,p) for all 28 residues.  The small box below finds
     # some of them; the full k=2:8, p=2:600 box, also within the default

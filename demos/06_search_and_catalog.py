@@ -57,7 +57,7 @@ def main():
         print("query sign=positive:", [r.key for r in hits])
 
         # Reverification recomputes every stored invariant from the key
-        # alone; records a kervaire search refined would be flagged.
+        # alone; a record is a function of its key, whatever search wrote it.
         issues = [issue for rec in hits for issue in reverify_record(rec)]
         print("reverify issues:", issues or "none")
 

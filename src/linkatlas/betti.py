@@ -10,11 +10,25 @@ where the empty subset contributes (-1)^{n+1} (empty product 1, empty
 lcm 1).  The sum is evaluated exactly, in integers over the common
 denominator lcm(u) * prod(v), and must come out a nonnegative integer;
 anything else is an error, never a rounding.
+
+The same table is the characteristic divisor of the monodromy
+(Milnor-Orlik 1970): grouping the subsets by l = lcm u_i gives the
+integer exponents c_l = terms[l] / (l * prod v) of
+
+    Delta(t) = prod over l of (t^l - 1)^{c_l},
+
+whose multiplicity of the root 1 is sum c_l, the Betti number.  When
+that sum is 0, |Delta(1)| = prod l^{c_l} is the order of the middle
+homology; when the root -1 is absent (sum over even l of c_l is 0),
+|Delta(-1)| = prod over odd l of 2^{c_l} * prod over even l of l^{c_l}.
+BettiResult.delta_at_one and delta_at_minus_one evaluate them as exact
+integer products; both are meaningful only for a quasi-smooth weight
+system, as every Brieskorn-Pham one is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
@@ -28,6 +42,44 @@ class BettiResult:
     middle_betti: int
     link_dim: int
     quotients: tuple[Fraction, ...]
+    # the characteristic divisor: c_l = terms[l] / (l * vprod)
+    terms: dict[int, int] = field(compare=False, repr=False)
+    vprod: int = field(compare=False, repr=False)
+
+    def delta_at_one(self) -> int:
+        """|Delta(1)|, the order of the middle homology: 0 when it is
+        infinite (see the module docstring)."""
+        if self.middle_betti:
+            return 0
+        num = den = 1
+        vprod = self.vprod
+        for ell, t in self.terms.items():
+            k = t // (ell * vprod)
+            if k > 0:
+                num *= ell**k
+            elif k < 0:
+                den *= ell**-k
+        return num // den
+
+    def delta_at_minus_one(self) -> int:
+        """|Delta(-1)|: 0 when -1 is a root (see the module docstring)."""
+        num = den = 1
+        odd = even = 0  # the sums of c_l over the odd and the even l
+        vprod = self.vprod
+        for ell, t in self.terms.items():
+            k = t // (ell * vprod)
+            if ell % 2:
+                odd += k
+            else:
+                even += k
+                if k > 0:
+                    num *= ell**k
+                elif k < 0:
+                    den *= ell**-k
+        if even:
+            return 0
+        # each odd l gives 2^{c_l}
+        return (num << max(odd, 0)) // (den << max(-odd, 0))
 
 
 @dataclass(frozen=True)
@@ -69,13 +121,14 @@ def betti(ws: WeightSystem) -> BettiResult:
         terms = grown
     top = lcm(*u)
     numerator = sum(t * (top // ell) for ell, t in terms.items())
-    denominator = top * prod(v)
+    vprod = prod(v)
+    denominator = top * vprod
     total, rest = divmod(numerator, denominator)
     if rest or total < 0:
         raise NonIntegerResult(
             "betti sum reduced to %s" % Fraction(numerator, denominator)
         )
-    return BettiResult(total, ws.link_dim, quotients)
+    return BettiResult(total, ws.link_dim, quotients, terms, vprod)
 
 
 def betti_cost(nvars: int) -> int:

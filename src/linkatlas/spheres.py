@@ -17,6 +17,16 @@ arithmetic, looping over whichever is shorter: the prefix residues or
 the values of i (bisecting the cumulative counts).  Everything is exact
 integer arithmetic.  brieskorn_signature_direct is the nested-loop
 oracle the tests compare against.
+
+sphere_verdict is the one sphere rule, read off the characteristic
+divisor that betti() builds (see linkatlas.betti).  A BP link of n >= 3
+exponents with Betti number 0 is a homotopy sphere exactly when
+|Delta(1)| = 1.  Then three exponents give an integral homology
+3-sphere; an even count, a (2n-3)-sphere whose class Levine's rule
+reads off |Delta(-1)| mod 8 (+-1 standard, +-3 Kervaire); five, a
+7-sphere with its bP_8 residue.  The label kervaire_sphere names the
+Kervaire manifold, which is the standard sphere in dimensions 5, 13, 29
+and 61.
 """
 
 from __future__ import annotations
@@ -28,7 +38,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Sequence
 
-from .betti import is_rational_homology_sphere
+from .betti import TORSION_FREE, TORSION_UNKNOWN, BettiResult, TorsionForm, betti
+from .betti import is_rational_homology_sphere  # noqa: F401  (a name perfbench traces)
 from .errors import (
     DimensionUnsupported,
     InvalidInput,
@@ -36,7 +47,14 @@ from .errors import (
     NotASphere,
     NotPairwiseCoprime,
 )
-from .links import BPExponents, SignClass, _as_exponents, bp_link, classify_sign
+from .links import (
+    BPExponents,
+    SignClass,
+    WeightSystem,
+    _as_exponents,
+    bp_link,
+    classify_sign,
+)
 
 
 SIGNATURE_NVARS = (3, 5)  # exponent counts whose links have a symmetric middle form
@@ -219,18 +237,54 @@ def bp8_residue(signature: int) -> int | None:
     return (signature // 8) % BP8_ORDER if signature % 8 == 0 else None
 
 
+def sphere_verdict(
+    source: BPExponents | WeightSystem,
+    b: BettiResult,
+    signature: int | None = None,
+    torsion: TorsionForm = TORSION_UNKNOWN,
+) -> SphereVerdict:
+    """Sphere verdict of the link of source, whose betti() result is b,
+    by the rule of the module docstring; signature gives a 5-exponent
+    source its bP_8 residue.  A weight system (Delta of one that is not
+    quasi-smooth describes no link) and a 1-dimensional link keep the
+    torsion rule: Betti number 0 and TORSION_FREE make it standard."""
+    if b.middle_betti:
+        return SphereVerdict("not_a_sphere")
+    if not isinstance(source, BPExponents) or source.nvars < 3:
+        # a simply connected 5-manifold with H_2 = 0 is the standard sphere
+        if torsion == TORSION_FREE:
+            return SphereVerdict("standard_sphere")
+        return SphereVerdict("rational_homology_sphere")
+    n = source.nvars
+    if b.delta_at_one() != 1:
+        return SphereVerdict("rational_homology_sphere")
+    if n == 3:
+        return SphereVerdict("homology_sphere")
+    if n % 2 == 0:
+        standard = b.delta_at_minus_one() % 8 in (1, 7)
+        return SphereVerdict("standard_sphere" if standard else "kervaire_sphere")
+    if n == 5 and signature is not None:
+        return SphereVerdict("rational_homology_sphere", bp8_residue(signature))
+    return SphereVerdict("rational_homology_sphere")
+
+
 def bp8_class(a: Sequence[int] | BPExponents) -> SphereVerdict:
-    """bp8_residue of a 5-exponent rational homology sphere link."""
+    """bp8_residue of a 5-exponent homotopy sphere link; NotASphere names
+    the order of H_3 of any other."""
     exps = _as_exponents(a)
     if exps.nvars != 5:
         raise DimensionUnsupported("bp8 class needs 5 exponents")
-    if not is_rational_homology_sphere(bp_link(exps)):
+    b = betti(bp_link(exps))
+    if b.middle_betti:
         raise NotASphere("middle Betti number is nonzero")
     sig = brieskorn_signature(exps).signature
-    residue = bp8_residue(sig)
-    if residue is None:
+    verdict = sphere_verdict(exps, b, sig)
+    if verdict.bp8_residue is None:
+        order = b.delta_at_one()
+        if order != 1:
+            raise NotASphere("H_3 has order %d, not 1" % order)
         raise NonDivisible("signature %d not divisible by 8" % sig)
-    return SphereVerdict("rational_homology_sphere", residue)
+    return verdict
 
 
 def kervaire_classify(
@@ -271,6 +325,7 @@ __all__ = [
     "casson_invariant",
     "is_homology_3_sphere",
     "bp8_residue",
+    "sphere_verdict",
     "bp8_class",
     "kervaire_classify",
 ]

@@ -28,6 +28,7 @@ from linkatlas import (
     reverify_record,
     run_search,
 )
+import linkatlas.catalog as catalog_module
 from linkatlas.catalog import (
     _load_index,
     _stamp,
@@ -425,6 +426,36 @@ def test_unusable_index_means_a_full_scan(tmp_path, index_text):
     )
 
 
+def test_each_call_writes_the_index_at_most_once(tmp_path, monkeypatch):
+    saves = []
+    save = catalog_module._save_index
+    monkeypatch.setattr(
+        catalog_module, "_save_index", lambda *args: (saves.append(1), save(*args))
+    )
+    path = tmp_path / "atlas.jsonl"
+    index_path = tmp_path / "atlas.jsonl.keys"
+
+    def saved(call):
+        saves.clear()
+        call()
+        return len(saves)
+
+    # the first append to a new file finds no index and adds records
+    assert saved(lambda: catalog_append(path, _recs((5, 3, 2)))) == 1
+    assert saved(lambda: catalog_append(path, _recs((7, 3, 2)))) == 1
+    assert saved(lambda: catalog_append(path, _recs((7, 3, 2)))) == 0
+    assert saved(lambda: catalog_query(path, nvars=3)) == 0
+    for call in (
+        lambda: catalog_append(path, _recs((11, 3, 2))),
+        lambda: catalog_append(path, _recs((11, 3, 2))),
+        lambda: catalog_query(path, sign="negative"),
+    ):
+        index_path.unlink()
+        assert saved(call) == 1
+        assert _index_is_current(path)
+    assert _keys(path) == ["bp:2,3,5", "bp:2,3,7", "bp:2,3,11"]
+
+
 def test_failed_index_write_leaves_no_temporary_file(tmp_path):
     path = tmp_path / "atlas.jsonl"
     catalog_append(path, _recs((5, 3, 2), (7, 3, 2)))
@@ -667,7 +698,8 @@ def test_queries_during_appends_see_whole_batches(tmp_path):
 
 def _produced_records():
     """Records as the producers build them: bp-box searches over 2 to 5
-    exponents, a kervaire search (refined verdicts), and weight systems."""
+    exponents, a kervaire search (standard and Kervaire spheres), and
+    weight systems."""
     for n, hi in ((2, 7), (3, 5), (4, 4), (5, 3)):
         bounds = {"a%d" % i: (2, hi) for i in range(n)}
         yield from run_search(SearchSpec("bp-box", bounds, Predicate())).records

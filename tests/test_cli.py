@@ -478,6 +478,8 @@ _SWEEP_REFUSED = [
         lambda tmp: ["curvature", "check-ew", "--offset", "nan"],
         lambda tmp: ["curvature", "check-ew", "--samples", "0"],
         lambda tmp: ["curvature", "check-ew", "--samples", "-5"],
+        # H_3 of L(2,2,2,4,5) has order 5: no homotopy sphere, no bP_8 class
+        lambda tmp: ["bp8", "bp:2,2,2,4,5"],
         # --bp8-sweep refuses the search flags it would ignore
         *(lambda tmp, extra=extra: _SWEEP + extra for extra, _ in _SWEEP_REFUSED),
         # rationals too large to print, or to build at all
@@ -502,7 +504,7 @@ _SWEEP_REFUSED = [
     ids=[
         "weight-degree", "kervaire-a", "bounds", "sweep-no-k", "config", "config-classify", "bound-repeated", "bp-box-gap", "237m-extra", "kkk1p-extra",
         "kervaire-extra", "kervaire-r-names", "offset-inf", "offset-nan", "samples-0",
-        "samples-negative", *("sweep" + extra[0][1:] for extra, _ in _SWEEP_REFUSED),
+        "samples-negative", "bp8-not-a-sphere", *("sweep" + extra[0][1:] for extra, _ in _SWEEP_REFUSED),
         "lam-1e4400", "scale-1e4400", "berger-1e4400", "n-and-lam-3000-digits",
         "lam-1e30000000", "nu-1e-30000000", "denominator-3000-digits", "n-over-bound",
         "lam-over-bound", "nu-over-bound", "exponent-over-bound",
@@ -768,6 +770,29 @@ def test_catalog_query_reverify(capsys, tmp_path):
         capsys, "catalog", "query", "--reverify", "--catalog", str(catalog)
     )
     assert "bp:2,3,5" in payload["reverify_failures"]
+
+
+@pytest.mark.parametrize(
+    "family, bounds",
+    [
+        ("kervaire", "r1=1:3,r2=1:5,a=3:9"),
+        ("bp-box", "a0=2:3,a1=2:6,a2=2:10,a3=3:12"),
+    ],
+)
+def test_searched_records_reverify(capsys, tmp_path, family, bounds):
+    # a record is a function of its key, whichever search wrote it
+    catalog = str(tmp_path / "atlas.jsonl")
+    search = ["search", "--family", family, "--bounds", bounds]
+    assert run_json(capsys, *search, "--append", "--catalog", catalog)["appended"] > 0
+    payload = run_json(capsys, "catalog", "query", "--reverify", "--catalog", catalog)
+    assert payload["matched"] > 0
+    assert payload["reverify_failures"] == {}
+
+
+def test_sphere_verdict_does_not_depend_on_the_grammar(capsys):
+    # kervaire:3,5@11 is L(2,6,10,11)
+    for link in ("bp:2,6,10,11", "kervaire:3,5@11"):
+        assert run_json(capsys, "sphere", link)["kind"] == "kervaire_sphere"
 
 
 def test_catalog_append_needs_file(capsys):

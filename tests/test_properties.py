@@ -1,12 +1,13 @@
-"""Property tests tying the signature to its oracle and to the Betti sum,
-and a catalog key's variable count to the link it names."""
+"""Property tests tying the signature to its oracle, to the Betti sum and
+to the sphere rule, and a catalog key's variable count to the link it
+names."""
 
 from math import gcd, prod
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from linkatlas import (  # noqa: E402
     BPExponents,
@@ -44,6 +45,15 @@ def test_betti_counts_lattice_points_off_the_signature(exps):
     record = build_record(BPExponents(tuple(exps)))
     assert record.middle_betti == middle
     assert record.signature == sig.signature
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 18), min_size=5, max_size=5))
+def test_five_exponent_homotopy_spheres_have_signature_divisible_by_8(exps):
+    # a homotopy 7-sphere bounds a parallelizable manifold of signature 8k
+    b = betti(bp_link(exps))
+    assume(b.middle_betti == 0 and b.delta_at_one() == 1)
+    assert brieskorn_signature(exps).signature % 8 == 0
 
 
 links = st.one_of(

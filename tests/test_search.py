@@ -12,9 +12,11 @@ from linkatlas import (
     SearchSpec,
     betti,
     bp_link,
+    build_record,
     run_search,
     seven_sphere_sweep,
 )
+from linkatlas.catalog import parse_key
 from linkatlas.cli import main
 from linkatlas.errors import InvalidInput
 from linkatlas.search import FAMILIES, Family, check_budget, _members
@@ -186,7 +188,7 @@ def test_kervaire_family_verdicts():
         Predicate(),
     )
     result = run_search(spec)
-    # refinement only applies to rational homology spheres with odd a
+    # the Betti-0 members here (a = 7, 11) are homotopy spheres
     for rec in result.records:
         if rec.middle_betti != 0:
             assert rec.sphere.kind == "not_a_sphere"
@@ -195,6 +197,27 @@ def test_kervaire_family_verdicts():
                 "standard_sphere", "kervaire_sphere", "rational_homology_sphere"
             )
     assert len(result.records) == 5
+
+
+# small bounds for every family
+_FAMILY_BOUNDS = {
+    "bp-box": {"a0": (2, 4), "a1": (2, 6), "a2": (2, 8), "a3": (3, 10)},
+    "237m": {"m": (5, 41)},
+    "kkk1p": {"k": (2, 4), "p": (2, 30)},
+    "kkkk1p": {"k": (2, 4), "p": (2, 30)},
+    "pqrpqr": {"p": (2, 5), "q": (2, 7), "r": (2, 11)},
+    "kervaire": {"r1": (1, 3), "r2": (1, 5), "a": (3, 9)},
+}
+
+
+def test_every_searched_record_is_a_function_of_its_key():
+    # no family adjusts a record: the key alone rebuilds it
+    assert _FAMILY_BOUNDS.keys() == FAMILIES.keys()
+    for family, bounds in _FAMILY_BOUNDS.items():
+        records = run_search(SearchSpec(family, bounds, Predicate())).records
+        assert records, family
+        for rec in records:
+            assert build_record(parse_key(rec.key)) == rec
 
 
 def test_tiny_sweep_is_incomplete():

@@ -1,13 +1,18 @@
 """Brieskorn signatures, Casson invariants and exotic sphere classes."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 
 import pytest
 
 from linkatlas import (
+    BPExponents,
     SignClass,
+    WeightSystem,
+    betti,
     bp8_class,
     bp_link,
     brieskorn_signature,
@@ -19,6 +24,7 @@ from linkatlas import (
     reciprocal_sum,
 )
 from linkatlas import spheres
+from linkatlas.betti import TORSION_FREE, TORSION_UNKNOWN
 from linkatlas.errors import (
     DimensionUnsupported,
     InvalidInput,
@@ -158,6 +164,13 @@ def test_bp8_requires_sphere():
         bp8_class((2, 2, 2, 4, 4))
 
 
+def test_bp8_requires_a_homotopy_sphere():
+    # Betti number 0 is not enough: H_3 of L(2,2,2,4,5) has order 5
+    assert betti(bp_link((2, 2, 2, 4, 5))).middle_betti == 0
+    with pytest.raises(NotASphere, match="order 5"):
+        bp8_class((2, 2, 2, 4, 5))
+
+
 def test_kervaire_classify():
     verdict, _ = kervaire_classify((3, 5), 7)
     assert verdict.kind == "standard_sphere"
@@ -204,3 +217,78 @@ def test_kervaire_matches_reciprocal_trichotomy():
     assert sign is classify_sign(bp_link((2, 2, 2, 3)))
     assert reciprocal_sum((2, 2, 2, 3)) > 1
     assert sign is SignClass.POSITIVE
+
+
+def _brieskorn_graph_sphere(exps):
+    """Brieskorn's graph criterion (1966) for 4 or more exponents: join
+    a_i and a_j when gcd(a_i, a_j) > 1; the link is a topological sphere
+    exactly when the graph has two isolated vertices, or one and an odd
+    component whose exponents have pairwise gcd 2."""
+    n = len(exps)
+
+    def joined(i, j):
+        return i != j and gcd(exps[i], exps[j]) > 1
+
+    isolated = [i for i in range(n) if not any(joined(i, j) for j in range(n))]
+    if len(isolated) != 1:
+        return len(isolated) >= 2
+    rest = set(range(n)) - set(isolated)
+    while rest:
+        component, frontier = set(), {rest.pop()}
+        while frontier:
+            i = frontier.pop()
+            component.add(i)
+            reached = {j for j in rest if joined(i, j)}
+            rest -= reached
+            frontier |= reached
+        if len(component) % 2 and all(
+            gcd(exps[i], exps[j]) == 2 for i, j in itertools.combinations(component, 2)
+        ):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n, hi", [(4, 14), (5, 9), (6, 6)])
+def test_homotopy_spheres_follow_brieskorns_graph(n, hi):
+    spheres_seen = 0
+    for exps in itertools.combinations_with_replacement(range(2, hi + 1), n):
+        b = betti(bp_link(exps))
+        sphere = b.middle_betti == 0 and b.delta_at_one() == 1
+        assert sphere == _brieskorn_graph_sphere(exps), exps
+        spheres_seen += sphere
+    assert spheres_seen
+
+
+def test_levine_rule_matches_kervaire_classify():
+    # L(2, 2r_1, ..., 2r_2m, a), m = 1, 2: Delta(-1) mod 8 against a mod 8
+    kinds = Counter()
+    for m, r_max in ((1, 7), (2, 5)):
+        for rs in itertools.product(range(1, r_max + 1), repeat=2 * m):
+            if any(gcd(x, y) != 1 for x, y in itertools.combinations(rs, 2)):
+                continue
+            for a in range(3, 40, 2):
+                exps = BPExponents((2,) + tuple(2 * r for r in rs) + (a,))
+                b = betti(bp_link(exps))
+                if b.middle_betti:
+                    continue
+                verdict = spheres.sphere_verdict(exps, b)
+                assert verdict == kervaire_classify(rs, a)[0], exps
+                kinds[verdict.kind] += 1
+    assert kinds == {"standard_sphere": 876, "kervaire_sphere": 1070}
+
+
+def test_sphere_rule_skips_curves_and_weight_systems():
+    # a 1-dimensional link is no sphere question: L(2,3) is the trefoil,
+    # whose Delta(1) = 1 and Delta(-1) = 3 would read as a Kervaire sphere
+    trefoil = BPExponents((2, 3))
+    b = betti(bp_link(trefoil))
+    assert (b.delta_at_one(), b.delta_at_minus_one()) == (1, 3)
+    assert spheres.sphere_verdict(trefoil, b).kind == "rational_homology_sphere"
+    # weight systems keep the torsion rule; this one reads Delta(-1) = 3
+    ws = WeightSystem((1, 2, 3, 5), 6)
+    assert betti(ws).delta_at_minus_one() == 3
+    for torsion, kind in (
+        (TORSION_FREE, "standard_sphere"),
+        (TORSION_UNKNOWN, "rational_homology_sphere"),
+    ):
+        assert spheres.sphere_verdict(ws, betti(ws), None, torsion).kind == kind
