@@ -18,6 +18,7 @@ from linkatlas import (
     kervaire_classify,
     seven_sphere_sweep,
 )
+from linkatlas.links import parse_link
 
 
 def main():
@@ -49,8 +50,10 @@ def main():
     except NotASphere as exc:
         print("L(2, 2, 2, 4, 5): no bP_8 class,", exc)
 
-    # Kervaire-type links L(2,2r1,...,2r2m,a): the class depends only on
-    # a mod 8, the sign class on sum 1/ri against (a-2)/a.
+    # Kervaire-type links L(2,2r1,...,2r2m,a): for odd a coprime to every
+    # ri the class depends only on a mod 8 (kervaire_classify, the closed
+    # form the tests check the record against); the sign class compares
+    # sum 1/ri with (a-2)/a.
     print()
     for r, a in (((3, 5), 7), ((3, 5), 11), ((3, 5), 4)):
         verdict, sign = kervaire_classify(r, a)
@@ -58,6 +61,13 @@ def main():
     # The record of the same link reads the class off Delta(-1) mod 8.
     rec = build_record(BPExponents((2, 6, 10, 11)))
     print("%s -> %s" % (rec.key, rec.sphere.kind))
+    # It also decides where the closed form does not hold: in
+    # kervaire:1,3@3, a = 3 shares a factor with r2 = 3, so the link
+    # L(2,2,6,3) has middle Betti number 2 and is no sphere.
+    rec = build_record(parse_link("kervaire:1,3@3"))
+    verdict, _ = kervaire_classify((1, 3), 3)
+    print("kervaire:1,3@3 is %s -> %s, b = %d (closed form: %s)"
+          % (rec.key, rec.sphere.kind, rec.middle_betti, verdict.kind))
 
     # Sweep L(k,k,k,k+1,p) for all 28 residues.  The small box below finds
     # some of them; the full k=2:8, p=2:600 box, also within the default

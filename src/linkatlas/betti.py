@@ -34,7 +34,7 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import NonIntegerResult
-from .links import BPExponents, WeightSystem, bp_link, is_well_formed
+from .links import BPExponents, WeightSystem, _as_exponents, bp_link, is_well_formed
 
 
 @dataclass(frozen=True)
@@ -142,21 +142,24 @@ def is_rational_homology_sphere(ws: WeightSystem) -> bool:
     return betti(ws).middle_betti == 0
 
 
-def torsion_closed_form(a: Sequence[int] | BPExponents) -> TorsionForm:
-    """Torsion of H_2 for the closed-form families that have one.
-
-    Exponents (3,3,3,k) with gcd(k,3) = 1 give Z_k + Z_k.  Otherwise a
-    well-formed four-variable weight system is torsion free.  Everything
-    else is reported unknown rather than guessed.
-    """
-    exps = (a if isinstance(a, BPExponents) else BPExponents(tuple(a))).exponents
-    if len(exps) == 4:
-        threes = [x for x in exps if x == 3]
-        rest = [x for x in exps if x != 3]
-        if len(threes) == 3 and gcd(rest[0], 3) == 1:
-            return TorsionForm("cyclic_pair", rest[0])
-        if is_well_formed(bp_link(exps)):
+def torsion_closed_form(link: Sequence[int] | BPExponents | WeightSystem) -> TorsionForm:
+    """Torsion of the middle homology, the one torsion rule: three
+    pairwise coprime exponents are torsion free, exponents (3,3,3,k)
+    with gcd(k,3) = 1 give Z_k + Z_k, and a well-formed four-variable
+    system, of exponents or of weights, is torsion free.  Everything
+    else is reported unknown rather than guessed."""
+    if not isinstance(link, WeightSystem):
+        exps = _as_exponents(link)
+        if exps.nvars == 3 and exps.pairwise_coprime():
             return TORSION_FREE
+        if exps.nvars != 4:
+            return TORSION_UNKNOWN
+        rest = [x for x in exps.exponents if x != 3]
+        if len(rest) == 1 and gcd(rest[0], 3) == 1:
+            return TorsionForm("cyclic_pair", rest[0])
+        link = bp_link(exps)
+    if link.nvars == 4 and is_well_formed(link):
+        return TORSION_FREE
     return TORSION_UNKNOWN
 
 

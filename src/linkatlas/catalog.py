@@ -46,13 +46,7 @@ from math import prod
 from operator import attrgetter
 from typing import Callable, Container, Iterable
 
-from .betti import (
-    TORSION_FREE,
-    TORSION_UNKNOWN,
-    betti,
-    betti_cost,
-    torsion_closed_form,
-)
+from .betti import betti, betti_cost, torsion_closed_form
 from .errors import AtlasError, InconsistentInvariants
 from .eta import null_constants
 from .links import (
@@ -62,7 +56,7 @@ from .links import (
     bp_link,
     canonical_key,
     classify_sign,
-    is_well_formed,
+    is_well_formed,  # noqa: F401  (a name perfbench traces)
     key_nvars,
     parse_link as parse_key,
 )
@@ -184,14 +178,7 @@ def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
     b = betti(ws)
     middle = b.middle_betti
 
-    if exps is not None and exps.nvars == 4:
-        torsion = torsion_closed_form(exps)
-    elif exps is not None and exps.nvars == 3 and exps.pairwise_coprime():
-        torsion = TORSION_FREE
-    elif ws.nvars == 4 and is_well_formed(ws):
-        torsion = TORSION_FREE
-    else:
-        torsion = TORSION_UNKNOWN
+    torsion = torsion_closed_form(source)
 
     signature = None
     if exps is not None and exps.nvars in SIGNATURE_NVARS:

@@ -5,9 +5,10 @@ main prints it once, as key: value text or with --json as one JSON
 object.
 
 Positional LINK arguments use the one link grammar, links.parse_link
-(bp:, w: and mono:, the same grammar as catalog keys).  The sphere
-command also takes kervaire:r_1,...,r_2m@a, e.g. kervaire:3,5@7
-(links.parse_kervaire), and search bounds are links.parse_bounds.
+(bp:, w:, mono: and kervaire:r_1,...,r_2m@a, e.g. kervaire:3,5@7,
+which is bp:2,6,10,7), through _link, which charges a mono: argument
+its elimination before solving it.  Search bounds are
+links.parse_bounds.
 
 Exit codes: 0 success, 2 invalid input, 3 bounds over budget, 4 I/O.
 Configuration (key=value file named by --config or ATLAS_CONFIG):
@@ -111,12 +112,16 @@ def load_config(path: str | None) -> dict:
 # --- subcommand bodies -------------------------------------------------
 
 
+def _link(text: str, budget: int) -> links.BPExponents | links.WeightSystem:
+    return parse_link(text, lambda cost: search.charge(cost, budget))
+
+
 def _ws_of(obj) -> links.WeightSystem:
     return links.bp_link(obj) if isinstance(obj, links.BPExponents) else obj
 
 
 def cmd_classify(args):
-    obj = parse_link(args.link)
+    obj = _link(args.link, args.budget)
     ws = _ws_of(obj)
     payload = {
         "key": links.canonical_key(obj),
@@ -134,7 +139,7 @@ def cmd_classify(args):
 
 
 def cmd_betti(args):
-    obj = parse_link(args.link)
+    obj = _link(args.link, args.budget)
     ws = _ws_of(obj)
     search.charge(betti_cost(ws.nvars), args.budget)
     res = betti_of(ws)
@@ -153,7 +158,7 @@ def cmd_betti(args):
 def cmd_weights_solve(args):
     if not args.mono.startswith("mono:"):
         raise InvalidInput("weights-solve takes a mono:[...] argument")
-    ws = parse_link(args.mono)
+    ws = _link(args.mono, args.budget)
     return {
         "weights": list(ws.weights),
         "degree": ws.degree,
@@ -162,18 +167,14 @@ def cmd_weights_solve(args):
 
 
 def cmd_monomials(args):
-    ws = _ws_of(parse_link(args.link))
+    ws = _ws_of(_link(args.link, args.budget))
     # the coin-count table has degree + 1 cells, passed once per variable
     search.charge(ws.nvars * (ws.degree + 1), args.budget)
     return {"count": links.count_monomials(ws)}
 
 
 def cmd_sphere(args):
-    if args.link.startswith("kervaire:"):
-        rs, a = links.parse_kervaire(args.link)
-        verdict, sign = spheres.kervaire_classify(rs, a)
-        return {"kind": verdict.kind, "sign": sign.value, "a_mod_8": a % 8}
-    obj = parse_link(args.link)
+    obj = _link(args.link, args.budget)
     search.charge(cat.record_cost(obj), args.budget)
     rec = cat.build_record(obj)
     payload = {
@@ -188,7 +189,7 @@ def cmd_sphere(args):
 
 
 def _bp_arg(args) -> links.BPExponents:
-    obj = parse_link(args.link)
+    obj = _link(args.link, args.budget)
     if not isinstance(obj, links.BPExponents):
         raise InvalidInput("this command needs Brieskorn-Pham input bp:...")
     search.charge(cat.record_cost(obj), args.budget)

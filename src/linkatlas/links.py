@@ -13,12 +13,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DimensionUnsupported,
     InvalidInput,
     NoPositiveSolution,
+    NotPairwiseCoprime,
     RankDeficient,
 )
 
@@ -119,6 +120,22 @@ def _as_exponents(a: Sequence[int] | BPExponents) -> BPExponents:
     return a if isinstance(a, BPExponents) else BPExponents(tuple(a))
 
 
+def kervaire_exponents(r: Sequence[int], a: int) -> BPExponents:
+    """Exponent vector (2, 2 r_1, ..., 2 r_2m, a) of the Kervaire-type
+    link L(2, 2 r_1, ..., 2 r_2m, a), for an even count 2m >= 2 of
+    pairwise coprime integers r_i >= 1 and an integer a >= 2."""
+    rs = tuple(r)
+    if len(rs) < 2 or len(rs) % 2:
+        raise DimensionUnsupported("need an even count 2m >= 2 of r_i")
+    if any(x < 1 for x in rs) or a < 2:
+        raise InvalidInput("r_i must be >= 1 and a >= 2")
+    # BPExponents refuses a non-integer r_i or a
+    exps = BPExponents((2,) + tuple(2 * x for x in rs) + (a,))
+    if any(gcd(x, y) != 1 for x, y in itertools.combinations(rs, 2)):
+        raise NotPairwiseCoprime("r must be pairwise coprime")
+    return exps
+
+
 def bp_link(a: Sequence[int] | BPExponents) -> WeightSystem:
     """Weight system of the Brieskorn-Pham link L(a_0, ..., a_n).
 
@@ -214,6 +231,16 @@ def solve_weights(rows: Sequence[Sequence[int]]) -> WeightSystem:
     denom = lcm(*(x.denominator for x in vec))
     ints = [int(x * denom) for x in vec]
     return WeightSystem(tuple(ints[:-1]), ints[-1])
+
+
+def solve_cost(rows: Sequence[Sequence[int]]) -> int:
+    """Budget estimate of solve_weights: the entry updates of its
+    Gauss-Jordan elimination, rows x cols x min(rows, cols), where cols
+    counts the degree column beside the nvars exponent columns."""
+    if not rows:
+        return 0
+    nrows, ncols = len(rows), len(rows[0]) + 1
+    return nrows * ncols * min(nrows, ncols)
 
 
 def count_monomials(ws: WeightSystem) -> int:
@@ -315,14 +342,20 @@ def _ints(text: str, sep: str = ",") -> tuple[int, ...]:
         ) from None
 
 
-def parse_link(text: str) -> BPExponents | WeightSystem:
-    """Parse the link grammar, which is also the catalog key grammar:
+def parse_link(
+    text: str, charge: Callable[[int], object] | None = None
+) -> BPExponents | WeightSystem:
+    """Parse the link grammar:
 
         bp:5,3,2                     Brieskorn-Pham exponents
         w:13,43,101,158@316          weight system with degree
         mono:[21,1,0,0;0,5,1,0;...]  monomial exponent rows (weights solved)
+        kervaire:3,5@7               L(2, 2r_1, ..., 2r_2m, a), which is
+                                     bp:2,6,10,7 (kervaire_exponents)
 
-    Malformed text raises InvalidInput.
+    Catalog keys are the canonical bp: and w: forms (canonical_key).
+    When charge is given, a mono: argument's solve_cost is passed to it
+    before the rows are solved.  Malformed text raises InvalidInput.
     """
     if text.startswith("bp:"):
         return BPExponents(_ints(text[3:]))
@@ -335,13 +368,18 @@ def parse_link(text: str) -> BPExponents | WeightSystem:
         body = text[5:]
         if not (body.startswith("[") and body.endswith("]")):
             raise InvalidInput("monomial form is mono:[r0;r1;...]")
-        return solve_weights([_ints(r) for r in body[1:-1].split(";") if r])
-    raise InvalidInput("unrecognized link %r (want bp:, w: or mono:)" % text)
+        rows = [_ints(r) for r in body[1:-1].split(";") if r]
+        if charge is not None:
+            charge(solve_cost(rows))
+        return solve_weights(rows)
+    if text.startswith("kervaire:"):
+        return kervaire_exponents(*parse_kervaire(text))
+    raise InvalidInput("unrecognized link %r (want bp:, w:, mono: or kervaire:)" % text)
 
 
 def parse_kervaire(text: str) -> tuple[tuple[int, ...], int]:
     """Parse kervaire:r_1,...,r_2m@a into ((r_1, ..., r_2m), a), the
-    arguments of spheres.kervaire_classify.  Malformed text raises
+    arguments of kervaire_exponents.  Malformed text raises
     InvalidInput."""
     body, sep, a = text[len("kervaire:") :].partition("@")
     if not text.startswith("kervaire:") or not sep or "," in a:
@@ -373,9 +411,11 @@ __all__ = [
     "Pi1Class",
     "WeightSystem",
     "BPExponents",
+    "kervaire_exponents",
     "bp_link",
     "classify_sign",
     "solve_weights",
+    "solve_cost",
     "count_monomials",
     "is_well_formed",
     "pi1_class",

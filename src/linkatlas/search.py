@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import InvariantRecord, build_record, record_cost, record_filter
 from .errors import BoundsTooLarge, InvalidInput
-from .links import BPExponents
+from .links import BPExponents, kervaire_exponents
 from .spheres import kervaire_classify  # noqa: F401  (a name perfbench traces)
 
 DEFAULT_BUDGET = 10**8
@@ -134,8 +134,7 @@ def _family_kervaire(bounds) -> Iterator[Member]:
         if any(gcd(x, y) != 1 for x, y in itertools.combinations(rs, 2)):
             continue
         for a in a_span:
-            exps = BPExponents((2,) + tuple(2 * x for x in rs) + (a,))
-            yield Member(exps, fixed=rs, varying=a)
+            yield Member(kervaire_exponents(rs, a), fixed=rs, varying=a)
 
 
 def _notes_237m(spec: SearchSpec, members: list[Member]) -> list[str]:

@@ -26,7 +26,8 @@ exponents with Betti number 0 is a homotopy sphere exactly when
 reads off |Delta(-1)| mod 8 (+-1 standard, +-3 Kervaire); five, a
 7-sphere with its bP_8 residue.  The label kervaire_sphere names the
 Kervaire manifold, which is the standard sphere in dimensions 5, 13, 29
-and 61.
+and 61.  kervaire_classify, the closed form the tests check the rule
+against, answers only where its theorem holds: odd a coprime to every r_i.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .betti import TORSION_FREE, TORSION_UNKNOWN, BettiResult, TorsionForm, bett
 from .betti import is_rational_homology_sphere  # noqa: F401  (a name perfbench traces)
 from .errors import (
     DimensionUnsupported,
-    InvalidInput,
     NonDivisible,
     NotASphere,
     NotPairwiseCoprime,
@@ -54,6 +54,7 @@ from .links import (
     _as_exponents,
     bp_link,
     classify_sign,
+    kervaire_exponents,
 )
 
 
@@ -290,25 +291,18 @@ def bp8_class(a: Sequence[int] | BPExponents) -> SphereVerdict:
 def kervaire_classify(
     r: Sequence[int], a: int
 ) -> tuple[SphereVerdict, SignClass]:
-    """Classify the link of z_0^2 + z_1^{2 r_1} + ... + z_{2m}^{2 r_2m}
-    + z_{2m+1}^a for pairwise coprime r_i.
+    """Closed-form class of the link of z_0^2 + z_1^{2 r_1} + ... +
+    z_{2m}^{2 r_2m} + z_{2m+1}^a (links.kervaire_exponents).
 
-    For odd a the link is the standard sphere when a = +-1 mod 8 and
-    the Kervaire sphere when a = +-3 mod 8; even a is undetermined
-    here.  The sign class of the accompanying structure is returned
-    alongside (negative exactly when sum 1/r_i < (a-2)/a).
+    For odd a coprime to every r_i the link is the standard sphere when
+    a = +-1 mod 8 and the Kervaire sphere when a = +-3 mod 8; any other
+    a is undetermined here.  The sign class of the accompanying
+    structure is returned alongside (negative exactly when
+    sum 1/r_i < (a-2)/a).
     """
-    rs = tuple(r)
-    if len(rs) < 2 or len(rs) % 2:
-        raise DimensionUnsupported("need an even count 2m >= 2 of r_i")
-    if any(x < 1 for x in rs) or a < 2:
-        raise InvalidInput("r_i must be >= 1 and a >= 2")
-    # BPExponents refuses a non-integer r_i or a
-    exps = BPExponents((2,) + tuple(2 * x for x in rs) + (a,))
-    if any(gcd(x, y) != 1 for x, y in itertools.combinations(rs, 2)):
-        raise NotPairwiseCoprime("r must be pairwise coprime")
+    exps = kervaire_exponents(r, a)
     sign = classify_sign(bp_link(exps))
-    if a % 2 == 0:
+    if a % 2 == 0 or any(gcd(a, x) != 1 for x in r):
         return SphereVerdict("undetermined"), sign
     if a % 8 in (1, 7):
         return SphereVerdict("standard_sphere"), sign

@@ -9,6 +9,7 @@ from math import gcd, lcm, prod
 import pytest
 
 from linkatlas import (
+    BPExponents,
     TorsionForm,
     WeightSystem,
     betti,
@@ -96,6 +97,13 @@ def test_torsion_closed_form():
     assert torsion_closed_form((5, 7, 9, 11, 13)) == TORSION_UNKNOWN
     # k divisible by 3 falls out of the closed form
     assert torsion_closed_form((3, 3, 3, 6)) == TORSION_UNKNOWN
+    # three exponents: pairwise coprime is an integral homology sphere
+    assert torsion_closed_form(BPExponents((5, 3, 2))) == TORSION_FREE
+    assert torsion_closed_form((2, 4, 5)) == TORSION_UNKNOWN
+    # weight systems: well-formed four-variable ones only
+    assert torsion_closed_form(WeightSystem((1, 1, 4, 6), 12)) == TORSION_FREE
+    assert torsion_closed_form(WeightSystem((2, 2, 2, 3), 6)) == TORSION_UNKNOWN
+    assert torsion_closed_form(WeightSystem((6, 10, 15), 30)) == TORSION_UNKNOWN
 
 
 def _prime_power_base(d):

@@ -1,11 +1,14 @@
 """Command line surface: grammar, subcommands, exit codes, config."""
 
 import io
+import itertools
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 
@@ -95,7 +98,7 @@ def test_sphere_command(capsys):
 
     payload = run_json(capsys, "sphere", "kervaire:3,5@7")
     assert payload["kind"] == "standard_sphere"
-    assert payload["a_mod_8"] == 7
+    assert payload["key"] == "bp:2,6,7,10"
 
     payload = run_json(capsys, "sphere", "kervaire:3,5@11")
     assert payload["kind"] == "kervaire_sphere"
@@ -793,6 +796,64 @@ def test_sphere_verdict_does_not_depend_on_the_grammar(capsys):
     # kervaire:3,5@11 is L(2,6,10,11)
     for link in ("bp:2,6,10,11", "kervaire:3,5@11"):
         assert run_json(capsys, "sphere", link)["kind"] == "kervaire_sphere"
+
+
+def test_kervaire_spelling_answers_as_its_exponent_vector(capsys):
+    # every pairwise coprime r_1, r_2 <= 5 and 2 <= a <= 20: 19 x 19 links
+    pairs = 0
+    for r1, r2 in itertools.product(range(1, 6), repeat=2):
+        if gcd(r1, r2) != 1:
+            continue
+        for a in range(2, 21):
+            vector = "bp:2,%d,%d,%d" % (2 * r1, 2 * r2, a)
+            kervaire = run_json(capsys, "sphere", "kervaire:%d,%d@%d" % (r1, r2, a))
+            assert kervaire == run_json(capsys, "sphere", vector), vector
+            pairs += 1
+    assert pairs == 361
+
+
+def test_kervaire_spelling_in_every_command(capsys):
+    # L(2,2,6,3): a = 3 shares a factor with r_2 = 3, so H_3 has rank 2
+    payload = run_json(capsys, "sphere", "kervaire:1,3@3")
+    assert (payload["kind"], payload["middle_betti"]) == ("not_a_sphere", 2)
+    assert run_json(capsys, "classify", "kervaire:3,5@7")["sign"] == "negative"
+    assert run_json(capsys, "betti", "kervaire:1,3@3")["middle_betti"] == 2
+    code, out, err = run(capsys, "sphere", "kervaire:3,5@7", "--budget", "10")
+    assert (code, out) == (3, "")
+    assert err == "error: estimated cost 64 exceeds budget 10\n"
+
+
+@pytest.mark.parametrize(
+    "link, message",
+    [
+        ("kervaire:2,4@7", "r must be pairwise coprime"),
+        ("kervaire:1@3", "need an even count 2m >= 2 of r_i"),
+        ("kervaire:3,5@1", "r_i must be >= 1 and a >= 2"),
+        ("kervaire:3,5@x", "expected integers separated by ',', got 'x'"),
+        ("foo:1", "unrecognized link 'foo:1' (want bp:, w:, mono: or kervaire:)"),
+    ],
+)
+def test_kervaire_refusals(capsys, link, message):
+    assert run(capsys, "sphere", link) == (2, "", "error: %s\n" % message)
+
+
+def _random_mono(n):
+    rng = random.Random(n)
+    rows = [[rng.randint(0, 9) for _ in range(n)] for _ in range(n)]
+    return "mono:[%s]" % ";".join(",".join(map(str, r)) for r in rows)
+
+
+@pytest.mark.parametrize("command", ["weights-solve", "classify"])
+def test_mono_elimination_is_charged_before_solving(capsys, command):
+    # 40 rows x 41 columns (the degree's among them) x 40 pivots
+    code, out, err = run(capsys, command, _random_mono(40), "--budget", "10")
+    assert (code, out) == (3, "")
+    assert err == "error: estimated cost 65600 exceeds budget 10\n"
+    # 3 rows x 4 columns x 3 pivots
+    small = "mono:[3,0,0;1,3,0;0,0,2]"
+    assert run(capsys, command, small, "--budget", "35")[0] == 3
+    code, _, err = run(capsys, command, small, "--budget", "36")
+    assert code == 0, err
 
 
 def test_catalog_append_needs_file(capsys):

@@ -26,7 +26,13 @@ from linkatlas import (
     solve_weights,
 )
 from linkatlas.errors import DimensionUnsupported
-from linkatlas.links import parse_bounds, parse_kervaire
+from linkatlas.links import (
+    kervaire_exponents,
+    parse_bounds,
+    parse_kervaire,
+    parse_link,
+    solve_cost,
+)
 
 
 def test_weight_system_sorts_and_normalizes():
@@ -285,6 +291,26 @@ def test_canonical_key():
 def test_reciprocal_sum_exact():
     assert reciprocal_sum((5, 3, 2)) == Fraction(31, 30)
     assert reciprocal_sum((2, 3, 7, 42)) == 1
+
+
+def test_kervaire_is_a_spelling_of_its_exponent_vector():
+    assert parse_link("kervaire:3,5@7") == BPExponents((2, 6, 10, 7))
+    assert kervaire_exponents((1, 2, 3, 5), 9) == BPExponents((2, 2, 4, 6, 10, 9))
+    with pytest.raises(InvalidInput, match="kervaire form is"):
+        parse_link("kervaire:3,5")
+
+
+def test_solve_cost_counts_elimination_updates():
+    charged = []
+    ws = parse_link("mono:[3,0,0;1,3,0;0,0,2]", charged.append)
+    assert ws == WeightSystem((4, 6, 9), 18)
+    # 3 rows x 4 columns (the degree's among them) x 3 pivots
+    assert charged == [36] == [solve_cost([(3, 0, 0), (1, 3, 0), (0, 0, 2)])]
+    assert solve_cost([(1, 2, 3, 4)]) == 1 * 5 * 1
+    assert solve_cost([]) == 0
+    # only mono: input is solved, so only it is charged
+    parse_link("kervaire:3,5@7", charged.append)
+    assert charged == [36]
 
 
 def test_parse_kervaire_and_bounds():

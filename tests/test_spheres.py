@@ -17,6 +17,7 @@ from linkatlas import (
     bp_link,
     brieskorn_signature,
     brieskorn_signature_direct,
+    build_record,
     casson_invariant,
     classify_sign,
     is_homology_3_sphere,
@@ -25,6 +26,7 @@ from linkatlas import (
 )
 from linkatlas import spheres
 from linkatlas.betti import TORSION_FREE, TORSION_UNKNOWN
+from linkatlas.links import kervaire_exponents
 from linkatlas.errors import (
     DimensionUnsupported,
     InvalidInput,
@@ -178,6 +180,9 @@ def test_kervaire_classify():
     assert verdict.kind == "kervaire_sphere"
     verdict, _ = kervaire_classify((3, 5), 4)
     assert verdict.kind == "undetermined"
+    # a = 3 shares a factor with r_2 = 3: L(2,2,6,3) has b = 2
+    verdict, _ = kervaire_classify((1, 3), 3)
+    assert verdict.kind == "undetermined"
 
 
 def test_kervaire_sign_rule():
@@ -275,6 +280,27 @@ def test_levine_rule_matches_kervaire_classify():
                 assert verdict == kervaire_classify(rs, a)[0], exps
                 kinds[verdict.kind] += 1
     assert kinds == {"standard_sphere": 876, "kervaire_sphere": 1070}
+
+
+def test_kervaire_classify_agrees_with_the_record():
+    # the oracle names a sphere only where the record of the exponent
+    # vector names the same one, and says undetermined everywhere else
+    kinds = Counter()
+    for m, r_max in ((1, 7), (2, 5)):
+        for rs in itertools.product(range(1, r_max + 1), repeat=2 * m):
+            if any(gcd(x, y) != 1 for x, y in itertools.combinations(rs, 2)):
+                continue
+            for a in range(2, 40):
+                oracle = kervaire_classify(rs, a)[0].kind
+                record = build_record(kervaire_exponents(rs, a)).sphere.kind
+                assert oracle in (record, "undetermined"), (rs, a)
+                kinds[oracle, record] += 1
+    assert sum(kinds.values()) == 6080
+    assert kinds == {
+        ("standard_sphere", "standard_sphere"): 876,
+        ("kervaire_sphere", "kervaire_sphere"): 1070,
+        ("undetermined", "not_a_sphere"): 4134,
+    }
 
 
 def test_sphere_rule_skips_curves_and_weight_systems():
