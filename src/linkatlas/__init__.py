@@ -5,7 +5,6 @@ sphere classes, eta-Einstein constants and left-invariant curvature.
 
 from .betti import (
     BettiResult,
-    TorsionForm,
     betti,
     is_rational_homology_sphere,
     torsion_closed_form,

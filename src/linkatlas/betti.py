@@ -23,7 +23,8 @@ homology; when the root -1 is absent (sum over even l of c_l is 0),
 |Delta(-1)| = prod over odd l of 2^{c_l} * prod over even l of l^{c_l}.
 BettiResult.delta_at_one and delta_at_minus_one evaluate them as exact
 integer products; both are meaningful only for a quasi-smooth weight
-system, as every Brieskorn-Pham one is.
+system, as every Brieskorn-Pham one is.  torsion_closed_form reads
+|Delta(1)| too: a homotopy sphere has no middle homology at all.
 """
 
 from __future__ import annotations
@@ -82,24 +83,8 @@ class BettiResult:
         return (num << max(odd, 0)) // (den << max(-odd, 0))
 
 
-@dataclass(frozen=True)
-class TorsionForm:
-    """Closed-form description of the torsion of the middle homology.
-
-    kind is one of "torsion_free", "cyclic_pair" (Z_k + Z_k, with k
-    set), or "unknown"."""
-
-    kind: str
-    k: int | None = None
-
-    def __str__(self) -> str:
-        if self.kind == "cyclic_pair":
-            return "Z_%d+Z_%d" % (self.k, self.k)
-        return self.kind
-
-
-TORSION_FREE = TorsionForm("torsion_free")
-TORSION_UNKNOWN = TorsionForm("unknown")
+TORSION_FREE = "torsion_free"
+TORSION_UNKNOWN = "unknown"
 
 
 def betti(ws: WeightSystem) -> BettiResult:
@@ -142,21 +127,23 @@ def is_rational_homology_sphere(ws: WeightSystem) -> bool:
     return betti(ws).middle_betti == 0
 
 
-def torsion_closed_form(link: Sequence[int] | BPExponents | WeightSystem) -> TorsionForm:
-    """Torsion of the middle homology, the one torsion rule: three
-    pairwise coprime exponents are torsion free, exponents (3,3,3,k)
-    with gcd(k,3) = 1 give Z_k + Z_k, and a well-formed four-variable
-    system, of exponents or of weights, is torsion free.  Everything
-    else is reported unknown rather than guessed."""
+def torsion_closed_form(
+    link: Sequence[int] | BPExponents | WeightSystem, b: BettiResult
+) -> str:
+    """Torsion of the middle homology of the link whose betti() result
+    is b, the one torsion rule: 3 or more exponents with |Delta(1)| = 1
+    (a homotopy sphere) are torsion free, exponents (3,3,3,k) with
+    gcd(k,3) = 1 give Z_k+Z_k, and a well-formed four-variable system is
+    torsion free.  Everything else is reported unknown, not guessed."""
     if not isinstance(link, WeightSystem):
         exps = _as_exponents(link)
-        if exps.nvars == 3 and exps.pairwise_coprime():
+        if exps.nvars >= 3 and b.delta_at_one() == 1:
             return TORSION_FREE
         if exps.nvars != 4:
             return TORSION_UNKNOWN
         rest = [x for x in exps.exponents if x != 3]
         if len(rest) == 1 and gcd(rest[0], 3) == 1:
-            return TorsionForm("cyclic_pair", rest[0])
+            return "Z_%d+Z_%d" % (rest[0], rest[0])
         link = bp_link(exps)
     if link.nvars == 4 and is_well_formed(link):
         return TORSION_FREE
@@ -165,7 +152,6 @@ def torsion_closed_form(link: Sequence[int] | BPExponents | WeightSystem) -> Tor
 
 __all__ = [
     "BettiResult",
-    "TorsionForm",
     "TORSION_FREE",
     "TORSION_UNKNOWN",
     "betti",

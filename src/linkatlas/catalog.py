@@ -178,7 +178,7 @@ def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
     b = betti(ws)
     middle = b.middle_betti
 
-    torsion = torsion_closed_form(source)
+    torsion = torsion_closed_form(source, b)
 
     signature = None
     if exps is not None and exps.nvars in SIGNATURE_NVARS:
@@ -193,7 +193,7 @@ def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
             )
         signature = sig.signature
 
-    sphere = sphere_verdict(source, b, signature, torsion)
+    sphere = sphere_verdict(source, b, signature)
 
     note = None
     if sign is SignClass.NULL and ws.link_dim > 1:  # EtaConstants needs n >= 1
@@ -204,7 +204,7 @@ def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
         key=canonical_key(source),
         sign=sign.value,
         middle_betti=middle,
-        torsion=str(torsion),
+        torsion=torsion,
         sphere=sphere,
         signature=signature,
         constants_note=note,

@@ -151,7 +151,7 @@ def cmd_betti(args):
         "rational_homology_sphere": res.middle_betti == 0,
     }
     if isinstance(obj, links.BPExponents) and obj.nvars == 4:
-        payload["torsion"] = str(torsion_closed_form(obj))
+        payload["torsion"] = torsion_closed_form(obj, res)
     return payload
 
 

@@ -373,19 +373,12 @@ def parse_link(
             charge(solve_cost(rows))
         return solve_weights(rows)
     if text.startswith("kervaire:"):
-        return kervaire_exponents(*parse_kervaire(text))
+        body, sep, a = text[9:].partition("@")
+        if not sep or "," in a:
+            raise InvalidInput("kervaire form is kervaire:r1,...,r2m@a")
+        a = _ints(a)[0]  # before the body, whose error then comes second
+        return kervaire_exponents(_ints(body), a)
     raise InvalidInput("unrecognized link %r (want bp:, w:, mono: or kervaire:)" % text)
-
-
-def parse_kervaire(text: str) -> tuple[tuple[int, ...], int]:
-    """Parse kervaire:r_1,...,r_2m@a into ((r_1, ..., r_2m), a), the
-    arguments of kervaire_exponents.  Malformed text raises
-    InvalidInput."""
-    body, sep, a = text[len("kervaire:") :].partition("@")
-    if not text.startswith("kervaire:") or not sep or "," in a:
-        raise InvalidInput("kervaire form is kervaire:r1,...,r2m@a")
-    a = _ints(a)[0]  # before the body, whose error then comes second
-    return _ints(body), a
 
 
 def parse_bounds(text: str) -> dict[str, tuple[int, int]]:
@@ -424,6 +417,5 @@ __all__ = [
     "key_nvars",
     "reciprocal_sum",
     "parse_link",
-    "parse_kervaire",
     "parse_bounds",
 ]

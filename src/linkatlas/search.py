@@ -238,12 +238,12 @@ def run_search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> SearchResult:
 @dataclass(frozen=True)
 class SweepResult:
     """bp8 residues realized by L(k,k,k,k+1,p) with p coprime to both
-    k and k+1; witnesses maps each residue to its first exponent
-    vector in (k, p) order."""
+    k and k+1, each a homotopy 7-sphere (k+1 and p are isolated
+    vertices of Brieskorn's graph); witnesses maps each residue to its
+    first exponent vector in (k, p) order."""
 
     witnesses: dict[int, tuple[int, ...]]
     examined: int
-    skipped: int
 
     @property
     def distinct(self) -> int:
@@ -258,14 +258,12 @@ def seven_sphere_sweep(
     7-sphere classes."""
     spec = SearchSpec("kkkk1p", bounds, Predicate(min_coprime_fixed=2))
     witnesses: dict[int, tuple[int, ...]] = {}
-    examined = skipped = 0
+    examined = 0
     for member, rec in _evaluated(spec, budget):
         examined += 1
-        if rec.sphere.bp8_residue is None:
-            skipped += 1
-        else:
+        if rec.sphere.bp8_residue is not None:
             witnesses.setdefault(rec.sphere.bp8_residue, member.exponents.exponents)
-    return SweepResult(witnesses, examined, skipped)
+    return SweepResult(witnesses, examined)
 
 
 __all__ = [

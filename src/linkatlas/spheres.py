@@ -24,7 +24,9 @@ exponents with Betti number 0 is a homotopy sphere exactly when
 |Delta(1)| = 1.  Then three exponents give an integral homology
 3-sphere; an even count, a (2n-3)-sphere whose class Levine's rule
 reads off |Delta(-1)| mod 8 (+-1 standard, +-3 Kervaire); five, a
-7-sphere with its bP_8 residue.  The label kervaire_sphere names the
+7-sphere with its bP_8 residue.  A weight system or a 2-exponent link
+with Betti number 0 is a rational homology sphere and nothing more is
+claimed; no torsion is read.  The label kervaire_sphere names the
 Kervaire manifold, which is the standard sphere in dimensions 5, 13, 29
 and 61.  kervaire_classify, the closed form the tests check the rule
 against, answers only where its theorem holds: odd a coprime to every r_i.
@@ -39,7 +41,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Sequence
 
-from .betti import TORSION_FREE, TORSION_UNKNOWN, BettiResult, TorsionForm, betti
+from .betti import BettiResult, betti
 from .betti import is_rational_homology_sphere  # noqa: F401  (a name perfbench traces)
 from .errors import (
     DimensionUnsupported,
@@ -242,23 +244,17 @@ def sphere_verdict(
     source: BPExponents | WeightSystem,
     b: BettiResult,
     signature: int | None = None,
-    torsion: TorsionForm = TORSION_UNKNOWN,
 ) -> SphereVerdict:
     """Sphere verdict of the link of source, whose betti() result is b,
     by the rule of the module docstring; signature gives a 5-exponent
     source its bP_8 residue.  A weight system (Delta of one that is not
-    quasi-smooth describes no link) and a 1-dimensional link keep the
-    torsion rule: Betti number 0 and TORSION_FREE make it standard."""
+    quasi-smooth describes no link) and a 1-dimensional link with Betti
+    number 0 are rational homology spheres, no more."""
     if b.middle_betti:
         return SphereVerdict("not_a_sphere")
-    if not isinstance(source, BPExponents) or source.nvars < 3:
-        # a simply connected 5-manifold with H_2 = 0 is the standard sphere
-        if torsion == TORSION_FREE:
-            return SphereVerdict("standard_sphere")
+    if not isinstance(source, BPExponents) or source.nvars < 3 or b.delta_at_one() != 1:
         return SphereVerdict("rational_homology_sphere")
     n = source.nvars
-    if b.delta_at_one() != 1:
-        return SphereVerdict("rational_homology_sphere")
     if n == 3:
         return SphereVerdict("homology_sphere")
     if n % 2 == 0:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -10,7 +11,6 @@ import pytest
 
 from linkatlas import (
     BPExponents,
-    TorsionForm,
     WeightSystem,
     betti,
     bp_link,
@@ -90,20 +90,31 @@ def test_pairwise_coprime_triples_are_spheres():
         assert betti(bp_link(exps)).middle_betti == 0
 
 
+def _torsion(link):
+    ws = link if isinstance(link, WeightSystem) else bp_link(link)
+    return torsion_closed_form(link, betti(ws))
+
+
 def test_torsion_closed_form():
-    assert torsion_closed_form((3, 3, 3, 4)) == TorsionForm("cyclic_pair", 4)
-    assert str(torsion_closed_form((3, 3, 3, 5))) == "Z_5+Z_5"
-    assert torsion_closed_form((2, 3, 12, 12)) == TORSION_FREE
-    assert torsion_closed_form((5, 7, 9, 11, 13)) == TORSION_UNKNOWN
+    assert _torsion((3, 3, 3, 4)) == "Z_4+Z_4"
+    assert _torsion((3, 3, 3, 5)) == "Z_5+Z_5"
+    assert _torsion((2, 3, 12, 12)) == TORSION_FREE
+    # homotopy spheres have no middle homology: Brieskorn's generator of
+    # bP_8, and a negative exotic 7-sphere
+    assert _torsion((2, 2, 2, 3, 5)) == TORSION_FREE
+    assert _torsion((5, 7, 9, 11, 13)) == TORSION_FREE
+    assert _torsion((2, 2, 2, 3, 6)) == TORSION_UNKNOWN
     # k divisible by 3 falls out of the closed form
-    assert torsion_closed_form((3, 3, 3, 6)) == TORSION_UNKNOWN
+    assert _torsion((3, 3, 3, 6)) == TORSION_UNKNOWN
     # three exponents: pairwise coprime is an integral homology sphere
-    assert torsion_closed_form(BPExponents((5, 3, 2))) == TORSION_FREE
-    assert torsion_closed_form((2, 4, 5)) == TORSION_UNKNOWN
+    assert _torsion(BPExponents((5, 3, 2))) == TORSION_FREE
+    assert _torsion((2, 4, 5)) == TORSION_UNKNOWN
+    # a curve's Delta(1) = 1 says nothing about a middle homology
+    assert _torsion((2, 3)) == TORSION_UNKNOWN
     # weight systems: well-formed four-variable ones only
-    assert torsion_closed_form(WeightSystem((1, 1, 4, 6), 12)) == TORSION_FREE
-    assert torsion_closed_form(WeightSystem((2, 2, 2, 3), 6)) == TORSION_UNKNOWN
-    assert torsion_closed_form(WeightSystem((6, 10, 15), 30)) == TORSION_UNKNOWN
+    assert _torsion(WeightSystem((1, 1, 4, 6), 12)) == TORSION_FREE
+    assert _torsion(WeightSystem((2, 2, 2, 3), 6)) == TORSION_UNKNOWN
+    assert _torsion(WeightSystem((6, 10, 15), 30)) == TORSION_UNKNOWN
 
 
 def _prime_power_base(d):
@@ -165,21 +176,24 @@ def test_three_exponent_spheres_are_the_pairwise_coprime_triples():
 
 
 def test_delta_at_one_is_the_order_of_the_closed_form_torsion():
-    # the well-formed (torsion-free) vectors here all have Betti number > 0,
-    # so only the Z_k+Z_k family is met
+    # the well-formed vectors here all have Betti number > 0, so the
+    # torsion-free ones are the homotopy spheres, |Delta(1)| = 1
     kinds = Counter()
     for exps in itertools.combinations_with_replacement(range(2, 13), 4):
         b = betti(bp_link(exps))
         if b.middle_betti:
             continue
         order = b.delta_at_one()
-        torsion = torsion_closed_form(exps)
+        torsion = torsion_closed_form(exps, b)
         if torsion == TORSION_FREE:
             assert order == 1, exps
-        elif torsion.kind == "cyclic_pair":
-            assert order == torsion.k**2, exps
-        kinds[torsion.kind] += 1
-    assert kinds["cyclic_pair"] == 7
+        elif torsion != TORSION_UNKNOWN:
+            cyclic = re.fullmatch(r"Z_(\d+)\+Z_\1", torsion)
+            assert cyclic and order == int(cyclic[1]) ** 2, exps
+            torsion = "Z_k+Z_k"
+        kinds[torsion] += 1
+    assert kinds["Z_k+Z_k"] == 7
+    assert kinds[TORSION_FREE] == 305
 
 
 def test_delta_at_plus_and_minus_one_agree_mod_2():

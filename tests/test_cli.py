@@ -239,7 +239,7 @@ def test_search_and_query_rows_as_text(capsys, tmp_path):
         "matched: 2\n"
         "notes: []\n"
         "records:\n"
-        "  key=bp:2,2,2,3,5  sign=positive  betti=0  torsion=unknown"
+        "  key=bp:2,2,2,3,5  sign=positive  betti=0  torsion=torsion_free"
         "  sphere=rational_homology_sphere[1]  signature=8\n"
         "  key=bp:2,2,2,3,6  sign=positive  betti=2  torsion=unknown"
         "  sphere=not_a_sphere  signature=8\n"
@@ -796,6 +796,23 @@ def test_sphere_verdict_does_not_depend_on_the_grammar(capsys):
     # kervaire:3,5@11 is L(2,6,10,11)
     for link in ("bp:2,6,10,11", "kervaire:3,5@11"):
         assert run_json(capsys, "sphere", link)["kind"] == "kervaire_sphere"
+
+
+def test_homotopy_spheres_print_torsion_free(capsys):
+    # Brieskorn's generator of bP_8, and the standard 5-sphere L(2,6,10,7)
+    for link in ("bp:2,2,2,3,5", "kervaire:3,5@7"):
+        code, out, _ = run(capsys, "sphere", link)
+        assert code == 0 and "torsion: torsion_free" in out, link
+    # a weight system with no link claims no sphere kind
+    code, out, _ = run(capsys, "sphere", "w:1,3,4,5@6")
+    assert code == 0 and "kind: rational_homology_sphere" in out
+
+
+def test_betti_and_sphere_print_the_same_torsion(capsys):
+    for link in ("bp:2,2,2,3", "bp:3,3,3,4", "bp:2,3,12,12", "bp:2,2,3,6"):
+        betti_torsion = run_json(capsys, "betti", link)["torsion"]
+        assert betti_torsion == run_json(capsys, "sphere", link)["torsion"], link
+    assert run_json(capsys, "betti", "bp:2,2,2,3")["torsion"] == "torsion_free"
 
 
 def test_kervaire_spelling_answers_as_its_exponent_vector(capsys):

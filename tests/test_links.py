@@ -29,7 +29,6 @@ from linkatlas.errors import DimensionUnsupported
 from linkatlas.links import (
     kervaire_exponents,
     parse_bounds,
-    parse_kervaire,
     parse_link,
     solve_cost,
 )
@@ -314,13 +313,14 @@ def test_solve_cost_counts_elimination_updates():
 
 
 def test_parse_kervaire_and_bounds():
-    assert parse_kervaire("kervaire:3,5@7") == ((3, 5), 7)
+    assert parse_link("kervaire:3,5@7") == BPExponents((2, 6, 10, 7))
     assert parse_bounds("k=2:8, p=2:600") == {"k": (2, 8), "p": (2, 600)}
-    for bad in ("kervaire:3,5", "kervaire:3@5,7", "bp:3,5@7"):
+    for bad in ("kervaire:3,5", "kervaire:3@5,7", "kervaire:"):
         with pytest.raises(InvalidInput, match="kervaire form is"):
-            parse_kervaire(bad)
+            parse_link(bad)
+    # the @a part is parsed before the body
     with pytest.raises(InvalidInput, match="got 'x'"):
-        parse_kervaire("kervaire:y@x")
+        parse_link("kervaire:y@x")
     for bad in ("k=2", "k:2:8", "k=2:3:4"):
         with pytest.raises(InvalidInput, match="bounds look like"):
             parse_bounds(bad)

@@ -233,6 +233,16 @@ def test_sweep_witnesses_are_spheres():
         assert betti(bp_link(exps)).middle_betti == 0
 
 
+def test_every_coprime_kkkk1p_member_has_a_residue():
+    # with p coprime to k and k+1, both are isolated vertices of
+    # Brieskorn's graph, so every member is a homotopy 7-sphere
+    spec = SearchSpec("kkkk1p", {"k": (2, 8), "p": (2, 200)}, Predicate(min_coprime_fixed=2))
+    records = run_search(spec).records
+    assert records
+    for rec in records:
+        assert rec.sphere.bp8_residue is not None, rec.key
+
+
 def test_sweep_examines_what_run_search_examines():
     bounds = {"k": (3, 4), "p": (20, 60)}
     spec = SearchSpec("kkkk1p", bounds, Predicate(min_coprime_fixed=2))

@@ -25,9 +25,10 @@ from linkatlas import (
     reciprocal_sum,
 )
 from linkatlas import spheres
-from linkatlas.betti import TORSION_FREE, TORSION_UNKNOWN
+from linkatlas.betti import TORSION_FREE
 from linkatlas.links import kervaire_exponents
 from linkatlas.errors import (
+    AtlasError,
     DimensionUnsupported,
     InvalidInput,
     NotASphere,
@@ -310,11 +311,37 @@ def test_sphere_rule_skips_curves_and_weight_systems():
     b = betti(bp_link(trefoil))
     assert (b.delta_at_one(), b.delta_at_minus_one()) == (1, 3)
     assert spheres.sphere_verdict(trefoil, b).kind == "rational_homology_sphere"
-    # weight systems keep the torsion rule; this one reads Delta(-1) = 3
+    # a weight system claims at most a rational homology sphere; this
+    # well-formed one would read Delta(-1) = 3
     ws = WeightSystem((1, 2, 3, 5), 6)
     assert betti(ws).delta_at_minus_one() == 3
-    for torsion, kind in (
-        (TORSION_FREE, "standard_sphere"),
-        (TORSION_UNKNOWN, "rational_homology_sphere"),
-    ):
-        assert spheres.sphere_verdict(ws, betti(ws), None, torsion).kind == kind
+    assert spheres.sphere_verdict(ws, betti(ws)).kind == "rational_homology_sphere"
+    assert build_record(ws).torsion == TORSION_FREE
+
+
+def test_homotopy_spheres_are_torsion_free():
+    # Betti number 0 and |Delta(1)| = 1 leave no middle homology at all
+    spheres_seen = 0
+    for n, hi in ((4, 12), (5, 8), (6, 6)):
+        for exps in itertools.combinations_with_replacement(range(2, hi + 1), n):
+            b = betti(bp_link(exps))
+            if b.middle_betti == 0 and b.delta_at_one() == 1:
+                assert build_record(BPExponents(exps)).torsion == TORSION_FREE, exps
+                spheres_seen += 1
+    assert spheres_seen == 407
+
+
+def test_weight_systems_claim_no_sphere_kind():
+    # Delta of a weight system that is not quasi-smooth describes no link,
+    # so a 4-variable w: record names no homotopy or homology sphere
+    kinds = Counter()
+    for d in range(2, 20):
+        for weights in itertools.combinations_with_replacement(range(1, d), 4):
+            if gcd(*weights) != 1:
+                continue
+            try:
+                rec = build_record(WeightSystem(weights, d))
+            except AtlasError:
+                continue
+            kinds[rec.sphere.kind] += 1
+    assert set(kinds) == {"rational_homology_sphere", "not_a_sphere"}
