@@ -10,6 +10,7 @@ from linkatlas import (
     WeightSystem,
     betti,
     bp_link,
+    is_quasi_smooth,
     is_rational_homology_sphere,
     torsion_closed_form,
 )
@@ -30,6 +31,12 @@ def main():
         ws = WeightSystem(weights, 316)
         print("w=%s@316: b_2 = %d" % (weights, betti(ws).middle_betti))
 
+    # Only a quasi-smooth weight system has a link: no polynomial of
+    # degree 11 in weights (1,1,1,4) has an isolated singularity, so
+    # betti() refuses it with NotQuasiSmooth.
+    ws = WeightSystem((1, 1, 1, 4), 11)
+    print("w=(1, 1, 1, 4)@11 quasi-smooth: %s" % is_quasi_smooth(ws))
+
     # A closed form for one family, checked against the subset sum.
     print()
     print("L(k,k,k+1,k+1) has b_2 = k(k-1):")
@@ -46,14 +53,15 @@ def main():
             exps, is_rational_homology_sphere(link)))
 
     # Torsion in closed form where one is known, read off the same Betti
-    # table: a homotopy sphere (|Delta(1)| = 1, here Brieskorn's generator
-    # of bP_8) has no middle homology, L(3,3,3,k) carries Z_k + Z_k when
-    # k is coprime to 3, well-formed links are torsion free, and anything
-    # else is reported unknown rather than guessed.
+    # table of the weight system: a homotopy sphere (|Delta(1)| = 1, here
+    # Brieskorn's generator of bP_8) has no middle homology, L(3,3,3,k)
+    # carries Z_k + Z_k when k is coprime to 3, well-formed links are
+    # torsion free, and anything else is reported unknown rather than
+    # guessed.
     print()
     for exps in ((2, 2, 2, 3, 5), (3, 3, 3, 4), (3, 3, 3, 5), (3, 3, 3, 6), (4, 4, 4, 4)):
-        res = betti(bp_link(exps))
-        print("L%s torsion: %s" % (exps, torsion_closed_form(exps, res)))
+        ws = bp_link(exps)
+        print("L%s torsion: %s" % (exps, torsion_closed_form(ws, betti(ws))))
 
 
 if __name__ == "__main__":

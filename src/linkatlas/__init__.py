@@ -43,6 +43,7 @@ from .errors import (
     NotNegativeClass,
     NotPairwiseCoprime,
     NotPositiveClass,
+    NotQuasiSmooth,
     PoleProximity,
     RankDeficient,
 )
@@ -68,6 +69,7 @@ from .links import (
     canonical_key,
     classify_sign,
     count_monomials,
+    is_quasi_smooth,
     is_well_formed,
     pi1_class,
     reciprocal_sum,

@@ -22,20 +22,21 @@ that sum is 0, |Delta(1)| = prod l^{c_l} is the order of the middle
 homology; when the root -1 is absent (sum over even l of c_l is 0),
 |Delta(-1)| = prod over odd l of 2^{c_l} * prod over even l of l^{c_l}.
 BettiResult.delta_at_one and delta_at_minus_one evaluate them as exact
-integer products; both are meaningful only for a quasi-smooth weight
-system, as every Brieskorn-Pham one is.  torsion_closed_form reads
-|Delta(1)| too: a homotopy sphere has no middle homology at all.
+integer products.  All of this describes a link only when the weight
+system is quasi-smooth, as every Brieskorn-Pham one is, so betti()
+first refuses any other (NotQuasiSmooth): every BettiResult is that of
+a link.  torsion_closed_form reads |Delta(1)| too: a homotopy sphere
+has no middle homology at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm, prod
-from typing import Sequence
+from math import lcm, prod
 
-from .errors import NonIntegerResult
-from .links import BPExponents, WeightSystem, _as_exponents, bp_link, is_well_formed
+from .errors import NonIntegerResult, NotQuasiSmooth
+from .links import WeightSystem, bp_link, canonical_key, is_quasi_smooth, is_well_formed
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,12 @@ TORSION_UNKNOWN = "unknown"
 
 
 def betti(ws: WeightSystem) -> BettiResult:
-    """Exact middle Betti number of the link of the weight system."""
+    """Exact middle Betti number of the link of the weight system;
+    NotQuasiSmooth when it has no link."""
+    if not is_quasi_smooth(ws):
+        raise NotQuasiSmooth(
+            "%s is not quasi-smooth, so it has no link" % canonical_key(ws)
+        )
     quotients = tuple(Fraction(ws.degree, w) for w in ws.weights)
     u = [q.numerator for q in quotients]
     v = [q.denominator for q in quotients]
@@ -127,25 +133,21 @@ def is_rational_homology_sphere(ws: WeightSystem) -> bool:
     return betti(ws).middle_betti == 0
 
 
-def torsion_closed_form(
-    link: Sequence[int] | BPExponents | WeightSystem, b: BettiResult
-) -> str:
-    """Torsion of the middle homology of the link whose betti() result
-    is b, the one torsion rule: 3 or more exponents with |Delta(1)| = 1
-    (a homotopy sphere) are torsion free, exponents (3,3,3,k) with
-    gcd(k,3) = 1 give Z_k+Z_k, and a well-formed four-variable system is
-    torsion free.  Everything else is reported unknown, not guessed."""
-    if not isinstance(link, WeightSystem):
-        exps = _as_exponents(link)
-        if exps.nvars >= 3 and b.delta_at_one() == 1:
-            return TORSION_FREE
-        if exps.nvars != 4:
-            return TORSION_UNKNOWN
-        rest = [x for x in exps.exponents if x != 3]
-        if len(rest) == 1 and gcd(rest[0], 3) == 1:
-            return "Z_%d+Z_%d" % (rest[0], rest[0])
-        link = bp_link(exps)
-    if link.nvars == 4 and is_well_formed(link):
+def torsion_closed_form(ws: WeightSystem, b: BettiResult) -> str:
+    """Torsion of the middle homology of the link of ws, whose betti()
+    result is b, the one torsion rule: 3 or more variables with
+    |Delta(1)| = 1 (a homotopy sphere) are torsion free, the link of
+    exponents (3,3,3,k) with gcd(k,3) = 1 has Z_k+Z_k, and a well-formed
+    four-variable system is torsion free.  Everything else is reported
+    unknown, not guessed."""
+    if ws.nvars >= 3 and b.delta_at_one() == 1:
+        return TORSION_FREE
+    if ws.nvars != 4:
+        return TORSION_UNKNOWN
+    k = ws.degree // 3  # the degree of (3,3,3,k) is 3k
+    if k > 1 and k % 3 and ws == bp_link((3, 3, 3, k)):
+        return "Z_%d+Z_%d" % (k, k)
+    if is_well_formed(ws):
         return TORSION_FREE
     return TORSION_UNKNOWN
 

@@ -47,7 +47,7 @@ from operator import attrgetter
 from typing import Callable, Container, Iterable
 
 from .betti import betti, betti_cost, torsion_closed_form
-from .errors import AtlasError, InconsistentInvariants
+from .errors import AtlasError, InconsistentInvariants, NotQuasiSmooth
 from .eta import null_constants
 from .links import (
     BPExponents,
@@ -59,6 +59,7 @@ from .links import (
     is_well_formed,  # noqa: F401  (a name perfbench traces)
     key_nvars,
     parse_link as parse_key,
+    quasi_smooth_cost,
 )
 from .spheres import (
     BP8_ORDER,
@@ -178,7 +179,7 @@ def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
     b = betti(ws)
     middle = b.middle_betti
 
-    torsion = torsion_closed_form(source, b)
+    torsion = torsion_closed_form(ws, b)
 
     signature = None
     if exps is not None and exps.nvars in SIGNATURE_NVARS:
@@ -193,7 +194,7 @@ def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
             )
         signature = sig.signature
 
-    sphere = sphere_verdict(source, b, signature)
+    sphere = sphere_verdict(b, signature)
 
     note = None
     if sign is SignClass.NULL and ws.link_dim > 1:  # EtaConstants needs n >= 1
@@ -212,10 +213,13 @@ def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
 
 
 def record_cost(source: BPExponents | WeightSystem) -> int:
-    """Budget estimate: betti_cost for the Betti sum plus
-    spheres.signature_cost when a signature will be computed."""
+    """Budget estimate: betti_cost for the Betti sum, plus
+    spheres.signature_cost when a signature will be computed, or the
+    quasi-smooth gate's cost for a weight system (a bp_link's is 0)."""
     cost = betti_cost(source.nvars)
-    if isinstance(source, BPExponents) and source.nvars in SIGNATURE_NVARS:
+    if not isinstance(source, BPExponents):
+        cost += quasi_smooth_cost(source)
+    elif source.nvars in SIGNATURE_NVARS:
         cost += signature_cost(source.exponents)
     return cost
 
@@ -487,8 +491,11 @@ def catalog_query(path, **filters) -> ReadResult:
 def reverify_record(rec: InvariantRecord) -> list[str]:
     """Rebuild the record from its key and report every field that
     differs, apart from the write-time fields.  An empty list means the
-    record still checks out."""
-    fresh = build_record(parse_key(rec.key))
+    record still checks out; a key with no link is one issue."""
+    try:
+        fresh = build_record(parse_key(rec.key))
+    except NotQuasiSmooth:
+        return ["no link: not quasi-smooth"]
     issues = []
     for field in fields(InvariantRecord):
         if field.name in ("tool_version", "timestamp"):

@@ -141,18 +141,16 @@ def cmd_classify(args):
 def cmd_betti(args):
     obj = _link(args.link, args.budget)
     ws = _ws_of(obj)
-    search.charge(betti_cost(ws.nvars), args.budget)
+    search.charge(betti_cost(ws.nvars) + links.quasi_smooth_cost(ws), args.budget)
     res = betti_of(ws)
-    payload = {
+    return {
         "key": links.canonical_key(obj),
         "middle_betti": res.middle_betti,
         "link_dim": res.link_dim,
         "quotients": [str(q) for q in res.quotients],
         "rational_homology_sphere": res.middle_betti == 0,
+        "torsion": torsion_closed_form(ws, res),
     }
-    if isinstance(obj, links.BPExponents) and obj.nvars == 4:
-        payload["torsion"] = torsion_closed_form(obj, res)
-    return payload
 
 
 def cmd_weights_solve(args):

@@ -37,6 +37,10 @@ class NonDivisible(AtlasError):
     """A signature that must be divisible by 8 is not."""
 
 
+class NotQuasiSmooth(AtlasError):
+    """Weight system of no quasi-smooth polynomial, so of no link."""
+
+
 class NotASphere(AtlasError):
     """Link is not a rational homology sphere where one is required."""
 

@@ -258,6 +258,69 @@ def count_monomials(ws: WeightSystem) -> int:
     return table[d]
 
 
+def _with_generator(table: list[int], a: int) -> list[int]:
+    """The shortest-residue table of a numerical semigroup, grown by the
+    generator a (Boecker-Liptak round robin).  table[r] is the least
+    element congruent to r modulo len(table), the smallest generator;
+    an unreached class holds a sentinel above every queried value."""
+    m = len(table)
+    table = table[:]
+    g = gcd(a, m)
+    for p in range(g):
+        # one turn round the class of p mod g, from its least entry
+        r = min(range(p, m, g), key=table.__getitem__)
+        best = table[r]
+        for _ in range(m // g - 1):
+            r = (r + a) % m
+            best = min(best + a, table[r])
+            table[r] = best
+    return table
+
+
+def is_quasi_smooth(ws: WeightSystem) -> bool:
+    """Whether the general polynomial of the weight system has an
+    isolated singularity, so a link (Kreuzer-Skarke, Iano-Fletcher
+    2000 Thm 8.1): for every nonempty set I of variables, a monomial in
+    z_I has degree d, or at least |I| distinct j outside I have a
+    monomial z_I^M z_j of degree d with M nonzero.
+
+    A set holding a variable whose weight divides d has z_i^{d/w_i}, so
+    only the sets of the other variables are tried, none for a Fermat
+    system such as every bp_link.  Membership of t in the semigroup of
+    the weights of I is read off its shortest-residue table modulo the
+    smallest of them, built once per set from the table of its prefix,
+    so the cost is quasi_smooth_cost and does not grow with d."""
+    d, weights = ws.degree, ws.weights
+    rest = [i for i, w in enumerate(weights) if d % w]
+    # (set, its table, the first position of rest that may extend it)
+    stack = [((i,), [0] + [d + 1] * (weights[i] - 1), k + 1) for k, i in enumerate(rest)]
+    while stack:
+        members, table, after = stack.pop()
+        m = len(table)
+        if table[d % m] > d:
+            hits = sum(
+                1
+                for j, w in enumerate(weights)
+                if j not in members and 0 < d - w and table[(d - w) % m] <= d - w
+            )
+            if hits < len(members):
+                return False
+        for k in range(after, len(rest)):
+            j = rest[k]
+            stack.append((members + (j,), _with_generator(table, weights[j]), k + 1))
+    return True
+
+
+def quasi_smooth_cost(ws: WeightSystem) -> int:
+    """Budget estimate of is_quasi_smooth: per set it tries, a table as
+    long as its smallest weight and one test per variable.  With the
+    weights that do not divide d sorted, the i-th is the smallest of
+    2^(k-1-i) sets; 0 for a Fermat system."""
+    rest = [w for w in ws.weights if ws.degree % w]
+    k = len(rest)
+    return sum((w + ws.nvars) << (k - 1 - i) for i, w in enumerate(rest))
+
+
 def is_well_formed(ws: WeightSystem) -> bool:
     """Whether every three of the four weights are coprime.
 
@@ -410,6 +473,8 @@ __all__ = [
     "solve_weights",
     "solve_cost",
     "count_monomials",
+    "is_quasi_smooth",
+    "quasi_smooth_cost",
     "is_well_formed",
     "pi1_class",
     "ade_match",

@@ -19,12 +19,13 @@ integer arithmetic.  brieskorn_signature_direct is the nested-loop
 oracle the tests compare against.
 
 sphere_verdict is the one sphere rule, read off the characteristic
-divisor that betti() builds (see linkatlas.betti).  A BP link of n >= 3
-exponents with Betti number 0 is a homotopy sphere exactly when
-|Delta(1)| = 1.  Then three exponents give an integral homology
-3-sphere; an even count, a (2n-3)-sphere whose class Levine's rule
-reads off |Delta(-1)| mod 8 (+-1 standard, +-3 Kervaire); five, a
-7-sphere with its bP_8 residue.  A weight system or a 2-exponent link
+divisor that betti() builds (see linkatlas.betti), so it holds for
+every spelling of a link: betti() answers only quasi-smooth weight
+systems.  A link of n >= 3 variables with Betti number 0 is a homotopy
+sphere exactly when |Delta(1)| = 1.  Then three variables give an
+integral homology 3-sphere; an even count, a (2n-3)-sphere whose class
+Levine's rule reads off |Delta(-1)| mod 8 (+-1 standard, +-3
+Kervaire); five, a 7-sphere with its bP_8 residue.  A 2-variable link
 with Betti number 0 is a rational homology sphere and nothing more is
 claimed; no torsion is read.  The label kervaire_sphere names the
 Kervaire manifold, which is the standard sphere in dimensions 5, 13, 29
@@ -52,7 +53,6 @@ from .errors import (
 from .links import (
     BPExponents,
     SignClass,
-    WeightSystem,
     _as_exponents,
     bp_link,
     classify_sign,
@@ -240,21 +240,16 @@ def bp8_residue(signature: int) -> int | None:
     return (signature // 8) % BP8_ORDER if signature % 8 == 0 else None
 
 
-def sphere_verdict(
-    source: BPExponents | WeightSystem,
-    b: BettiResult,
-    signature: int | None = None,
-) -> SphereVerdict:
-    """Sphere verdict of the link of source, whose betti() result is b,
-    by the rule of the module docstring; signature gives a 5-exponent
-    source its bP_8 residue.  A weight system (Delta of one that is not
-    quasi-smooth describes no link) and a 1-dimensional link with Betti
-    number 0 are rational homology spheres, no more."""
+def sphere_verdict(b: BettiResult, signature: int | None = None) -> SphereVerdict:
+    """Sphere verdict of the link whose betti() result is b, by the rule
+    of the module docstring; signature gives a 5-variable link its bP_8
+    residue.  A 1-dimensional link with Betti number 0 is a rational
+    homology sphere, no more."""
     if b.middle_betti:
         return SphereVerdict("not_a_sphere")
-    if not isinstance(source, BPExponents) or source.nvars < 3 or b.delta_at_one() != 1:
+    n = (b.link_dim + 3) // 2
+    if n < 3 or b.delta_at_one() != 1:
         return SphereVerdict("rational_homology_sphere")
-    n = source.nvars
     if n == 3:
         return SphereVerdict("homology_sphere")
     if n % 2 == 0:
@@ -275,7 +270,7 @@ def bp8_class(a: Sequence[int] | BPExponents) -> SphereVerdict:
     if b.middle_betti:
         raise NotASphere("middle Betti number is nonzero")
     sig = brieskorn_signature(exps).signature
-    verdict = sphere_verdict(exps, b, sig)
+    verdict = sphere_verdict(b, sig)
     if verdict.bp8_residue is None:
         order = b.delta_at_one()
         if order != 1:

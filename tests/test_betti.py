@@ -14,10 +14,13 @@ from linkatlas import (
     WeightSystem,
     betti,
     bp_link,
+    is_quasi_smooth,
     is_rational_homology_sphere,
     torsion_closed_form,
 )
 from linkatlas.betti import TORSION_FREE, TORSION_UNKNOWN
+from linkatlas.errors import NotQuasiSmooth
+from linkatlas.links import quasi_smooth_cost
 
 
 def test_betti_published_values():
@@ -92,7 +95,7 @@ def test_pairwise_coprime_triples_are_spheres():
 
 def _torsion(link):
     ws = link if isinstance(link, WeightSystem) else bp_link(link)
-    return torsion_closed_form(link, betti(ws))
+    return torsion_closed_form(ws, betti(ws))
 
 
 def test_torsion_closed_form():
@@ -111,10 +114,13 @@ def test_torsion_closed_form():
     assert _torsion((2, 4, 5)) == TORSION_UNKNOWN
     # a curve's Delta(1) = 1 says nothing about a middle homology
     assert _torsion((2, 3)) == TORSION_UNKNOWN
-    # weight systems: well-formed four-variable ones only
+    # a weight system answers as the exponent vector it spells: (2,2,2,3)
+    # is bp:2,3,3,3, and (6,10,15)@30 is bp:2,3,5
     assert _torsion(WeightSystem((1, 1, 4, 6), 12)) == TORSION_FREE
-    assert _torsion(WeightSystem((2, 2, 2, 3), 6)) == TORSION_UNKNOWN
-    assert _torsion(WeightSystem((6, 10, 15), 30)) == TORSION_UNKNOWN
+    assert _torsion(WeightSystem((2, 2, 2, 3), 6)) == "Z_2+Z_2"
+    assert _torsion(WeightSystem((6, 10, 15), 30)) == TORSION_FREE
+    # well-formed and quasi-smooth, not Brieskorn-Pham
+    assert _torsion(WeightSystem((13, 43, 101, 158), 316)) == TORSION_FREE
 
 
 def _prime_power_base(d):
@@ -141,6 +147,11 @@ def _delta_direct(exps):
     for point in itertools.product(*(range(1, a) for a in exps)):
         k = sum(i * (top // a) for i, a in zip(point, exps)) % top
         orders[top // gcd(k, top)] += 1
+    return _delta_of_orders(orders)
+
+
+def _delta_of_orders(orders):
+    """(|Delta(1)|, |Delta(-1)|) of the eigenvalue counts by order."""
     at_one = at_minus_one = 1
     for d, count in orders.items():
         e = count // _totient(d)
@@ -184,7 +195,7 @@ def test_delta_at_one_is_the_order_of_the_closed_form_torsion():
         if b.middle_betti:
             continue
         order = b.delta_at_one()
-        torsion = torsion_closed_form(exps, b)
+        torsion = torsion_closed_form(bp_link(exps), b)
         if torsion == TORSION_FREE:
             assert order == 1, exps
         elif torsion != TORSION_UNKNOWN:
@@ -203,3 +214,95 @@ def test_delta_at_plus_and_minus_one_agree_mod_2():
         exps = [rng.randint(2, 15) for _ in range(rng.randint(2, 6))]
         b = betti(bp_link(exps))
         assert (b.delta_at_one() - b.delta_at_minus_one()) % 2 == 0, exps
+
+
+# --- the quasi-smooth gate, against the Poincare series -----------------
+
+
+def _poincare_series(ws):
+    """Coefficients of prod (1 - T^{d - w_i}) / (1 - T^{w_i}), the
+    Hilbert series of the Milnor algebra, when it is a polynomial with
+    nonnegative coefficients; None otherwise.  Its degree would be
+    D = sum (d - 2 w_i), and the power series up to the numerator's
+    degree decides: it is a polynomial exactly when it vanishes above D
+    there."""
+    d, weights = ws.degree, ws.weights
+    top = sum(d - w for w in weights)
+    series = [1] + [0] * top
+    for w in weights:
+        for t in range(top, d - w - 1, -1):  # times 1 - T^{d - w}
+            series[t] -= series[t - (d - w)]
+        for t in range(w, top + 1):  # over 1 - T^w
+            series[t] += series[t - w]
+    deg = top - sum(weights)
+    if deg < 0 or any(series[deg + 1 :]) or min(series) < 0:
+        return None
+    return series[: deg + 1]
+
+
+def _spectral_invariants(ws, series):
+    """(b, |Delta(1)|, |Delta(-1)|) of the series: a monomial of degree e
+    has eigenvalue exp(2 pi i (e + sum w) / d) (Steenbrink 1977)."""
+    d, shift = ws.degree, ws.total_weight
+    orders = Counter()
+    for e, count in enumerate(series):
+        if count:
+            orders[d // gcd(e + shift, d)] += count
+    for order, count in orders.items():
+        assert count % _totient(order) == 0, (ws, order)
+    return (orders[1], *_delta_of_orders(orders))
+
+
+def _canonical_systems():
+    for nvars, degrees in ((3, range(2, 30)), (4, range(2, 20)), (5, range(2, 12))):
+        for d in degrees:
+            for weights in itertools.combinations_with_replacement(range(1, d), nvars):
+                if gcd(*weights) == 1:
+                    yield WeightSystem(weights, d)
+
+
+def test_the_gate_accepts_exactly_the_polynomial_poincare_series():
+    # over every canonical system of 3 variables with d < 30, 4 with
+    # d < 20 and 5 with d < 12, betti() answers exactly where the series
+    # is a polynomial with nonnegative coefficients, and then agrees
+    # with it on b, |Delta(1)| and |Delta(-1)|
+    seen = accepted = 0
+    for ws in _canonical_systems():
+        seen += 1
+        series = _poincare_series(ws)
+        assert is_quasi_smooth(ws) == (series is not None), ws
+        if series is None:
+            with pytest.raises(NotQuasiSmooth):
+                betti(ws)
+            continue
+        accepted += 1
+        b = betti(ws)
+        got = (b.middle_betti, b.delta_at_one(), b.delta_at_minus_one())
+        assert got == _spectral_invariants(ws, series), ws
+    assert (seen, accepted) == (54020, 2930)
+
+
+def test_betti_refuses_weight_systems_with_no_link():
+    for ws in (
+        WeightSystem((1, 1, 1, 4), 11),
+        WeightSystem((1, 3, 4, 4), 9),
+        WeightSystem((1, 3, 4, 5), 6),
+    ):
+        assert not is_quasi_smooth(ws)
+        with pytest.raises(NotQuasiSmooth, match="not quasi-smooth"):
+            betti(ws)
+        with pytest.raises(NotQuasiSmooth):
+            is_rational_homology_sphere(ws)
+
+
+def test_the_gate_costs_nothing_on_fermat_systems_and_not_d_elsewhere():
+    rng = random.Random(41)
+    for _ in range(100):
+        ws = bp_link([rng.randint(2, 30) for _ in range(rng.randint(2, 7))])
+        assert is_quasi_smooth(ws) and quasi_smooth_cost(ws) == 0
+    # the weights 2..5 divide no prime degree: 15 sets, each table at
+    # most 5 long, whatever d is
+    ws = WeightSystem((1, 2, 3, 4, 5), 100000007)
+    assert quasi_smooth_cost(ws) == quasi_smooth_cost(WeightSystem((1, 2, 3, 4, 5), 67))
+    assert quasi_smooth_cost(ws) == (2 + 5) * 8 + (3 + 5) * 4 + (4 + 5) * 2 + (5 + 5)
+    assert is_quasi_smooth(ws)

@@ -8,10 +8,12 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from math import gcd
 
 import pytest
 
+from linkatlas.betti import betti_cost
 from linkatlas.catalog import FILTERS, build_record, catalog_query, record_cost
 from linkatlas.cli import CONFIG_ENV, MAX_DIGITS, load_config, main, parse_link
 from linkatlas.errors import InvalidInput
@@ -803,13 +805,92 @@ def test_homotopy_spheres_print_torsion_free(capsys):
     for link in ("bp:2,2,2,3,5", "kervaire:3,5@7"):
         code, out, _ = run(capsys, "sphere", link)
         assert code == 0 and "torsion: torsion_free" in out, link
-    # a weight system with no link claims no sphere kind
-    code, out, _ = run(capsys, "sphere", "w:1,3,4,5@6")
-    assert code == 0 and "kind: rational_homology_sphere" in out
+    # a weight system with no link gets no verdict at all
+    code, out, err = run(capsys, "sphere", "w:1,3,4,5@6")
+    assert code == 2 and out == "" and "not quasi-smooth" in err
+
+
+NO_LINK = {
+    "w:1,1,1,4@11": ({"degree": 11, "sign": "negative", "weights": [1, 1, 1, 4]}, 124),
+    "w:1,3,4,4@9": ({"degree": 9, "sign": "positive", "weights": [1, 3, 4, 4]}, 11),
+    "w:1,3,4,5@6": ({"degree": 6, "sign": "positive", "weights": [1, 3, 4, 5]}, 5),
+}
+
+
+@pytest.mark.parametrize("key", sorted(NO_LINK))
+def test_weight_systems_with_no_link_get_no_invariants(capsys, key):
+    for command in ("betti", "sphere"):
+        code, out, err = run(capsys, command, key)
+        assert code == 2 and out == "", command
+        assert err.startswith("error: ") and "not quasi-smooth" in err
+        assert "Traceback" not in err
+    # the weight system itself still answers
+    fields, count = NO_LINK[key]
+    classified = run_json(capsys, "classify", key)
+    assert classified == {**fields, "key": key, "link_dim": 5, "well_formed": True}
+    assert run_json(capsys, "monomials", key) == {"count": count}
+
+
+@pytest.mark.parametrize(
+    "w, bp, kind, torsion",
+    [
+        ("w:6,10,15@30", "bp:2,3,5", "homology_sphere", "torsion_free"),
+        ("w:1,2,3,5@6", "bp:2,2,2,3", "kervaire_sphere", "torsion_free"),
+        ("w:2,2,2,3@6", "bp:2,3,3,3", "rational_homology_sphere", "Z_2+Z_2"),
+    ],
+)
+def test_a_weight_system_answers_as_its_link(capsys, w, bp, kind, torsion):
+    # w:1,2,3,5@6 holds z0^6 + z1^3 + z2^2 + z0 z3, the singularity of
+    # bp:2,2,2,3; the other two are the weight systems of their bp: keys
+    for command in ("sphere", "betti"):
+        as_w, as_bp = run_json(capsys, command, w), run_json(capsys, command, bp)
+        assert as_w.pop("key") == w and as_bp.pop("key") == bp
+        if command == "betti" and w == "w:1,2,3,5@6":
+            as_w.pop("quotients"), as_bp.pop("quotients")
+        assert as_w == as_bp, command
+        assert as_w["torsion"] == torsion
+    assert as_w["rational_homology_sphere"]
+    assert run_json(capsys, "sphere", w)["kind"] == kind
+
+
+def test_the_quasi_smooth_gate_is_charged_before_it_runs(capsys):
+    # two weights near 10^7 that divide no degree: the gate's residue
+    # tables would take seconds to fill, and are refused at once
+    key = "w:10000019,10000079@20000098"
+    gate = 2 * (10000019 + 2) + (10000079 + 2)
+    assert record_cost(parse_link(key)) == betti_cost(2) + gate
+    for command in ("betti", "sphere"):
+        for budget in ("10", str(gate)):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, key, "--budget", budget)
+            assert (code, out) == (3, "") and "budget" in err, (command, budget)
+            assert time.perf_counter() - start < 0.5
+    # a Fermat system, as every bp: key is, adds nothing
+    assert record_cost(WeightSystem((1, 1, 1), 3)) == betti_cost(3)
+
+
+def test_reverify_reports_a_stored_record_with_no_link(capsys, tmp_path):
+    # a record written before betti() refused weight systems with no link
+    catalog = tmp_path / "atlas.jsonl"
+    stale = {
+        "key": "w:1,1,1,4@11",
+        "sign": "negative",
+        "middle_betti": 160,
+        "torsion": "torsion_free",
+        "sphere": {"kind": "not_a_sphere", "bp8_residue": None},
+    }
+    good = build_record(BPExponents((2, 3, 5))).to_json()
+    catalog.write_text(json.dumps(stale) + "\n" + json.dumps(good) + "\n", encoding="utf-8")
+    payload = run_json(capsys, "catalog", "query", "--reverify", "--catalog", str(catalog))
+    assert payload["matched"] == 2
+    assert payload["reverify_failures"] == {"w:1,1,1,4@11": ["no link: not quasi-smooth"]}
 
 
 def test_betti_and_sphere_print_the_same_torsion(capsys):
-    for link in ("bp:2,2,2,3", "bp:3,3,3,4", "bp:2,3,12,12", "bp:2,2,3,6"):
+    for link in (
+        "bp:2,2,2,3", "bp:3,3,3,4", "bp:2,3,12,12", "bp:2,2,3,6",
+        "bp:2,3,5", "bp:2,4,5", "bp:2,2,2,3,5", "bp:2,3", "w:13,43,101,158@316",
+    ):
         betti_torsion = run_json(capsys, "betti", link)["torsion"]
         assert betti_torsion == run_json(capsys, "sphere", link)["torsion"], link
     assert run_json(capsys, "betti", "bp:2,2,2,3")["torsion"] == "torsion_free"

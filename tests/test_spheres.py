@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
@@ -25,14 +26,14 @@ from linkatlas import (
     reciprocal_sum,
 )
 from linkatlas import spheres
-from linkatlas.betti import TORSION_FREE
+from linkatlas.betti import TORSION_FREE, TORSION_UNKNOWN
 from linkatlas.links import kervaire_exponents
 from linkatlas.errors import (
-    AtlasError,
     DimensionUnsupported,
     InvalidInput,
     NotASphere,
     NotPairwiseCoprime,
+    NotQuasiSmooth,
 )
 
 
@@ -277,7 +278,7 @@ def test_levine_rule_matches_kervaire_classify():
                 b = betti(bp_link(exps))
                 if b.middle_betti:
                     continue
-                verdict = spheres.sphere_verdict(exps, b)
+                verdict = spheres.sphere_verdict(b)
                 assert verdict == kervaire_classify(rs, a)[0], exps
                 kinds[verdict.kind] += 1
     assert kinds == {"standard_sphere": 876, "kervaire_sphere": 1070}
@@ -304,19 +305,22 @@ def test_kervaire_classify_agrees_with_the_record():
     }
 
 
-def test_sphere_rule_skips_curves_and_weight_systems():
+def test_sphere_rule_skips_curves_and_reads_weight_systems():
     # a 1-dimensional link is no sphere question: L(2,3) is the trefoil,
     # whose Delta(1) = 1 and Delta(-1) = 3 would read as a Kervaire sphere
     trefoil = BPExponents((2, 3))
     b = betti(bp_link(trefoil))
     assert (b.delta_at_one(), b.delta_at_minus_one()) == (1, 3)
-    assert spheres.sphere_verdict(trefoil, b).kind == "rational_homology_sphere"
-    # a weight system claims at most a rational homology sphere; this
-    # well-formed one would read Delta(-1) = 3
+    assert spheres.sphere_verdict(b).kind == "rational_homology_sphere"
+    # a quasi-smooth weight system is read by the same rule: z0^6 + z1^3
+    # + z2^2 + z0 z3 is the A_2 singularity of bp:2,2,2,3, so both links
+    # are the Kervaire 5-sphere, Delta(-1) = 3
     ws = WeightSystem((1, 2, 3, 5), 6)
     assert betti(ws).delta_at_minus_one() == 3
-    assert spheres.sphere_verdict(ws, betti(ws)).kind == "rational_homology_sphere"
-    assert build_record(ws).torsion == TORSION_FREE
+    assert spheres.sphere_verdict(betti(ws)).kind == "kervaire_sphere"
+    for link in (ws, BPExponents((2, 2, 2, 3))):
+        rec = build_record(link)
+        assert (rec.sphere.kind, rec.torsion) == ("kervaire_sphere", TORSION_FREE)
 
 
 def test_homotopy_spheres_are_torsion_free():
@@ -331,17 +335,40 @@ def test_homotopy_spheres_are_torsion_free():
     assert spheres_seen == 407
 
 
-def test_weight_systems_claim_no_sphere_kind():
-    # Delta of a weight system that is not quasi-smooth describes no link,
-    # so a 4-variable w: record names no homotopy or homology sphere
-    kinds = Counter()
-    for d in range(2, 20):
+def test_weight_systems_claim_the_sphere_kinds_of_their_links():
+    # a 4-variable system with no quasi-smooth polynomial has no link and
+    # no record; every other one is read by the Delta rule of bp: keys
+    kinds, torsion, refused = Counter(), Counter(), 0
+    for d in range(2, 24):
         for weights in itertools.combinations_with_replacement(range(1, d), 4):
             if gcd(*weights) != 1:
                 continue
             try:
                 rec = build_record(WeightSystem(weights, d))
-            except AtlasError:
+            except NotQuasiSmooth:
+                refused += 1
                 continue
             kinds[rec.sphere.kind] += 1
-    assert set(kinds) == {"rational_homology_sphere", "not_a_sphere"}
+            torsion[re.sub(r"Z_(\d+)\+Z_\1", "Z_k+Z_k", rec.torsion)] += 1
+    assert refused == 56983
+    assert kinds == {
+        "standard_sphere": 33,
+        "kervaire_sphere": 50,
+        "rational_homology_sphere": 38,
+        "not_a_sphere": 2333,
+    }
+    assert torsion == {TORSION_FREE: 2062, "Z_k+Z_k": 4, TORSION_UNKNOWN: 388}
+
+
+def test_one_verdict_per_link_whatever_its_spelling():
+    # a bp: key and the w: key of its weight system name one link
+    seen = 0
+    for n, hi in ((3, 30), (4, 14), (5, 8), (6, 6)):
+        for exps in itertools.combinations_with_replacement(range(2, hi + 1), n):
+            as_bp = build_record(BPExponents(exps))
+            as_w = build_record(bp_link(exps))
+            for field in ("sign", "middle_betti", "torsion"):
+                assert getattr(as_w, field) == getattr(as_bp, field), (exps, field)
+            assert as_w.sphere.kind == as_bp.sphere.kind, exps
+            seen += 1
+    assert seen == 6987
