@@ -9,6 +9,7 @@ it separates the oriented diffeomorphism types of homotopy 7-spheres.
 from linkatlas import (
     BPExponents,
     NotASphere,
+    Predicate,
     bp8_class,
     bp_link,
     brieskorn_signature,
@@ -75,9 +76,16 @@ def main():
     print()
     sweep = seven_sphere_sweep({"k": (2, 8), "p": (2, 40)})
     print("sweep k<=8, p<=40: %d of 28 residues, %d members examined"
-          % (sweep.distinct, sweep.examined))
+          % (len(sweep.witnesses), sweep.examined))
     for residue in sorted(sweep.witnesses)[:5]:
         print("  residue %d from L%s" % (residue, sweep.witnesses[residue]))
+    # The sweep takes the search's record filters: negative links
+    # L(4,4,4,5,p), p <= 193, carry negative eta-Einstein structures and
+    # reach every class.
+    sweep = seven_sphere_sweep({"k": (4, 4), "p": (2, 193)},
+                               predicate=Predicate(sign="negative"))
+    print("negative sweep k=4, p<=193: %d of 28 residues, %d members examined"
+          % (len(sweep.witnesses), sweep.examined))
 
 
 if __name__ == "__main__":

@@ -298,45 +298,38 @@ def _record_rows(records) -> list[dict]:
     return rows
 
 
-# the search flags --bp8-sweep would ignore, by dest
-_NOT_SWEPT = {
-    "append": "--append", "sign": "--sign", "betti": "--betti/--rational-sphere",
-    "pairwise_coprime": "--pairwise-coprime", "min_coprime_fixed": "--min-coprime-fixed"
-}
-
-
 def cmd_search(args):
     bounds = links.parse_bounds(args.bounds)
-    if args.bp8_sweep:
-        if args.family != "kkkk1p":
-            raise InvalidInput("--bp8-sweep applies to the kkkk1p family")
-        for dest, flag in _NOT_SWEPT.items():
-            value = getattr(args, dest)
-            if value is not None and value is not False:  # --betti 0 counts
-                raise InvalidInput("--bp8-sweep does not take %s" % flag)
-        sweep = search.seven_sphere_sweep(bounds, budget=args.budget)
-        return {
-            "distinct_residues": sweep.distinct,
-            "examined": sweep.examined,
-            "witnesses": {
-                str(res): list(sweep.witnesses[res])
-                for res in sorted(sweep.witnesses)
-            },
-        }
     pred = search.Predicate(
         sign=args.sign,
         middle_betti=args.betti,
         pairwise_coprime=args.pairwise_coprime,
         min_coprime_fixed=args.min_coprime_fixed,
     )
-    spec = search.SearchSpec(args.family, bounds, pred)
-    result = search.run_search(spec, budget=args.budget)
-    payload = {
-        "examined": result.examined,
-        "matched": result.matched,
-        "notes": list(result.notes),
-        "records": _record_rows(result.records),
-    }
+    if args.bp8_sweep:
+        if args.family != "kkkk1p":
+            raise InvalidInput("--bp8-sweep applies to the kkkk1p family")
+        if args.min_coprime_fixed is not None:
+            # the sweep fixes it at 2: p coprime to k and k+1
+            raise InvalidInput("--bp8-sweep does not take --min-coprime-fixed")
+        result = search.seven_sphere_sweep(bounds, args.budget, pred)
+        payload = {
+            "distinct_residues": len(result.witnesses),
+            "examined": result.examined,
+            "witnesses": {
+                str(res): list(result.witnesses[res])
+                for res in sorted(result.witnesses)
+            },
+        }
+    else:
+        spec = search.SearchSpec(args.family, bounds, pred)
+        result = search.run_search(spec, budget=args.budget)
+        payload = {
+            "examined": result.examined,
+            "matched": result.matched,
+            "notes": list(result.notes),
+            "records": _record_rows(result.records),
+        }
     if args.append:
         added = cat.catalog_append(args.catalog, result.records)
         payload["appended"] = added.added

@@ -3,17 +3,21 @@
 Each family maps integer parameters inside bounds to a Brieskorn-Pham
 exponent vector.  A search enumerates the family, evaluates the
 predicate in exact arithmetic, and returns matching invariant records
-deduplicated by canonical key and sorted.  The estimated cost
-(catalog.record_cost per member) is checked against the budget before
-any heavy work starts, and so is the number of parameter tuples inside
-the bounds before any member is generated; a search never silently
-truncates.
+deduplicated by canonical key and sorted, plus the first matched
+member of each bp8 residue.  The estimated cost (catalog.record_cost
+per member) is checked against the budget before any heavy work
+starts, and so is the number of parameter tuples inside the bounds
+before any member is generated; a search never silently truncates.
+
+run_search is the one loop that builds records.  The exotic 7-sphere
+sweep, seven_sphere_sweep, is a kkkk1p search with p coprime to k and
+k+1, read for its residue witnesses.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from math import gcd, prod
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -62,6 +66,8 @@ class SearchResult:
     examined: int
     matched: int
     notes: tuple[str, ...] = ()
+    # the first matched member of each bp8 residue, in enumeration order
+    witnesses: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
 
 
 def _span(bounds: Mapping[str, tuple[int, int]], key: str, lo_min: int) -> range:
@@ -191,12 +197,10 @@ def check_budget(members: list[Member], budget: int) -> int:
     return charge(sum(record_cost(m.exponents) for m in members), budget)
 
 
-def _evaluated(
-    spec: SearchSpec, budget: int
-) -> Iterator[tuple[Member, InvariantRecord]]:
-    """(member, record) pairs of a search in enumeration order, after
-    min_coprime_fixed and the budget check.  Nothing is built until the
-    first pair is taken."""
+def run_search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> SearchResult:
+    """Build the record of every member that passes min_coprime_fixed,
+    in enumeration order, after the budget check, and keep those the
+    predicate matches."""
     # every family enumerates at most the parameter tuples inside the bounds
     charge(prod(max(0, hi - lo + 1) for lo, hi in spec.bounds.values()), budget)
     members = _members(spec)
@@ -214,56 +218,38 @@ def _evaluated(
 
     check_budget(members, budget)
 
-    for member in members:
-        yield member, build_record(member.exponents)
-
-
-def run_search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> SearchResult:
-    pred = spec.predicate
     keep = record_filter(sign=pred.sign, middle_betti=pred.middle_betti)
-    members = []
     matched: dict[str, InvariantRecord] = {}
-    for member, rec in _evaluated(spec, budget):
-        members.append(member)
+    witnesses: dict[int, tuple[int, ...]] = {}
+    for member in members:
+        rec = build_record(member.exponents)
         if keep(rec) and (
             not pred.pairwise_coprime or member.exponents.pairwise_coprime()
         ):
             matched.setdefault(rec.key, rec)
+            if rec.sphere.bp8_residue is not None:
+                witnesses.setdefault(rec.sphere.bp8_residue, member.exponents.exponents)
 
     notes = FAMILIES[spec.family].notes(spec, members)
     ordered = tuple(matched[k] for k in sorted(matched))
-    return SearchResult(ordered, len(members), len(ordered), tuple(notes))
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """bp8 residues realized by L(k,k,k,k+1,p) with p coprime to both
-    k and k+1, each a homotopy 7-sphere (k+1 and p are isolated
-    vertices of Brieskorn's graph); witnesses maps each residue to its
-    first exponent vector in (k, p) order."""
-
-    witnesses: dict[int, tuple[int, ...]]
-    examined: int
-
-    @property
-    def distinct(self) -> int:
-        return len(self.witnesses)
+    return SearchResult(ordered, len(members), len(ordered), tuple(notes), witnesses)
 
 
 def seven_sphere_sweep(
     bounds: Mapping[str, tuple[int, int]],
     budget: int = DEFAULT_BUDGET,
-) -> SweepResult:
-    """Sweep the kkkk1p family inside bounds (keys k and p) for exotic
-    7-sphere classes."""
-    spec = SearchSpec("kkkk1p", bounds, Predicate(min_coprime_fixed=2))
-    witnesses: dict[int, tuple[int, ...]] = {}
-    examined = 0
-    for member, rec in _evaluated(spec, budget):
-        examined += 1
-        if rec.sphere.bp8_residue is not None:
-            witnesses.setdefault(rec.sphere.bp8_residue, member.exponents.exponents)
-    return SweepResult(witnesses, examined)
+    predicate: Predicate = Predicate(),
+) -> SearchResult:
+    """Search the kkkk1p family L(k,k,k,k+1,p) inside bounds (keys k and
+    p) with p coprime to both k and k+1, for exotic 7-sphere classes.
+
+    Every such member is a homotopy 7-sphere (k+1 and p are isolated
+    vertices of Brieskorn's graph), so the result's witnesses name the
+    first matched member of each bp8 residue; predicate's other filters
+    apply as in any search, and its min_coprime_fixed is replaced by 2.
+    """
+    spec = SearchSpec("kkkk1p", bounds, replace(predicate, min_coprime_fixed=2))
+    return run_search(spec, budget)
 
 
 __all__ = [
@@ -272,7 +258,6 @@ __all__ = [
     "Predicate",
     "SearchSpec",
     "SearchResult",
-    "SweepResult",
     "run_search",
     "seven_sphere_sweep",
 ]

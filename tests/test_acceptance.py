@@ -116,11 +116,11 @@ def test_criterion_4_signature_casson_and_dual_routes():
 def test_criterion_5_seven_sphere_sweep():
     def body():
         start = time.perf_counter()
-        # estimated cost ~3.1e5 (spheres.signature_cost), well inside the
-        # default budget
+        # estimated cost 494,993 (catalog.record_cost per member), well
+        # inside the default budget
         sweep = seven_sphere_sweep({"k": (2, 8), "p": (2, 600)})
         elapsed = time.perf_counter() - start
-        assert sweep.distinct == 28, "found %d residues" % sweep.distinct
+        assert len(sweep.witnesses) == 28, "found %d residues" % len(sweep.witnesses)
         assert sorted(sweep.witnesses) == list(range(28))
         for exps in sweep.witnesses.values():
             assert betti(bp_link(exps)).middle_betti == 0

@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 import time
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -17,7 +17,8 @@ from linkatlas.betti import betti_cost
 from linkatlas.catalog import FILTERS, build_record, catalog_query, record_cost
 from linkatlas.cli import CONFIG_ENV, MAX_DIGITS, load_config, main, parse_link
 from linkatlas.errors import InvalidInput
-from linkatlas.links import BPExponents, WeightSystem
+from linkatlas.links import BPExponents, WeightSystem, reciprocal_sum
+from linkatlas.spheres import brieskorn_signature_direct
 
 
 def run(capsys, *argv):
@@ -450,15 +451,16 @@ def test_non_canonical_key_is_not_appended_beside_its_canonical_form(capsys, tmp
 
 
 _SWEEP = ["search", "--family", "kkkk1p", "--bounds", "k=2:2,p=2:30", "--bp8-sweep"]
-# extra search flags --bp8-sweep would ignore, and the name its refusal gives
-_SWEEP_REFUSED = [
-    (["--append"], "--append"),
-    (["--sign", "negative"], "--sign"),
-    (["--betti", "0"], "--betti/--rational-sphere"),
-    (["--rational-sphere"], "--betti/--rational-sphere"),
-    (["--pairwise-coprime"], "--pairwise-coprime"),
-    (["--min-coprime-fixed", "1"], "--min-coprime-fixed"),
+# the search flags --bp8-sweep takes; it refuses only another family
+# and --min-coprime-fixed (it fixes that filter at 2)
+_SWEEP_TAKES = [
+    ["--append"],
+    ["--sign", "negative"],
+    ["--betti", "0"],
+    ["--rational-sphere"],
+    ["--pairwise-coprime"],
 ]
+_SWEEP_TAKES_IDS = [extra[0][2:] for extra in _SWEEP_TAKES]
 
 
 @pytest.mark.parametrize(
@@ -485,8 +487,16 @@ _SWEEP_REFUSED = [
         lambda tmp: ["curvature", "check-ew", "--samples", "-5"],
         # H_3 of L(2,2,2,4,5) has order 5: no homotopy sphere, no bP_8 class
         lambda tmp: ["bp8", "bp:2,2,2,4,5"],
-        # --bp8-sweep refuses the search flags it would ignore
-        *(lambda tmp, extra=extra: _SWEEP + extra for extra, _ in _SWEEP_REFUSED),
+        # --bp8-sweep refuses the one filter it fixes, and another family
+        # whatever filters come with it
+        lambda tmp: _SWEEP + ["--min-coprime-fixed", "1"],
+        *(
+            lambda tmp, extra=extra: [
+                "search", "--family", "kkk1p", "--bounds", "k=2:3,p=2:9", "--bp8-sweep",
+                *extra, "--catalog", str(tmp / "atlas.jsonl"),
+            ]
+            for extra in _SWEEP_TAKES
+        ),
         # rationals too large to print, or to build at all
         lambda tmp: ["eta", "scalar", "--n", "1", "--lam", "1e4400", "--json"],
         lambda tmp: ["eta", "transform", "--n", "1", "--lam", "1", "--scale", "1e4400"],
@@ -509,7 +519,8 @@ _SWEEP_REFUSED = [
     ids=[
         "weight-degree", "kervaire-a", "bounds", "sweep-no-k", "config", "config-classify", "bound-repeated", "bp-box-gap", "237m-extra", "kkk1p-extra",
         "kervaire-extra", "kervaire-r-names", "offset-inf", "offset-nan", "samples-0",
-        "samples-negative", "bp8-not-a-sphere", *("sweep" + extra[0][1:] for extra, _ in _SWEEP_REFUSED),
+        "samples-negative", "bp8-not-a-sphere", "sweep-min-coprime-fixed",
+        *("sweep-" + name for name in _SWEEP_TAKES_IDS),
         "lam-1e4400", "scale-1e4400", "berger-1e4400", "n-and-lam-3000-digits",
         "lam-1e30000000", "nu-1e-30000000", "denominator-3000-digits", "n-over-bound",
         "lam-over-bound", "nu-over-bound", "exponent-over-bound",
@@ -557,14 +568,95 @@ def test_rationals_at_the_digit_bound_print(capsys, mode):
 
 
 @pytest.mark.parametrize(
-    "extra, flag", _SWEEP_REFUSED, ids=[extra[0][2:] for extra, _ in _SWEEP_REFUSED]
+    "extra", [*_SWEEP_TAKES, []], ids=[*_SWEEP_TAKES_IDS, "min-coprime-fixed"]
 )
-def test_bp8_sweep_names_the_flag_it_refuses(capsys, tmp_path, extra, flag):
+def test_bp8_sweep_names_the_flag_it_refuses(capsys, tmp_path, extra):
+    # the flags the sweep takes leave its one refusal standing, and a
+    # refused sweep writes nothing
     catalog = tmp_path / "atlas.jsonl"
-    code, out, err = run(capsys, *_SWEEP, *extra, "--catalog", str(catalog))
+    code, out, err = run(
+        capsys, *_SWEEP, *extra, "--min-coprime-fixed", "1", "--catalog", str(catalog)
+    )
     assert (code, out) == (2, "")
-    assert err == "error: --bp8-sweep does not take %s\n" % flag
+    assert err == "error: --bp8-sweep does not take --min-coprime-fixed\n"
     assert not catalog.exists()
+
+
+def test_bp8_sweep_refuses_other_families(capsys):
+    code, out, err = run(
+        capsys, "search", "--family", "kkk1p", "--bounds", "k=2:3,p=2:9", "--bp8-sweep"
+    )
+    assert (code, out, err) == (2, "", "error: --bp8-sweep applies to the kkkk1p family\n")
+
+
+@pytest.mark.parametrize(
+    "extra, residues",
+    [
+        (["--sign", "positive"], 5),
+        (["--betti", "0"], 5),
+        (["--rational-sphere"], 5),
+        # every (2,2,2,3,p) member shares the factor 2
+        (["--pairwise-coprime"], 0),
+    ],
+    ids=["sign", "betti", "rational-sphere", "pairwise-coprime"],
+)
+def test_bp8_sweep_takes_the_search_filters(capsys, extra, residues):
+    plain = run_json(capsys, *_SWEEP)
+    payload = run_json(capsys, *_SWEEP, *extra)
+    assert payload["examined"] == plain["examined"] == 9
+    assert payload["distinct_residues"] == len(payload["witnesses"]) == residues
+    if residues:
+        assert payload == plain
+
+
+def test_bp8_sweep_appends_its_matched_records(capsys, tmp_path):
+    catalog = str(tmp_path / "atlas.jsonl")
+    plain = run_json(capsys, *_SWEEP)
+    first = run_json(capsys, *_SWEEP, "--append", "--catalog", catalog)
+    assert first == {**plain, "appended": 9, "skipped": 0}
+    again = run_json(capsys, *_SWEEP, "--append", "--catalog", catalog)
+    assert again == {**plain, "appended": 0, "skipped": 9}
+    rows = run_json(capsys, "catalog", "query", "--catalog", catalog)["records"]
+    assert {r["key"] for r in rows} == {
+        "bp:2,2,2,3,%d" % p for p in range(2, 31) if gcd(p, 6) == 1
+    }
+
+
+_FULL_SWEEP = [
+    "search", "--family", "kkkk1p", "--bounds", "k=2:8,p=2:600", "--bp8-sweep",
+]
+
+
+def test_bp8_sweep_negative_witnesses_reach_every_class(capsys):
+    # the paper's negative eta-Einstein 7-spheres: (4,4,4,5,p) with
+    # p <= 193 reaches all 28 classes of bP_8
+    payload = run_json(
+        capsys, "search", "--family", "kkkk1p", "--bounds", "k=4:4,p=2:193",
+        "--bp8-sweep", "--sign", "negative",
+    )
+    assert (payload["distinct_residues"], payload["examined"]) == (28, 77)
+    assert sorted(map(int, payload["witnesses"])) == list(range(28))
+    for res, exps in payload["witnesses"].items():
+        assert exps[:4] == [4, 4, 4, 5] and reciprocal_sum(exps) < 1
+        # the lattice count: no zero eigenvalue (Betti number 0) and
+        # sigma/8 in the witness's class
+        count = brieskorn_signature_direct(exps)
+        assert count.positive + count.negative == prod(x - 1 for x in exps)
+        assert count.signature % 8 == 0
+        assert (count.signature // 8) % 28 == int(res)
+    full = run_json(capsys, *_FULL_SWEEP, "--sign", "negative")
+    assert full["distinct_residues"] == 28
+
+
+def test_bp8_sweep_sign_filters_keep_the_unsigned_payload(capsys):
+    # every (2,2,2,3,p) link is positive, and every swept member a
+    # homotopy sphere, so these filters leave the unsigned witnesses
+    code, plain, _ = run(capsys, *_FULL_SWEEP, "--json")
+    assert code == 0
+    for extra in (["--sign", "positive"], ["--rational-sphere"]):
+        assert run(capsys, *_FULL_SWEEP, *extra, "--json") == (0, plain, "")
+    null = run_json(capsys, *_FULL_SWEEP, "--sign", "null")
+    assert null == {"distinct_residues": 0, "examined": 1421, "witnesses": {}}
 
 
 def test_unused_bound_span_is_charged_before_its_name_is_checked(capsys):

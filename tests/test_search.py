@@ -38,6 +38,7 @@ def test_pairwise_coprime_predicate_matches_a_gcd_filter():
     spec = SearchSpec("bp-box", BOX, Predicate(pairwise_coprime=True))
     result = run_search(spec)
     assert result.examined == 11 * 11 * 12
+    assert result.witnesses == {}  # three exponents: no bp8 class
     assert {r.key for r in result.records} == _coprime_box_keys()
     # the flag combines with the record filters
     spec = SearchSpec("bp-box", BOX, Predicate(sign="positive", pairwise_coprime=True))
@@ -222,12 +223,12 @@ def test_every_searched_record_is_a_function_of_its_key():
 
 def test_tiny_sweep_is_incomplete():
     sweep = seven_sphere_sweep({"k": (2, 2), "p": (2, 3)})
-    assert sweep.distinct < 28
+    assert len(sweep.witnesses) < 28
 
 
 def test_sweep_witnesses_are_spheres():
     sweep = seven_sphere_sweep({"k": (2, 3), "p": (2, 40)})
-    assert sweep.distinct >= 1
+    assert len(sweep.witnesses) >= 1
     for residue, exps in sweep.witnesses.items():
         assert 0 <= residue < 28
         assert betti(bp_link(exps)).middle_betti == 0
@@ -246,4 +247,22 @@ def test_every_coprime_kkkk1p_member_has_a_residue():
 def test_sweep_examines_what_run_search_examines():
     bounds = {"k": (3, 4), "p": (20, 60)}
     spec = SearchSpec("kkkk1p", bounds, Predicate(min_coprime_fixed=2))
-    assert seven_sphere_sweep(bounds).examined == run_search(spec).examined
+    sweep = seven_sphere_sweep(bounds)
+    assert sweep == run_search(spec)
+    # each witness is the first member of its residue in (k, p) order
+    first = {}
+    for m in _members(spec):
+        if gcd(m.varying, m.fixed[0]) == gcd(m.varying, m.fixed[1]) == 1:
+            residue = build_record(m.exponents).sphere.bp8_residue
+            first.setdefault(residue, m.exponents.exponents)
+    assert sweep.witnesses == first
+
+
+def test_sweep_applies_the_search_filters():
+    bounds = {"k": (2, 8), "p": (2, 200)}
+    negative = seven_sphere_sweep(bounds, predicate=Predicate(sign="negative"))
+    assert negative.witnesses
+    assert all(rec.sign == "negative" for rec in negative.records)
+    # min_coprime_fixed is the sweep's own, whatever the predicate says
+    loose = seven_sphere_sweep(bounds, predicate=Predicate(min_coprime_fixed=0))
+    assert loose == seven_sphere_sweep(bounds)
