@@ -474,6 +474,8 @@ def main(argv=None) -> int:
         for key in DEFAULTS:
             if getattr(args, key) is None:
                 setattr(args, key, cfg[key])
+        if args.budget < 0:
+            raise InvalidInput("budget must be at least 0, got %d" % args.budget)
         payload = args.fn(args)
         try:
             _emit(sys.stdout, payload, args.json)

@@ -4,8 +4,9 @@ Each family maps integer parameters inside bounds to a Brieskorn-Pham
 exponent vector.  A search enumerates the family, evaluates the
 predicate in exact arithmetic, and returns matching invariant records
 deduplicated by canonical key and sorted, plus the first matched
-member of each bp8 residue.  The estimated cost (catalog.record_cost
-per member) is checked against the budget before any heavy work
+member of each bp8 residue.  A record is built once per canonical
+key, and the estimated cost (catalog.record_cost per distinct
+canonical key) is checked against the budget before any heavy work
 starts, and so is the number of parameter tuples inside the bounds
 before any member is generated; a search never silently truncates.
 
@@ -24,7 +25,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import InvariantRecord, build_record, record_cost, record_filter
 from .errors import BoundsTooLarge, InvalidInput
-from .links import BPExponents, kervaire_exponents
+from .links import BPExponents, canonical_key, kervaire_exponents
 from .spheres import kervaire_classify  # noqa: F401  (a name perfbench traces)
 
 DEFAULT_BUDGET = 10**8
@@ -198,9 +199,9 @@ def check_budget(members: list[Member], budget: int) -> int:
 
 
 def run_search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> SearchResult:
-    """Build the record of every member that passes min_coprime_fixed,
-    in enumeration order, after the budget check, and keep those the
-    predicate matches."""
+    """Build one record for each canonical key among the members that
+    pass min_coprime_fixed, from its first member in enumeration order,
+    after the budget check, and keep those the predicate matches."""
     # every family enumerates at most the parameter tuples inside the bounds
     charge(prod(max(0, hi - lo + 1) for lo, hi in spec.bounds.values()), budget)
     members = _members(spec)
@@ -216,17 +217,22 @@ def run_search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> SearchResult:
             m for m in members if _coprime_hits(m) >= pred.min_coprime_fixed
         ]
 
-    check_budget(members, budget)
+    # a record and the predicate depend only on the key, and the first
+    # matched member of a residue is the first of its key: build one each
+    firsts: dict[str, Member] = {}
+    for member in members:
+        firsts.setdefault(canonical_key(member.exponents), member)
+    check_budget(list(firsts.values()), budget)
 
     keep = record_filter(sign=pred.sign, middle_betti=pred.middle_betti)
     matched: dict[str, InvariantRecord] = {}
     witnesses: dict[int, tuple[int, ...]] = {}
-    for member in members:
+    for member in firsts.values():
         rec = build_record(member.exponents)
         if keep(rec) and (
             not pred.pairwise_coprime or member.exponents.pairwise_coprime()
         ):
-            matched.setdefault(rec.key, rec)
+            matched[rec.key] = rec
             if rec.sphere.bp8_residue is not None:
                 witnesses.setdefault(rec.sphere.bp8_residue, member.exponents.exponents)
 

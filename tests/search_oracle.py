@@ -1,0 +1,48 @@
+"""The slow search oracle: build every member, keep the first record of
+each key and the first matched member of each bp8 residue.
+
+run_search builds one record per canonical key; this loop builds one per
+member and filters with its own comparisons, so the two agree only if a
+record and the predicate depend on nothing but the key.
+"""
+
+import itertools
+from math import gcd
+
+from linkatlas import SearchSpec, build_record
+from linkatlas.search import SearchResult, _members
+
+
+def naive_search(spec: SearchSpec) -> SearchResult:
+    pred = spec.predicate
+    members = _members(spec)
+    if pred.min_coprime_fixed is not None:
+        members = [
+            m for m in members
+            if sum(gcd(m.varying, q) == 1 for q in set(m.fixed)) >= pred.min_coprime_fixed
+        ]
+    matched, witnesses = {}, {}
+    for member in members:
+        exps = member.exponents.exponents
+        rec = build_record(member.exponents)
+        if (
+            pred.sign in (None, rec.sign)
+            and pred.middle_betti in (None, rec.middle_betti)
+            and not (
+                pred.pairwise_coprime
+                and any(gcd(x, y) != 1 for x, y in itertools.combinations(exps, 2))
+            )
+        ):
+            matched.setdefault(rec.key, rec)
+            if rec.sphere.bp8_residue is not None:
+                witnesses.setdefault(rec.sphere.bp8_residue, exps)
+    records = tuple(matched[k] for k in sorted(matched))
+    return SearchResult(records, len(members), len(records), (), witnesses)
+
+
+def assert_same_search(got: SearchResult, want: SearchResult) -> None:
+    """records, examined, matched and witnesses agree, each witness in
+    its enumerated spelling and the witnesses in the same order."""
+    assert got.records == want.records
+    assert (got.examined, got.matched) == (want.examined, want.matched)
+    assert list(got.witnesses.items()) == list(want.witnesses.items())

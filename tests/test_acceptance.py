@@ -116,7 +116,7 @@ def test_criterion_4_signature_casson_and_dual_routes():
 def test_criterion_5_seven_sphere_sweep():
     def body():
         start = time.perf_counter()
-        # estimated cost 494,993 (catalog.record_cost per member), well
+        # estimated cost 494,993 (catalog.record_cost per distinct key), well
         # inside the default budget
         sweep = seven_sphere_sweep({"k": (2, 8), "p": (2, 600)})
         elapsed = time.perf_counter() - start

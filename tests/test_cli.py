@@ -379,6 +379,21 @@ def test_budget_flag_raises_single_link_bound(capsys, tmp_path):
     assert payload["nu"] == "6"
 
 
+def test_negative_budget_is_invalid_input(capsys, tmp_path):
+    # it once exited 3 with "estimated cost 29 exceeds budget -1"
+    code, out, err = run(capsys, "signature", "bp:2,3,5", "--budget", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: budget must be at least 0, got -1\n"
+    cfg = tmp_path / "atlas.conf"
+    cfg.write_text("budget=-5\n", encoding="utf-8")
+    code, out, err = run(capsys, "signature", "bp:2,3,5", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: budget must be at least 0, got -5\n"
+    # 0 is a budget: it admits the free commands and refuses the rest
+    assert run(capsys, "classify", "bp:2,3,5", "--budget", "0")[0] == 0
+    assert run(capsys, "signature", "bp:2,3,5", "--config", str(cfg), "--budget", "0")[0] == 3
+
+
 def test_search_bp8_sweep(capsys):
     payload = run_json(
         capsys, "search", "--family", "kkkk1p", "--bounds", "k=2:2,p=2:3",

@@ -1,6 +1,6 @@
 """Property tests tying the signature to its oracle, to the Betti sum and
-to the sphere rule, and a catalog key's variable count to the link it
-names."""
+to the sphere rule, a catalog key's variable count to the link it
+names, and run_search to the naive loop that builds every member."""
 
 from math import gcd, prod
 
@@ -11,6 +11,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from linkatlas import (  # noqa: E402
     BPExponents,
+    Predicate,
+    SearchSpec,
     betti,
     bp_link,
     brieskorn_signature,
@@ -18,8 +20,10 @@ from linkatlas import (  # noqa: E402
     WeightSystem,
     build_record,
     canonical_key,
+    run_search,
 )
 from linkatlas.links import key_nvars  # noqa: E402
+from search_oracle import assert_same_search, naive_search  # noqa: E402
 
 # 3 exponents up to 14 and 5 up to 5 keep the direct oracle under ~4^5
 # lattice points per example
@@ -70,3 +74,28 @@ links = st.one_of(
 @given(links)
 def test_key_nvars_counts_the_variables_of_a_canonical_key(link):
     assert key_nvars(canonical_key(link)) == link.nvars
+
+
+# small bp-box boxes: 3 to 5 exponents, each span at most 3 wide, and
+# any combination of the predicate's record filters
+boxes = st.integers(3, 5).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(2, 6), st.integers(0, 2)).map(lambda s: (s[0], s[0] + s[1])),
+        min_size=n,
+        max_size=n,
+    )
+)
+predicates = st.builds(
+    Predicate,
+    sign=st.sampled_from([None, "positive", "null", "negative"]),
+    middle_betti=st.sampled_from([None, 0, 2]),
+    pairwise_coprime=st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(boxes, predicates)
+def test_search_matches_the_naive_loop_on_random_boxes(spans, pred):
+    bounds = {"a%d" % i: span for i, span in enumerate(spans)}
+    spec = SearchSpec("bp-box", bounds, pred)
+    assert_same_search(run_search(spec), naive_search(spec))

@@ -8,18 +8,22 @@ import pytest
 
 from linkatlas import (
     BoundsTooLarge,
+    BPExponents,
     Predicate,
     SearchSpec,
     betti,
     bp_link,
     build_record,
+    canonical_key,
     run_search,
     seven_sphere_sweep,
 )
-from linkatlas.catalog import parse_key
+from linkatlas import search as search_module
+from linkatlas.catalog import parse_key, record_cost
 from linkatlas.cli import main
 from linkatlas.errors import InvalidInput
 from linkatlas.search import FAMILIES, Family, check_budget, _members
+from search_oracle import assert_same_search, naive_search
 
 
 BOX = {"a0": (2, 12), "a1": (2, 12), "a2": (3, 14)}
@@ -127,6 +131,87 @@ def test_bp_box_dedupes_permutations():
     # (2,3) and (3,2) share the canonical key bp:2,3
     assert result.matched == 3
     assert [r.key for r in result.records] == ["bp:2,2", "bp:2,3", "bp:3,3"]
+
+
+# boxes of 3, 4 and 5 exponents whose spans differ, so most keys are
+# reached first by an unsorted spelling, and a kervaire window where
+# permuted r_i give the same key
+_ORACLE_SPECS = {
+    "box3": ("bp-box", {"a0": (3, 9), "a1": (2, 7), "a2": (2, 8)}),
+    "box4": ("bp-box", {"a0": (3, 5), "a1": (2, 4), "a2": (2, 5), "a3": (2, 3)}),
+    "box5": ("bp-box", {"a0": (3, 5), "a1": (2, 3), "a2": (2, 3), "a3": (2, 3), "a4": (2, 5)}),
+    "kervaire": ("kervaire", {"r1": (1, 2), "r2": (1, 3), "a": (2, 5)}),
+}
+_ORACLE_PREDICATES = {
+    "none": Predicate(),
+    "sign-negative": Predicate(sign="negative"),
+    "sign-positive": Predicate(sign="positive"),
+    "betti-0": Predicate(middle_betti=0),
+    "pairwise-coprime": Predicate(pairwise_coprime=True),
+    "negative-coprime": Predicate(sign="negative", pairwise_coprime=True),
+}
+
+
+@pytest.mark.parametrize("pred", _ORACLE_PREDICATES.values(), ids=_ORACLE_PREDICATES)
+@pytest.mark.parametrize("family, bounds", _ORACLE_SPECS.values(), ids=_ORACLE_SPECS)
+def test_run_search_matches_the_naive_loop(family, bounds, pred):
+    spec = SearchSpec(family, bounds, pred)
+    assert_same_search(run_search(spec), naive_search(spec))
+
+
+def test_oracle_boxes_hold_permuted_keys_and_unsorted_witnesses():
+    # what the comparison above relies on to mean anything
+    for family, bounds in _ORACLE_SPECS.values():
+        spec = SearchSpec(family, bounds, Predicate())
+        members = [m.exponents for m in _members(spec)]
+        assert len({canonical_key(e) for e in members}) < len(members), family
+    kervaire = SearchSpec(*_ORACLE_SPECS["kervaire"], Predicate())
+    members = _members(kervaire)
+    assert (len(members), len({canonical_key(m.exponents) for m in members})) == (20, 14)
+    witnesses = run_search(SearchSpec(*_ORACLE_SPECS["box5"], Predicate())).witnesses
+    assert any(list(w) != sorted(w) for w in witnesses.values())
+
+
+def test_kkkk1p_sweep_window_matches_the_naive_loop():
+    for pred in (Predicate(min_coprime_fixed=2), Predicate(min_coprime_fixed=1, sign="negative")):
+        spec = SearchSpec("kkkk1p", {"k": (2, 5), "p": (2, 40)}, pred)
+        assert_same_search(run_search(spec), naive_search(spec))
+
+
+def test_a_search_builds_each_key_once_in_every_call(monkeypatch, capsys):
+    calls = []
+
+    def counted(source):
+        calls.append(source)
+        return build_record(source)
+
+    monkeypatch.setattr(search_module, "build_record", counted)
+    argv = ["search", "--family", "bp-box", "--bounds", "a0=2:6,a1=2:6,a2=2:6", "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["examined"] == 125
+    # the multisets of three exponents from 2..6
+    assert len(calls) == 35
+    assert len({canonical_key(e) for e in calls}) == 35
+    # nothing is kept from one call to the next
+    assert main(argv) == 0
+    assert len(calls) == 70
+
+
+def test_budget_charges_each_distinct_key_once(capsys):
+    spans = {"a0": (4, 9), "a1": (2, 7), "a2": (3, 8)}
+    keys = {
+        tuple(sorted(t))
+        for t in itertools.product(*(range(lo, hi + 1) for lo, hi in spans.values()))
+    }
+    cost = sum(record_cost(BPExponents(k)) for k in keys)
+    per_member = sum(record_cost(m.exponents) for m in _members(SearchSpec("bp-box", spans)))
+    assert cost < per_member
+    bounds = ",".join("%s=%d:%d" % (k, lo, hi) for k, (lo, hi) in spans.items())
+    argv = ["search", "--family", "bp-box", "--bounds", bounds, "--json"]
+    assert main(argv + ["--budget", str(cost - 1)]) == 3
+    assert "estimated cost %d exceeds" % cost in capsys.readouterr().err
+    assert main(argv + ["--budget", str(cost)]) == 0
+    assert json.loads(capsys.readouterr().out)["matched"] == len(keys)
 
 
 def test_search_deterministic():
