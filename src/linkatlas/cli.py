@@ -63,6 +63,18 @@ def _rat(text: str) -> Fraction:
         raise InvalidInput("expected a rational like 3 or -5/2, got %r" % text)
 
 
+def _at_least(least: int):
+    """An argparse int type refusing, by name, a value below least."""
+
+    def parse(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError("must be at least %d, got %s" % (least, text))
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names int()'s refusals by it
+    return parse
+
+
 def _fraction_text(value) -> str:
     """json.dumps default: an exact rational is written as "p/q"."""
     if isinstance(value, Fraction):
@@ -444,12 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", required=True, help="k=2:8,p=2:600")
     p.add_argument("--sign", choices=signs)
     betti_filter = p.add_mutually_exclusive_group()
-    betti_filter.add_argument("--betti", type=int)
+    betti_filter.add_argument("--betti", type=_at_least(0))
     betti_filter.add_argument(
         "--rational-sphere", action="store_const", const=0, dest="betti"
     )
     p.add_argument("--pairwise-coprime", action="store_true")
-    p.add_argument("--min-coprime-fixed", type=int)
+    p.add_argument("--min-coprime-fixed", type=_at_least(0))
     p.add_argument("--bp8-sweep", action="store_true")
     p.add_argument("--append", action="store_true", help="write matches to catalog")
 
@@ -457,9 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["append", "query"])
     p.add_argument("--file", help="records to append (JSONL, - for stdin)")
     p.add_argument("--sign", choices=signs)
-    p.add_argument("--betti", type=int, dest="middle_betti", metavar="BETTI")
+    p.add_argument("--betti", type=_at_least(0), dest="middle_betti", metavar="BETTI")
     p.add_argument("--sphere", choices=spheres.SPHERE_KINDS)
-    p.add_argument("--nvars", type=int)
+    p.add_argument("--nvars", type=_at_least(2))
     p.add_argument("--reverify", action="store_true")
     return parser
 

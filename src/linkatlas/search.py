@@ -1,14 +1,15 @@
 """Family searches over parameterized links, with a cost budget.
 
 Each family maps integer parameters inside bounds to a Brieskorn-Pham
-exponent vector.  A search enumerates the family, evaluates the
-predicate in exact arithmetic, and returns matching invariant records
-deduplicated by canonical key and sorted, plus the first matched
-member of each bp8 residue.  A record is built once per canonical
-key, and the estimated cost (catalog.record_cost per distinct
-canonical key) is checked against the budget before any heavy work
-starts, and so is the number of parameter tuples inside the bounds
-before any member is generated; a search never silently truncates.
+exponent vector.  A search streams the family's members through the
+member filters (min_coprime_fixed, then pairwise_coprime), keeps the
+first passing spelling of each canonical key, builds one record per
+key and returns those the predicate matches, sorted by key, plus the
+first matched member of each bp8 residue.  The number of parameter
+tuples inside the bounds is checked against the budget before any
+member is generated, and the estimated cost (catalog.record_cost per
+distinct key that passed the member filters) before any record is
+built; a search never silently truncates.
 
 run_search is the one loop that builds records.  The exotic 7-sphere
 sweep, seven_sphere_sweep, is a kkkk1p search with p coprime to k and
@@ -144,42 +145,34 @@ def _family_kervaire(bounds) -> Iterator[Member]:
             yield Member(kervaire_exponents(rs, a), fixed=rs, varying=a)
 
 
-def _notes_237m(spec: SearchSpec, members: list[Member]) -> list[str]:
+def _notes_237m(spec: SearchSpec, examined: int) -> list[str]:
     pred = spec.predicate
     if pred.min_coprime_fixed == 2 and tuple(spec.bounds.get("m", ())) == (5, 41):
         return [
             "enumeration finds %d members; a previously published count "
-            "for this family is 27" % len(members)
+            "for this family is 27" % examined
         ]
     return []
 
 
 class Family(NamedTuple):
-    """Member generator of a family plus its optional notes hook, which
-    comments on the whole search."""
+    """Member generator of a family, whether its members carry a varying
+    parameter (min_coprime_fixed needs one), and its optional notes hook,
+    which comments on the whole search from the examined count."""
 
     generate: Callable[[Mapping[str, tuple[int, int]]], Iterator[Member]]
-    notes: Callable[[SearchSpec, list[Member]], Sequence[str]] = lambda s, m: ()
+    varying: bool = False
+    notes: Callable[[SearchSpec, int], Sequence[str]] = lambda s, n: ()
 
 
 FAMILIES = {
     "bp-box": Family(_bp_box),
-    "237m": Family(_family_237m, notes=_notes_237m),
-    "kkk1p": Family(partial(_family_k1p, 2)),
-    "kkkk1p": Family(partial(_family_k1p, 3)),
+    "237m": Family(_family_237m, varying=True, notes=_notes_237m),
+    "kkk1p": Family(partial(_family_k1p, 2), varying=True),
+    "kkkk1p": Family(partial(_family_k1p, 3), varying=True),
     "pqrpqr": Family(_family_pqr),
-    "kervaire": Family(_family_kervaire),
+    "kervaire": Family(_family_kervaire, varying=True),
 }
-
-
-def _members(spec: SearchSpec) -> list[Member]:
-    try:
-        family = FAMILIES[spec.family]
-    except KeyError:
-        raise InvalidInput(
-            "unknown family %r (have: %s)" % (spec.family, ", ".join(sorted(FAMILIES)))
-        ) from None
-    return list(family.generate(spec.bounds))
 
 
 def _coprime_hits(member: Member) -> int:
@@ -194,51 +187,57 @@ def charge(cost: int, budget: int) -> int:
     return cost
 
 
-def check_budget(members: list[Member], budget: int) -> int:
-    return charge(sum(record_cost(m.exponents) for m in members), budget)
+def check_budget(exponents: list[BPExponents], budget: int) -> int:
+    return charge(sum(record_cost(e) for e in exponents), budget)
 
 
 def run_search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> SearchResult:
-    """Build one record for each canonical key among the members that
-    pass min_coprime_fixed, from its first member in enumeration order,
-    after the budget check, and keep those the predicate matches."""
+    """Stream the family's members once through min_coprime_fixed (which
+    counts them as examined) and pairwise_coprime, keeping the first
+    passing spelling of each canonical key; charge the budget for those
+    keys, build one record for each and keep those the predicate matches."""
     # every family enumerates at most the parameter tuples inside the bounds
     charge(prod(max(0, hi - lo + 1) for lo, hi in spec.bounds.values()), budget)
-    members = _members(spec)
-    pred = spec.predicate
+    try:
+        family = FAMILIES[spec.family]
+    except KeyError:
+        raise InvalidInput(
+            "unknown family %r (have: %s)" % (spec.family, ", ".join(sorted(FAMILIES)))
+        ) from None
+    pred, least = spec.predicate, spec.predicate.min_coprime_fixed
+    if least is not None and not family.varying:
+        raise InvalidInput(
+            "family %r has no varying parameter for min_coprime_fixed" % spec.family
+        )
 
-    if pred.min_coprime_fixed is not None:
-        if any(m.varying is None for m in members):
-            raise InvalidInput(
-                "family %r has no varying parameter for min_coprime_fixed"
-                % spec.family
-            )
-        members = [
-            m for m in members if _coprime_hits(m) >= pred.min_coprime_fixed
-        ]
-
-    # a record and the predicate depend only on the key, and the first
-    # matched member of a residue is the first of its key: build one each
-    firsts: dict[str, Member] = {}
-    for member in members:
-        firsts.setdefault(canonical_key(member.exponents), member)
+    # min_coprime_fixed reads the member; a record and pairwise_coprime
+    # depend only on the key, and the first matched member of a residue
+    # is the first of its key: keep that spelling, which a witness names
+    examined = 0
+    firsts: dict[str, BPExponents] = {}
+    for member in family.generate(spec.bounds):
+        if least is not None and _coprime_hits(member) < least:
+            continue
+        examined += 1
+        exps = member.exponents
+        key = canonical_key(exps)
+        if key not in firsts and (not pred.pairwise_coprime or exps.pairwise_coprime()):
+            firsts[key] = exps
     check_budget(list(firsts.values()), budget)
 
     keep = record_filter(sign=pred.sign, middle_betti=pred.middle_betti)
     matched: dict[str, InvariantRecord] = {}
     witnesses: dict[int, tuple[int, ...]] = {}
-    for member in firsts.values():
-        rec = build_record(member.exponents)
-        if keep(rec) and (
-            not pred.pairwise_coprime or member.exponents.pairwise_coprime()
-        ):
+    for exps in firsts.values():
+        rec = build_record(exps)
+        if keep(rec):
             matched[rec.key] = rec
             if rec.sphere.bp8_residue is not None:
-                witnesses.setdefault(rec.sphere.bp8_residue, member.exponents.exponents)
+                witnesses.setdefault(rec.sphere.bp8_residue, exps.exponents)
 
-    notes = FAMILIES[spec.family].notes(spec, members)
+    notes = family.notes(spec, examined)
     ordered = tuple(matched[k] for k in sorted(matched))
-    return SearchResult(ordered, len(members), len(ordered), tuple(notes), witnesses)
+    return SearchResult(ordered, examined, len(ordered), tuple(notes), witnesses)
 
 
 def seven_sphere_sweep(

@@ -10,12 +10,12 @@ import itertools
 from math import gcd
 
 from linkatlas import SearchSpec, build_record
-from linkatlas.search import SearchResult, _members
+from linkatlas.search import FAMILIES, SearchResult
 
 
 def naive_search(spec: SearchSpec) -> SearchResult:
     pred = spec.predicate
-    members = _members(spec)
+    members = list(FAMILIES[spec.family].generate(spec.bounds))
     if pred.min_coprime_fixed is not None:
         members = [
             m for m in members

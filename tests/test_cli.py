@@ -206,6 +206,12 @@ def test_search_command(capsys):
     )
     assert payload["matched"] == 28
     assert any("27" in note for note in payload["notes"])
+    # 0 stays legal: every member has at least 0 coprime fixed exponents
+    payload = run_json(
+        capsys, "search", "--family", "237m", "--bounds", "m=5:41",
+        "--min-coprime-fixed", "0",
+    )
+    assert (payload["examined"], payload["matched"]) == (37, 37)
 
 
 def test_search_append_and_query(capsys, tmp_path):
@@ -684,18 +690,28 @@ def test_unused_bound_span_is_charged_before_its_name_is_checked(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, says",
     [
-        ["catalog", "query", "--sphere", "homology-sphere"],
-        ["search", "--family", "237m", "--bounds", "m=5:9", "--betti", "3",
-         "--rational-sphere"],
+        (["catalog", "query", "--sphere", "homology-sphere"], "'homology-sphere'"),
+        (["search", "--family", "237m", "--bounds", "m=5:9", "--betti", "3",
+          "--rational-sphere"], "not allowed with"),
+        # every record has Betti number >= 0 and every key two variables
+        (["search", "--family", "237m", "--bounds", "m=5:9", "--betti", "-1"],
+         "at least 0, got -1"),
+        (["catalog", "query", "--betti", "-1"], "at least 0, got -1"),
+        (["catalog", "query", "--nvars", "1"], "at least 2, got 1"),
+        # a negative count of coprime fixed exponents filters nothing
+        (["search", "--family", "237m", "--bounds", "m=5:9", "--min-coprime-fixed", "-3"],
+         "at least 0, got -3"),
     ],
-    ids=["unknown-sphere-kind", "betti-and-rational-sphere"],
+    ids=["unknown-sphere-kind", "betti-and-rational-sphere", "search-betti-negative",
+         "query-betti-negative", "query-nvars-1", "min-coprime-fixed-negative"],
 )
-def test_parser_refuses_filters_no_record_can_match(capsys, argv):
+def test_parser_refuses_filters_no_record_can_match(capsys, argv, says):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    assert says in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("as_json", [False, True])

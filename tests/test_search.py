@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -22,7 +23,7 @@ from linkatlas import search as search_module
 from linkatlas.catalog import parse_key, record_cost
 from linkatlas.cli import main
 from linkatlas.errors import InvalidInput
-from linkatlas.search import FAMILIES, Family, check_budget, _members
+from linkatlas.search import FAMILIES, Family, Member, check_budget
 from search_oracle import assert_same_search, naive_search
 
 
@@ -101,10 +102,7 @@ def test_pqr_family_member():
 
 
 def test_pqr_family_skips_non_coprime():
-    spec = SearchSpec(
-        "pqrpqr", {"p": (2, 4), "q": (3, 6), "r": (5, 7)}, Predicate()
-    )
-    members = _members(spec)
+    members = FAMILIES["pqrpqr"].generate({"p": (2, 4), "q": (3, 6), "r": (5, 7)})
     triples = [m.exponents.exponents[:3] for m in members]
     assert (2, 4, 5) not in [t[:3] for t in triples]
     assert all(len({p, q, r}) == 3 for p, q, r in triples)
@@ -114,7 +112,7 @@ def test_k1p_families_members_in_order():
     # (k, ..., k, k+1, p): two k's for kkk1p, three for kkkk1p
     bounds = {"k": (2, 3), "p": (5, 6)}
     for family, count in (("kkk1p", 2), ("kkkk1p", 3)):
-        members = _members(SearchSpec(family, bounds, Predicate()))
+        members = list(FAMILIES[family].generate(bounds))
         assert [m.exponents.exponents for m in members] == [
             (k,) * count + (k + 1, p) for k in (2, 3) for p in (5, 6)
         ]
@@ -162,11 +160,10 @@ def test_run_search_matches_the_naive_loop(family, bounds, pred):
 def test_oracle_boxes_hold_permuted_keys_and_unsorted_witnesses():
     # what the comparison above relies on to mean anything
     for family, bounds in _ORACLE_SPECS.values():
-        spec = SearchSpec(family, bounds, Predicate())
-        members = [m.exponents for m in _members(spec)]
+        members = [m.exponents for m in FAMILIES[family].generate(bounds)]
         assert len({canonical_key(e) for e in members}) < len(members), family
-    kervaire = SearchSpec(*_ORACLE_SPECS["kervaire"], Predicate())
-    members = _members(kervaire)
+    family, bounds = _ORACLE_SPECS["kervaire"]
+    members = list(FAMILIES[family].generate(bounds))
     assert (len(members), len({canonical_key(m.exponents) for m in members})) == (20, 14)
     witnesses = run_search(SearchSpec(*_ORACLE_SPECS["box5"], Predicate())).witnesses
     assert any(list(w) != sorted(w) for w in witnesses.values())
@@ -204,7 +201,7 @@ def test_budget_charges_each_distinct_key_once(capsys):
         for t in itertools.product(*(range(lo, hi + 1) for lo, hi in spans.values()))
     }
     cost = sum(record_cost(BPExponents(k)) for k in keys)
-    per_member = sum(record_cost(m.exponents) for m in _members(SearchSpec("bp-box", spans)))
+    per_member = sum(record_cost(m.exponents) for m in FAMILIES["bp-box"].generate(spans))
     assert cost < per_member
     bounds = ",".join("%s=%d:%d" % (k, lo, hi) for k, (lo, hi) in spans.items())
     argv = ["search", "--family", "bp-box", "--bounds", bounds, "--json"]
@@ -248,18 +245,93 @@ def test_bounds_refused_before_enumeration(monkeypatch, capsys):
 
 
 def test_budget_estimate_counts_signature_cost():
-    spec = SearchSpec("bp-box", {"a0": (5, 5), "a1": (3, 3), "a2": (2, 2)}, Predicate())
-    members = _members(spec)
     # 3 * 2^3 for the Betti sum plus 3 prefix build steps and 2 loop items
-    assert check_budget(members, 10**6) == 24 + 5
+    assert check_budget([BPExponents((5, 3, 2))], 10**6) == 24 + 5
 
 
-def test_min_coprime_fixed_needs_varying_parameter():
-    spec = SearchSpec(
-        "bp-box", {"a0": (2, 3), "a1": (2, 3)}, Predicate(min_coprime_fixed=1)
-    )
-    with pytest.raises(InvalidInput):
+def test_min_coprime_fixed_needs_varying_parameter(monkeypatch):
+    # the refusal reads the family, not its members: a window with no
+    # members is refused too
+    for family, bounds in (
+        ("bp-box", {"a0": (2, 3), "a1": (2, 3)}),
+        ("pqrpqr", {"p": (2, 3), "q": (2, 3), "r": (2, 3)}),
+        ("pqrpqr", {"p": (2, 3), "q": (3, 5), "r": (5, 7)}),
+    ):
+        with pytest.raises(InvalidInput, match="no varying parameter"):
+            run_search(SearchSpec(family, bounds, Predicate(min_coprime_fixed=1)))
+
+    def never(bounds):
+        pytest.fail("members generated before min_coprime_fixed was refused")
+        yield
+
+    monkeypatch.setitem(FAMILIES, "bp-box", Family(never))
+    spec = SearchSpec("bp-box", {"a0": (2, 3), "a1": (2, 3)}, Predicate(min_coprime_fixed=1))
+    with pytest.raises(InvalidInput, match="no varying parameter"):
         run_search(spec)
+    # a family with a varying parameter passes the check, members or none
+    monkeypatch.setitem(FAMILIES, "bp-box", Family(lambda bounds: iter(()), varying=True))
+    assert run_search(spec).examined == 0
+
+
+def test_a_search_holds_no_list_of_members(monkeypatch):
+    calls = []
+
+    def spellings(bounds):
+        ((lo, hi),) = bounds.values()
+        spellings = itertools.cycle(itertools.permutations((2, 3, 5)))
+        for _, exps in zip(range(lo, hi + 1), spellings):
+            yield Member(BPExponents(exps))
+
+    def counted(source):
+        calls.append(source)
+        return build_record(source)
+
+    monkeypatch.setitem(FAMILIES, "one-key", Family(spellings))
+    monkeypatch.setattr(search_module, "build_record", counted)
+    spec = SearchSpec("one-key", {"n": (1, 50_000)}, Predicate())
+    tracemalloc.start()
+    try:
+        result = run_search(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.examined, result.matched) == (50_000, 1)
+    assert calls == [BPExponents((2, 3, 5))]
+    # a list of 50,000 members alone takes about 9 MB
+    assert peak < 1_000_000
+
+
+def test_pairwise_coprime_builds_and_charges_only_coprime_keys(monkeypatch, capsys):
+    calls = []
+
+    def counted(source):
+        calls.append(source)
+        return build_record(source)
+
+    monkeypatch.setattr(search_module, "build_record", counted)
+    argv = ["search", "--family", "bp-box", "--bounds", "a0=2:6,a1=2:6,a2=2:6",
+            "--pairwise-coprime", "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["examined"] == 125
+    keys = [row["key"] for row in payload["records"]]
+    assert keys == ["bp:2,3,5", "bp:3,4,5"]
+    assert sorted(canonical_key(e) for e in calls) == keys
+    # the budget is charged for those keys alone; this box's coprime keys
+    # cost more than its 180 parameter tuples, so the key charge decides
+    spans = {"a0": (2, 7), "a1": (2, 7), "a2": (5, 9)}
+    coprime = {
+        tuple(sorted(t))
+        for t in itertools.product(*(range(lo, hi + 1) for lo, hi in spans.values()))
+        if gcd(t[0], t[1]) == gcd(t[0], t[2]) == gcd(t[1], t[2]) == 1
+    }
+    cost = sum(record_cost(BPExponents(k)) for k in coprime)
+    assert cost > 180
+    argv[4] = ",".join("%s=%d:%d" % (k, lo, hi) for k, (lo, hi) in spans.items())
+    assert main(argv + ["--budget", str(cost - 1)]) == 3
+    assert "estimated cost %d exceeds" % cost in capsys.readouterr().err
+    assert main(argv + ["--budget", str(cost)]) == 0
+    assert json.loads(capsys.readouterr().out)["matched"] == len(coprime)
 
 
 def test_unknown_family_rejected():
@@ -336,7 +408,7 @@ def test_sweep_examines_what_run_search_examines():
     assert sweep == run_search(spec)
     # each witness is the first member of its residue in (k, p) order
     first = {}
-    for m in _members(spec):
+    for m in FAMILIES["kkkk1p"].generate(bounds):
         if gcd(m.varying, m.fixed[0]) == gcd(m.varying, m.fixed[1]) == 1:
             residue = build_record(m.exponents).sphere.bp8_residue
             first.setdefault(residue, m.exponents.exponents)
