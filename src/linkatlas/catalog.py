@@ -11,20 +11,32 @@ A null record of a (2n+1)-dimensional link carries the note
 "null structure: (lambda, nu) = (-2, 2n+2)", the constants of
 eta.null_constants(n); a 1-dimensional link (n = 0) gets no note.
 
-Each catalog filter is defined once, in FILTERS, which record_filter,
-catalog_query and the index all read.  Beside the catalog lives that
-index, `<catalog>.keys`: a JSON object holding, for every valid record
-line in file order, its line number, key and one column per filter; the
-corrupt lines (line number and reason); the number of lines the reader
-counts; and a stamp of the catalog it describes (crc32, byte length and
-last character of the file).  Appends and queries read the whole
-catalog once to compute its stamp, and trust the index only when the
-stamp matches; else they first rebuild it from every record.  An
-append then skips the keys it lists and adds the records it writes; a
-query always answers from the index, decoding only the lines whose
-indexed fields pass its filters, and validates them again.  Each call
-writes the index at most once: an append when it adds records or found
-the index stale, a query only when it found it stale.  The
+Each catalog filter is defined once, in FILTERS, with the values it may
+ask for; record_filter, catalog_query, search.Predicate and the index
+all read it, and refuse (InvalidInput) what the command line refuses.
+Beside the catalog lives that index, `<catalog>.keys`, a text file with
+one row per valid record line, in file order:
+
+- line 1, a JSON header: the layout tag, a stamp of the catalog it
+  describes (crc32, byte length and last character of the file), the
+  number of lines the reader counts, the corrupt lines (line number and
+  reason), the row count and the byte order of the columns;
+- one line per int column, the base64 of its packed array: the rows'
+  line numbers, then one code per filter in FILTERS order (a position in
+  the filter's table, or the int itself, saturated at the largest
+  32-bit int);
+- the keys, one per line.
+
+An index whose header, base64 or lengths do not check out, or one in
+the single-JSON-object layout of earlier versions, is unusable, and is
+rebuilt once.  Appends and queries read the whole catalog once to
+compute its stamp, and trust the index only when the stamp matches;
+else they first rebuild it from every record.  An append then skips the
+keys it lists and adds the records it writes; a query answers from the
+index, decoding only the lines whose codes pass its filters, and
+validates them again (a query that rebuilds answers from that read).
+Each call writes the index at most once: an append when it adds records
+or found the index stale, a query only when it found it stale.  The
 index is a cache: deleting it is always safe, failing to read or write
 it is never an error, and a failed write leaves nothing behind.  An
 append holds an exclusive `flock` on the catalog from computing the
@@ -38,16 +50,20 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import sys
 import zlib
+from array import array
+from base64 import b64decode, b64encode
 from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
+from itertools import compress
 from math import prod
 from operator import attrgetter
 from typing import Callable, Container, Iterable
 
 from .betti import betti, betti_cost, torsion_closed_form
-from .errors import AtlasError, InconsistentInvariants, NotQuasiSmooth
+from .errors import AtlasError, InconsistentInvariants, InvalidInput, NotQuasiSmooth
 from .eta import null_constants
 from .links import (
     BPExponents,
@@ -151,23 +167,50 @@ class InvariantRecord:
         )
 
 
-# each catalog filter, by keyword: the record value it compares and, for
-# text, the table whose positions the index stores; also the index's
+# each catalog filter, by keyword: the record value it compares, and the
+# values a filter may ask for: a table, whose positions the index stores,
+# or the least int, which the index stores itself; also the index's
 # column order
 FILTERS = {
     "sign": (attrgetter("sign"), _SIGNS),
-    "middle_betti": (attrgetter("middle_betti"), None),
+    "middle_betti": (attrgetter("middle_betti"), 0),
     "sphere": (attrgetter("sphere.kind"), SPHERE_KINDS),
-    "nvars": (lambda rec: key_nvars(rec.key), None),
+    "nvars": (lambda rec: key_nvars(rec.key), 2),
 }
 
+# the largest code an index column holds: a larger int is stored as it,
+# and a query stays exact because it runs its filter on every line it
+# decodes
+_CODE_MAX = 2 ** (8 * array("i").itemsize - 1) - 1
 
-def _code(table: tuple | None, value):
+
+def _code(domain: tuple | int, value) -> int:
     """What the index stores for a filter value: its position in the
-    table (-1, which no record has, when it is not there), or itself."""
-    if table is None:
-        return value
-    return table.index(value) if value in table else -1
+    table (-1, which no record has, when it is not there), or itself,
+    saturated at _CODE_MAX."""
+    if isinstance(domain, tuple):
+        return domain.index(value) if value in domain else -1
+    return min(value, _CODE_MAX)
+
+
+def at_least(name: str, value, least: int) -> None:
+    """Raise InvalidInput unless value is an int of at least least: the
+    check the command line's int options make."""
+    if type(value) is not int or value < least:
+        raise InvalidInput(
+            "%s must be an integer of at least %d, got %r" % (name, least, value)
+        )
+
+
+def _check_filter(name: str, want) -> None:
+    """Raise InvalidInput for a filter value the command line refuses."""
+    domain = FILTERS[name][1]
+    if not isinstance(domain, tuple):
+        at_least(name, want, domain)
+    elif want not in domain:
+        raise InvalidInput(
+            "%s must be one of %s, got %r" % (name, ", ".join(domain), want)
+        )
 
 
 def build_record(source: BPExponents | WeightSystem) -> InvariantRecord:
@@ -332,80 +375,111 @@ class _Index:
     stamp: list
     count: int = 0  # the lines read_records counts in the catalog
     corrupt: tuple[CorruptLine, ...] = ()
-    lines: list[int] = field(default_factory=list)
+    lines: array = field(default_factory=lambda: array("q"))
     keys: list[str] = field(default_factory=list)
-    columns: dict[str, list[int]] = field(
-        default_factory=lambda: {name: [] for name in FILTERS}
+    columns: dict[str, array] = field(
+        default_factory=lambda: {name: array("i") for name in FILTERS}
     )
 
     def add(self, lineno: int, rec: InvariantRecord) -> None:
         self.lines.append(lineno)
         self.keys.append(rec.key)
-        for name, (value, table) in FILTERS.items():
-            self.columns[name].append(_code(table, value(rec)))
+        for name, (value, domain) in FILTERS.items():
+            self.columns[name].append(_code(domain, value(rec)))
 
     def select(self, **filters) -> set[int]:
-        """Line numbers of the records record_filter(**filters) keeps."""
-        rows = range(len(self.lines))
-        for name, (_, table) in FILTERS.items():
-            if filters.get(name) is not None:
-                column, want = self.columns[name], _code(table, filters[name])
-                rows = [i for i in rows if column[i] == want]
-        return {self.lines[i] for i in rows}
+        """Line numbers of the records whose codes match the filters':
+        all that record_filter(**filters) keeps, and any whose value
+        saturates to the same code as a wanted one."""
+        matches = [
+            map(_code(domain, filters[name]).__eq__, self.columns[name])
+            for name, (_, domain) in FILTERS.items()
+            if filters.get(name) is not None
+        ]
+        if not matches:
+            return set(self.lines)
+        return set(compress(self.lines, map(all, zip(*matches))))
+
+
+# the first line of an index names its layout; an index without it, such
+# as the single JSON object of earlier versions, is rebuilt
+_FORMAT = "linkatlas-keys/2"
+
+
+def _column(typecode: str, line: str) -> array:
+    column = array(typecode)
+    column.frombytes(b64decode(line.rstrip("\n"), validate=True))
+    return column
 
 
 def _load_index(path, stamp: list) -> _Index | None:
     """The index beside the catalog at path, or None when it is
-    missing, unreadable, malformed or not stamped with stamp."""
+    missing, unreadable, malformed, in another layout or byte order, or
+    not stamped with stamp."""
     try:
-        with open(_index_path(path), "r", encoding="utf-8") as fh:
-            data = json.loads(fh.read())
-        if data["stamp"] != stamp:
-            return None
-        count, lines, keys = data["count"], data["lines"], data["keys"]
-        corrupt = tuple(CorruptLine(n, reason) for n, reason in data["corrupt"])
-        columns = {name: data[name] for name in FILTERS}
+        with open(_index_path(path), "r", encoding="utf-8", newline="\n") as fh:
+            head = json.loads(fh.readline())
+            if not (
+                type(head) is dict
+                and head.get("format") == _FORMAT
+                and head.get("stamp") == stamp
+                and head.get("byteorder") == sys.byteorder
+            ):
+                return None
+            rows, count = head["rows"], head["count"]
+            corrupt = tuple(CorruptLine(n, reason) for n, reason in head["corrupt"])
+            lines = _column("q", fh.readline())
+            columns = {name: _column("i", fh.readline()) for name in FILTERS}
+            keys = fh.read().split("\n")
     except (OSError, ValueError, TypeError, KeyError):
         return None
-    typed = [(lines, int), (keys, str), *((c, int) for c in columns.values())]
     if not (
-        type(count) is int
+        type(rows) is int
+        and type(count) is int
         and all(type(c.lineno) is int and isinstance(c.reason, str) for c in corrupt)
-        and all(isinstance(column, list) for column, _ in typed)
-        and len({len(column) for column, _ in typed}) == 1
-        and all(set(map(type, column)) <= {kind} for column, kind in typed)
+        and keys.pop() == ""  # each key ends with "\n"
+        and all(len(column) == rows for column in (lines, keys, *columns.values()))
     ):
         return None
     return _Index(stamp, count, corrupt, lines, keys, columns)
 
 
 def _save_index(path, index: _Index) -> None:
-    data = {"stamp": index.stamp, "count": index.count}
-    data["corrupt"] = [[c.lineno, c.reason] for c in index.corrupt]
-    data.update(lines=index.lines, keys=index.keys, **index.columns)
+    head = {
+        "format": _FORMAT,
+        "stamp": index.stamp,
+        "count": index.count,
+        "corrupt": [[c.lineno, c.reason] for c in index.corrupt],
+        "rows": len(index.lines),
+        "byteorder": sys.byteorder,
+    }
+    columns = (index.lines, *index.columns.values())
+    packed = [b64encode(column).decode("ascii") for column in columns]
     target = _index_path(path)
     # two queries may write at once, each the same text; a reader that
     # meets a half-written index takes it for malformed and rebuilds it
     try:
-        with open(target + ".tmp", "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(data))
+        with open(target + ".tmp", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join([json.dumps(head), *packed, *index.keys, ""]))
         os.replace(target + ".tmp", target)
-    except OSError:  # the index is a cache; the next append or query rebuilds
+    # the index is a cache: the next append or query rebuilds it (only a
+    # record made by hand can hold a key that UTF-8 cannot encode)
+    except (OSError, UnicodeEncodeError):
         with suppress(OSError):
             os.remove(target + ".tmp")
 
 
-def _current_index(path) -> tuple[_Index, bool]:
+def _current_index(path, keep=lambda rec: False) -> tuple[_Index, ReadResult | None]:
     """The index of the catalog at path, under the caller's lock: the
     saved one when its stamp matches, else one rebuilt from every record;
-    and whether it was rebuilt, so that the caller saves it."""
+    and, when it was rebuilt, that read of the catalog with keep, so that
+    the caller saves the index and need not read the catalog again."""
     stamp = _stamp(path)
     index = _load_index(path, stamp)
     if index is not None:
-        return index, False
+        return index, None
     index = _Index(stamp)
-    read_catalog(path, lambda rec: False, index=index)
-    return index, True
+    return index, read_catalog(path, keep, index=index)
 
 
 def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
@@ -416,18 +490,21 @@ def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
     make them."""
     with open(path, "a", encoding="utf-8") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-        index, stale = _current_index(path)
-        keys = dict.fromkeys(index.keys)
+        index, rebuilt = _current_index(path)
+        records = list(records)
+        # the keys of the batch already present: far fewer to hash than
+        # the catalog's
+        present = {rec.key for rec in records}.intersection(index.keys)
         lines = []
         skipped = 0
         for rec in records:
-            if rec.key in keys:
+            if rec.key in present:
                 skipped += 1
                 continue
             if rec.timestamp is None:
                 rec = replace(rec, timestamp=_now())
             lines.append(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-            keys[rec.key] = None
+            present.add(rec.key)
             # a cut last line, or one ended by "\r", was counted already;
             # the "\n" written to end it starts no line of its own
             index.add(index.count + len(lines), rec)
@@ -440,20 +517,25 @@ def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
             crc, size, _ = index.stamp
             index.stamp = [zlib.crc32(data, crc), size + len(data), "\n"]
             index.count += len(lines)
-        if lines or stale:
+        if lines or rebuilt is not None:
             _save_index(path, index)
     return AppendResult(len(lines), skipped, index.corrupt)
 
 
 def record_filter(**filters) -> Callable[[InvariantRecord], bool]:
     """Predicate on records: each FILTERS entry named with a value that
-    is not None must match."""
+    is not None must match.  A value the command line refuses raises
+    InvalidInput."""
     unknown = sorted(filters.keys() - FILTERS.keys())
     if unknown:
         raise TypeError(
             "record_filter() got an unexpected keyword argument %r" % unknown[0]
         )
-    checks = [(FILTERS[k][0], want) for k, want in filters.items() if want is not None]
+    checks = []
+    for name, want in filters.items():
+        if want is not None:
+            _check_filter(name, want)
+            checks.append((FILTERS[name][0], want))
 
     def keep(rec: InvariantRecord) -> bool:
         for value, want in checks:
@@ -468,7 +550,8 @@ def catalog_query(path, **filters) -> ReadResult:
     """Catalog records that pass record_filter(**filters), sorted by
     key, and the catalog's corrupt lines: the same answer as
     read_catalog(path, record_filter(**filters)), sorted.  The index
-    picks the lines; only those are decoded."""
+    picks the lines; only those are decoded.  A query that rebuilds the
+    index answers from the rebuild's own read."""
     keep = record_filter(**filters)
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -476,16 +559,19 @@ def catalog_query(path, **filters) -> ReadResult:
         return ReadResult((), ())
     with fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
-        index, stale = _current_index(path)
-        if stale:
+        index, rebuilt = _current_index(path, keep)
+        if rebuilt is not None:
             _save_index(path, index)
-        only, corrupt = index.select(**filters), index.corrupt
-        del index  # freed before the matched lines are decoded
-        data = read_catalog(path, keep, only)
-    # a served line can still be corrupt: appends index records without
-    # decoding them again
-    corrupt = tuple(sorted(corrupt + data.corrupt, key=lambda c: c.lineno))
-    return ReadResult(tuple(sorted(data.records, key=lambda r: r.key)), corrupt)
+            records, corrupt = rebuilt.records, rebuilt.corrupt
+        else:
+            only, corrupt = index.select(**filters), index.corrupt
+            del index  # freed before the matched lines are decoded
+            data = read_catalog(path, keep, only)
+            records = data.records
+            # a served line can still be corrupt: appends index records
+            # without decoding them again
+            corrupt = tuple(sorted(corrupt + data.corrupt, key=lambda c: c.lineno))
+    return ReadResult(tuple(sorted(records, key=lambda r: r.key)), corrupt)
 
 
 def reverify_record(rec: InvariantRecord) -> list[str]:

@@ -24,7 +24,7 @@ from functools import partial
 from math import gcd, prod
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .catalog import InvariantRecord, build_record, record_cost, record_filter
+from .catalog import InvariantRecord, at_least, build_record, record_cost, record_filter
 from .errors import BoundsTooLarge, InvalidInput
 from .links import BPExponents, canonical_key, kervaire_exponents
 from .spheres import kervaire_classify  # noqa: F401  (a name perfbench traces)
@@ -38,13 +38,19 @@ class Predicate:
 
     min_coprime_fixed asks that the varying parameter be coprime to at
     least that many of the member's fixed exponents; only families with
-    a designated varying parameter support it.
+    a designated varying parameter support it.  A value the command line
+    refuses raises InvalidInput.
     """
 
     sign: str | None = None
     middle_betti: int | None = None
     pairwise_coprime: bool = False
     min_coprime_fixed: int | None = None
+
+    def __post_init__(self):
+        record_filter(sign=self.sign, middle_betti=self.middle_betti)
+        if self.min_coprime_fixed is not None:
+            at_least("min_coprime_fixed", self.min_coprime_fixed, 0)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """InvariantRecord construction and the JSONL catalog."""
 
+import base64
 import dataclasses
 import itertools
 import json
@@ -8,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -30,12 +32,15 @@ from linkatlas import (
 )
 import linkatlas.catalog as catalog_module
 from linkatlas.catalog import (
+    FILTERS,
+    ReadResult,
     _load_index,
     _stamp,
     parse_key,
     record_cost,
     record_filter,
 )
+from linkatlas.cli import main as cli_main
 from linkatlas.errors import InconsistentInvariants, InvalidInput
 
 
@@ -299,11 +304,13 @@ def _keys(path):
 def test_index_written_beside_the_catalog(tmp_path):
     path = tmp_path / "atlas.jsonl"
     catalog_append(path, _recs((5, 3, 2), (7, 3, 2)))
-    index = json.loads((tmp_path / "atlas.jsonl.keys").read_text(encoding="utf-8"))
-    assert sorted(index["keys"]) == ["bp:2,3,5", "bp:2,3,7"]
-    assert index["corrupt"] == []
-    assert (index["lines"], index["count"], index["nvars"]) == ([1, 2], 2, [3, 3])
-    assert index["stamp"][1] == path.stat().st_size
+    assert (tmp_path / "atlas.jsonl.keys").is_file()
+    index = _index_of(path)
+    assert sorted(index.keys) == ["bp:2,3,5", "bp:2,3,7"]
+    assert index.corrupt == ()
+    assert (list(index.lines), index.count) == ([1, 2], 2)
+    assert list(index.columns["nvars"]) == [3, 3]
+    assert index.stamp[1] == path.stat().st_size
 
 
 def test_index_after_delete_and_reappend(tmp_path):
@@ -358,54 +365,86 @@ def test_index_after_external_append(tmp_path):
 
 
 def _index_of(path):
-    index_path = path.parent / (path.name + ".keys")
-    return json.loads(index_path.read_text(encoding="utf-8"))
+    """The index beside the catalog at path, read as a call reads it."""
+    return _load_index(path, _stamp(path))
 
 
 def _index_is_current(path):
-    return _load_index(path, _stamp(path)) is not None
+    return _index_of(path) is not None
 
 
-def _with(index, **changes):
-    return json.dumps(dict(index, **changes))
+def _with_head(**changes):
+    return lambda head, body, index: "\n".join([json.dumps(dict(head, **changes)), *body])
 
 
+def _with_body(edit):
+    return lambda head, body, index: "\n".join([json.dumps(head), *edit(body)])
+
+
+def _flip(stamp):
+    return [stamp[0] ^ 1, *stamp[1:]]
+
+
+# the index text is a JSON header line, one base64 line per int column
+# (lines, then each filter), then one line per key; each case below is
+# built from a good index of two records: its header, the lines after
+# the header (the last one empty) and the index as loaded
 @pytest.mark.parametrize(
     "index_text",
     [
-        lambda index: None,  # missing
-        lambda index: "garbage {",
-        lambda index: "[]",
-        lambda index: _with(index, keys="bp:2,3,7"),
-        lambda index: _with(index, keys=[7, 7]),
-        lambda index: _with(index, corrupt=[[1]]),
-        lambda index: _with(
-            index, stamp=[index["stamp"][0] ^ 1] + index["stamp"][1:], keys=["bp:2,3,11"]
+        lambda head, body, index: None,  # missing
+        lambda head, body, index: "garbage {",
+        lambda head, body, index: "\n".join(["[]", *body]),
+        lambda head, body, index: _with_head(stamp=_flip(head["stamp"]))(head, body, index),
+        _with_head(format="linkatlas-keys/1"),
+        _with_head(byteorder="big" if sys.byteorder == "little" else "little"),
+        _with_head(corrupt=[[1]]),
+        _with_head(count="2"),
+        # the JSON index before the filter columns: keys only, stamp valid
+        lambda head, body, index: json.dumps(
+            {"stamp": index.stamp, "keys": index.keys, "corrupt": []}
         ),
-        # the format before the filter columns: keys only, stamp valid
-        lambda index: json.dumps(
-            {"stamp": index["stamp"], "keys": index["keys"], "corrupt": []}
+        # the single JSON object of later versions, stamp valid
+        lambda head, body, index: json.dumps(
+            {
+                "stamp": index.stamp,
+                "count": index.count,
+                "corrupt": [],
+                "lines": list(index.lines),
+                "keys": index.keys,
+                **{name: list(column) for name, column in index.columns.items()},
+            }
         ),
-        lambda index: _with(index, nvars=index["nvars"][:1]),
-        lambda index: _with(index, lines=["1", 2]),
+        # the lines column holds one row of two
+        _with_body(lambda body: [base64.b64encode(array("q", [1])).decode(), *body[1:]]),
+        # a character outside the alphabet, which a lenient decoder skips
+        _with_body(lambda body: [body[0], body[1][:4] + "*" + body[1][4:], *body[2:]]),
+        _with_body(lambda body: body[:5] + body[6:]),  # one key of two
+        _with_body(lambda body: body[:5] + ["bp:2,3,11"] + body[5:]),  # three keys
+        _with_body(lambda body: body[:-1]),  # no "\n" after the last key
     ],
     ids=[
-        "missing", "garbage", "list", "keys-string", "keys-int", "corrupt-short",
-        "wrong-stamp", "keys-only", "column-short", "line-not-int",
+        "missing", "garbage", "list", "wrong-stamp", "old-format-tag",
+        "foreign-byte-order", "corrupt-short", "count-not-int", "keys-only", "old-json-format",
+        "column-short", "bad-base64", "too-few-keys", "too-many-keys", "cut-short",
     ],
 )
 def test_unusable_index_means_a_full_scan(tmp_path, index_text):
     path = tmp_path / "atlas.jsonl"
     catalog_append(path, _recs((5, 3, 2), (7, 3, 2)))
     index_path = tmp_path / "atlas.jsonl.keys"
-    good = _index_of(path)
+    with open(index_path, encoding="utf-8", newline="\n") as fh:
+        head, *body = fh.read().split("\n")
+    good = (json.loads(head), body, _index_of(path))
+    assert len(body) == 1 + len(FILTERS) + 2 + 1
 
     def spoil():
-        text = index_text(good)
+        text = index_text(*good)
         if text is None:
             index_path.unlink()
         else:
-            index_path.write_text(text, encoding="utf-8")
+            with open(index_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
         assert not _index_is_current(path)
 
     spoil()
@@ -413,7 +452,7 @@ def test_unusable_index_means_a_full_scan(tmp_path, index_text):
     assert catalog_query(path, sign="null").records == ()
     # the query's rescan left a usable index behind
     assert _index_is_current(path)
-    assert sorted(_index_of(path)["keys"]) == sorted(_keys(path))
+    assert sorted(_index_of(path).keys) == sorted(_keys(path))
 
     spoil()
     result = catalog_append(path, _recs((7, 3, 2), (11, 3, 2)))
@@ -421,9 +460,35 @@ def test_unusable_index_means_a_full_scan(tmp_path, index_text):
     assert _keys(path) == ["bp:2,3,5", "bp:2,3,7", "bp:2,3,11"]
     # the rescan left a usable index behind
     assert _index_is_current(path)
-    assert sorted(json.loads(index_path.read_text(encoding="utf-8"))["keys"]) == sorted(
-        _keys(path)
-    )
+    assert sorted(_index_of(path).keys) == sorted(_keys(path))
+
+
+def test_a_key_holding_a_newline_leaves_an_index_the_next_call_rebuilds(tmp_path):
+    path = tmp_path / "atlas.jsonl"
+    catalog_append(path, _recs((5, 3, 2)))
+    made = dataclasses.replace(_recs((7, 3, 2))[0], key="bp:2,3,7\nbp:2,3,11")
+    assert catalog_append(path, [made]).added == 1
+    # the key spans two lines of the index, one more than its rows
+    assert not _index_is_current(path)
+    got = catalog_query(path)
+    assert [r.key for r in got.records] == ["bp:2,3,5"]
+    assert [bad.lineno for bad in got.corrupt] == [2]
+    assert got.corrupt == read_catalog(path).corrupt
+    assert _index_is_current(path)
+    assert _index_of(path).keys == ["bp:2,3,5"]
+
+
+def test_an_index_column_saturates_and_queries_stay_exact(tmp_path):
+    path = tmp_path / "atlas.jsonl"
+    huge = dataclasses.replace(_recs((5, 3, 2))[0], middle_betti=2**40)
+    catalog_append(path, [huge, *_recs((7, 3, 2))])
+    assert _index_is_current(path)
+    assert list(_index_of(path).columns["middle_betti"]) == [2**31 - 1, 0]
+    stored = read_catalog(path, record_filter(middle_betti=2**40)).records
+    assert [r.key for r in stored] == ["bp:2,3,5"]
+    assert catalog_query(path, middle_betti=2**40) == ReadResult(stored, ())
+    # the index picks the line, which its decode then drops
+    assert catalog_query(path, middle_betti=2**31 - 1) == ReadResult((), ())
 
 
 def test_each_call_writes_the_index_at_most_once(tmp_path, monkeypatch):
@@ -488,6 +553,44 @@ def test_unknown_filter_is_refused_before_the_catalog_is_read(tmp_path, monkeypa
         catalog_query(tmp_path / "atlas.jsonl", colour=1)
     with pytest.raises(TypeError, match="colour"):
         catalog_query(tmp_path / "atlas.jsonl", sign="null", colour=None)
+
+
+@pytest.mark.parametrize(
+    "name, value, flag",
+    [
+        ("middle_betti", -1, ["--betti", "-1"]),
+        ("middle_betti", "0", None),
+        ("nvars", 1, ["--nvars", "1"]),
+        ("nvars", -3, ["--nvars", "-3"]),
+        ("sign", "Positive", ["--sign", "Positive"]),
+        ("sphere", "exotic_sphere", ["--sphere", "exotic_sphere"]),
+    ],
+    ids=["betti-negative", "betti-text", "nvars-1", "nvars-negative", "sign-case",
+         "sphere-unknown"],
+)
+def test_a_filter_the_parser_refuses_is_refused_before_the_catalog_is_read(
+    tmp_path, monkeypatch, capsys, name, value, flag
+):
+    path = tmp_path / "atlas.jsonl"
+    catalog_append(path, _recs((5, 3, 2)))
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("the catalog was opened")
+
+    monkeypatch.setattr(catalog_module, "open", no_open, raising=False)
+    with pytest.raises(InvalidInput, match="%s must be" % name):
+        record_filter(**{name: value})
+    with pytest.raises(InvalidInput, match="%s must be" % name):
+        catalog_query(path, **{name: value})
+    monkeypatch.undo()
+    if flag is not None:
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["catalog", "query", *flag, "--catalog", str(path)])
+        assert exc.value.code == 2
+    # every table entry, or the least int the parser takes, is taken
+    domain = FILTERS[name][1]
+    for want in domain if isinstance(domain, tuple) else (domain,):
+        assert catalog_query(path, **{name: want}).corrupt == ()
 
 
 def test_indexed_corrupt_lines_match_a_full_scan(tmp_path):

@@ -273,6 +273,34 @@ def test_min_coprime_fixed_needs_varying_parameter(monkeypatch):
     assert run_search(spec).examined == 0
 
 
+@pytest.mark.parametrize(
+    "given, says, flag",
+    [
+        (dict(min_coprime_fixed=-3), "min_coprime_fixed must be", ["--min-coprime-fixed", "-3"]),
+        (dict(min_coprime_fixed=-1, middle_betti=0), "at least 0, got -1",
+         ["--min-coprime-fixed", "-1"]),
+        (dict(middle_betti=-1), "middle_betti must be", ["--betti", "-1"]),
+        (dict(min_coprime_fixed=-3, middle_betti=-1), "must be", ["--betti", "-1"]),
+        (dict(sign="positve"), "sign must be one of", ["--sign", "positve"]),
+        (dict(middle_betti="3"), "middle_betti must be", None),
+        (dict(min_coprime_fixed=1.0), "min_coprime_fixed must be", None),
+    ],
+    ids=["coprime-negative", "coprime-minus-one", "betti-negative", "both-negative",
+         "unknown-sign", "betti-text", "coprime-float"],
+)
+def test_a_predicate_refuses_what_the_parser_refuses(capsys, given, says, flag):
+    with pytest.raises(InvalidInput, match=says):
+        Predicate(**given)
+    if flag is not None:
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--family", "237m", "--bounds", "m=5:9", *flag])
+        assert exc.value.code == 2
+    # the least values the parser takes are taken
+    assert run_search(
+        SearchSpec("237m", {"m": (5, 9)}, Predicate(middle_betti=0, min_coprime_fixed=0))
+    ).examined == 5
+
+
 def test_a_search_holds_no_list_of_members(monkeypatch):
     calls = []
 

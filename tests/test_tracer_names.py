@@ -41,3 +41,31 @@ def test_catalog_files_open_in_counted_modes(tracer, tmp_path, monkeypatch):
     assert [r.key for r in query.records] == ["bp:2,3,11", "bp:2,3,7"]
     read, written = counter.totals()
     assert read > 0 and written > path.stat().st_size
+
+
+def test_a_query_that_rebuilds_the_index_reads_the_catalog_twice(
+    tracer, tmp_path, monkeypatch
+):
+    # once for the stamp, once for the rebuild, whose read answers the
+    # query: the matched lines are not read a third time
+    from linkatlas import BPExponents, build_record, catalog
+
+    path = tmp_path / "atlas.jsonl"
+    exponents = [(2, 3, c) for c in range(5, 60)] + [(2, 2, 2, 3, c) for c in range(5, 30)]
+    catalog.catalog_append(path, [build_record(BPExponents(e)) for e in exponents])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("not json\n")
+    index = tmp_path / "atlas.jsonl.keys"
+    full = catalog.read_catalog(path)
+    for filters in ({}, {"sign": "negative"}, {"nvars": 5, "middle_betti": 0}):
+        index.write_text("stale", encoding="utf-8")
+        counter = tracer.ByteCounter()
+        monkeypatch.setattr(catalog, "open", counter.open, raising=False)
+        got = catalog.catalog_query(path, **filters)
+        monkeypatch.undo()
+        read, written = counter.totals()
+        assert read <= 2 * path.stat().st_size + len("stale")
+        assert written == index.stat().st_size
+        want = sorted(filter(catalog.record_filter(**filters), full.records), key=lambda r: r.key)
+        assert (list(got.records), got.corrupt) == (want, full.corrupt)
+        assert [bad.lineno for bad in got.corrupt] == [81]
