@@ -11,9 +11,17 @@ A null record of a (2n+1)-dimensional link carries the note
 "null structure: (lambda, nu) = (-2, 2n+2)", the constants of
 eta.null_constants(n); a 1-dimensional link (n = 0) gets no note.
 
+Each record field is declared once, in InvariantRecord, and its
+metadata (_entry) is its row of the record table: the check its JSON
+value must pass, made from its domain (a table, a type or the least int)
+when it has one; its text-row column, if any; and whether it is a
+write-time field, which reverify_record does not compare.  A field with
+a default is optional on read.
+
 Each catalog filter is defined once, in FILTERS, with the values it may
-ask for; record_filter, catalog_query, search.Predicate and the index
-all read it, and refuse (InvalidInput) what the command line refuses.
+ask for, its field's domain; record_filter, catalog_query,
+search.Predicate and the index all read it, and refuse (InvalidInput)
+what the command line refuses.
 Beside the catalog lives that index, `<catalog>.keys`, a text file with
 one row per valid record line, in file order:
 
@@ -55,8 +63,9 @@ import zlib
 from array import array
 from base64 import b64decode, b64encode
 from contextlib import suppress
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timezone
+from functools import cache
 from itertools import compress
 from math import prod
 from operator import attrgetter
@@ -89,82 +98,95 @@ from .spheres import (
 
 TOOL_VERSION = "0.1.0"
 
-_SIGNS = tuple(s.value for s in SignClass)
+# what a field's check returns for a JSON value the field refuses
+_BAD = object()
 
 
-def _is_canonical(key: str) -> bool:
-    """Whether key parses and is the canonical key of what it parses to."""
+def _canonical(key):
+    """key, if it is a str that parses and is the canonical key of what
+    it parses to.  Only bp: and w: keys can be, so no other spelling is
+    parsed: a mono: key would be solved for its weights."""
+    if not isinstance(key, str) or not key.startswith(("bp:", "w:")):
+        return _BAD
     try:
-        return canonical_key(parse_key(key)) == key
+        return key if canonical_key(parse_key(key)) == key else _BAD
     except AtlasError:
-        return False
+        return _BAD
+
+
+def _within(domain) -> Callable:
+    """The check of a value in domain: a table, a type (a bool is no
+    int), or the least of the ints it holds."""
+    if isinstance(domain, tuple):
+        return lambda value: value if value in domain else _BAD
+    if isinstance(domain, type):
+        return lambda value: value if type(value) is domain else _BAD
+    return lambda value: value if type(value) is int and value >= domain else _BAD
+
+
+# one frozen object per verdict: _sphere calls it only with a sphere kind
+# and a residue mod |bP_8| or None, so it holds at most 6 x 29 of them
+_verdict = cache(SphereVerdict)
+
+
+def _sphere(value):
+    """The check of a sphere: an object whose kind is a sphere kind and
+    whose bp8_residue, if any, is a residue mod |bP_8|."""
+    if not isinstance(value, dict) or value.get("kind") not in SPHERE_KINDS:
+        return _BAD
+    residue = value.get("bp8_residue")
+    if residue is not None and (
+        type(residue) is not int or not 0 <= residue < BP8_ORDER
+    ):
+        raise ValueError("bad bp8_residue %r" % (residue,))
+    return _verdict(value["kind"], residue)
+
+
+def _entry(column, check=None, *, domain=None, shown="", write_time=False, **default):
+    """A field's row in the record table (see the module docstring)."""
+    meta = dict(column=column, shown=shown, domain=domain, write_time=write_time)
+    return field(**default, metadata={**meta, "check": check or _within(domain)})
 
 
 @dataclass(frozen=True)
 class InvariantRecord:
-    key: str
-    sign: str
-    middle_betti: int
-    torsion: str
-    sphere: SphereVerdict
-    signature: int | None = None
-    constants_note: str | None = None
-    tool_version: str = TOOL_VERSION
-    timestamp: str | None = None
+    """A link's invariants, as one catalog line holds them."""
+
+    key: str = _entry("key", _canonical)
+    sign: str = _entry("sign", domain=tuple(s.value for s in SignClass))
+    middle_betti: int = _entry("betti", domain=0)
+    torsion: str = _entry("torsion", domain=str)
+    sphere: SphereVerdict = _entry("sphere", _sphere, domain=SPHERE_KINDS, shown=".label")
+    signature: int | None = _entry("signature", domain=int, default=None)
+    constants_note: str | None = _entry(None, domain=str, default=None)
+    tool_version: str = _entry(None, domain=str, default=TOOL_VERSION, write_time=True)
+    timestamp: str | None = _entry(None, domain=str, default=None, write_time=True)
 
     def to_json(self) -> dict:
         return {**vars(self), "sphere": dict(vars(self.sphere))}
 
     @classmethod
     def from_json(cls, obj: dict) -> "InvariantRecord":
+        """The record of a catalog line's object: every field without a
+        default must be present, then each check passes, in field order,
+        on every value but a default.  A ValueError names the first fault."""
         if not isinstance(obj, dict):
             raise ValueError("record must be an object")
-        try:
-            key = obj["key"]
-            sign = obj["sign"]
-            mb = obj["middle_betti"]
-            torsion = obj["torsion"]
-            sphere = obj["sphere"]
-        except KeyError as exc:
-            raise ValueError("missing field %s" % exc) from None
-        if not isinstance(key, str) or not _is_canonical(key):
-            raise ValueError("bad key %r" % (key,))
-        if sign not in _SIGNS:
-            raise ValueError("bad sign %r" % (sign,))
-        if type(mb) is not int or mb < 0:
-            raise ValueError("bad middle_betti %r" % (mb,))
-        if not isinstance(torsion, str):
-            raise ValueError("bad torsion %r" % (torsion,))
-        if not isinstance(sphere, dict) or sphere.get("kind") not in SPHERE_KINDS:
-            raise ValueError("bad sphere %r" % (sphere,))
-        residue = sphere.get("bp8_residue")
-        if residue is not None and (
-            type(residue) is not int or not 0 <= residue < BP8_ORDER
-        ):
-            raise ValueError("bad bp8_residue %r" % (residue,))
-        sig = obj.get("signature")
-        if sig is not None and type(sig) is not int:
-            raise ValueError("bad signature %r" % (sig,))
-        note = obj.get("constants_note")
-        if note is not None and not isinstance(note, str):
-            raise ValueError("bad constants_note %r" % (note,))
-        version = obj.get("tool_version", TOOL_VERSION)
-        if not isinstance(version, str):
-            raise ValueError("bad tool_version %r" % (version,))
-        stamp = obj.get("timestamp")
-        if stamp is not None and not isinstance(stamp, str):
-            raise ValueError("bad timestamp %r" % (stamp,))
-        return cls(
-            key=key,
-            sign=sign,
-            middle_betti=mb,
-            torsion=torsion,
-            sphere=SphereVerdict(sphere["kind"], residue),
-            signature=sig,
-            constants_note=note,
-            tool_version=version,
-            timestamp=stamp,
-        )
+        for name in _REQUIRED:
+            if name not in obj:
+                raise ValueError("missing field %r" % name)
+        values = []
+        for name, default, check in _CHECKS:
+            value = obj.get(name, default)
+            if (checked := value if value is default else check(value)) is _BAD:
+                raise ValueError("bad %s %r" % (name, value))
+            values.append(checked)
+        return cls(*values)
+
+
+_REQUIRED = [f.name for f in fields(InvariantRecord) if f.default is MISSING]
+_CHECKS = [(f.name, f.default, f.metadata["check"]) for f in fields(InvariantRecord)]
+_DOMAINS = {f.name: f.metadata["domain"] for f in fields(InvariantRecord)}
 
 
 # each catalog filter, by keyword: the record value it compares, and the
@@ -172,9 +194,9 @@ class InvariantRecord:
 # or the least int, which the index stores itself; also the index's
 # column order
 FILTERS = {
-    "sign": (attrgetter("sign"), _SIGNS),
-    "middle_betti": (attrgetter("middle_betti"), 0),
-    "sphere": (attrgetter("sphere.kind"), SPHERE_KINDS),
+    "sign": (attrgetter("sign"), _DOMAINS["sign"]),
+    "middle_betti": (attrgetter("middle_betti"), _DOMAINS["middle_betti"]),
+    "sphere": (attrgetter("sphere.kind"), _DOMAINS["sphere"]),
     "nvars": (lambda rec: key_nvars(rec.key), 2),
 }
 
@@ -584,7 +606,7 @@ def reverify_record(rec: InvariantRecord) -> list[str]:
         return ["no link: not quasi-smooth"]
     issues = []
     for field in fields(InvariantRecord):
-        if field.name in ("tool_version", "timestamp"):
+        if field.metadata["write_time"]:
             continue
         old, new = getattr(rec, field.name), getattr(fresh, field.name)
         if old != new:

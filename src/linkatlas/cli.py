@@ -23,8 +23,9 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
+from operator import attrgetter
 
 from . import catalog as cat
 from . import curvature, eta, links, search, spheres
@@ -293,21 +294,15 @@ def cmd_curvature(args):
     }
 
 
+# a record's text row, read from the record table: the column titles,
+# and the attribute of the record shown under each
+_COLUMNS = [f for f in fields(cat.InvariantRecord) if f.metadata["column"]]
+_TITLES = [f.metadata["column"] for f in _COLUMNS]
+_row = attrgetter(*(f.name + f.metadata["shown"] for f in _COLUMNS))
+
+
 def _record_rows(records) -> list[dict]:
-    rows = []
-    for rec in records:
-        rows.append(
-            {
-                "key": rec.key,
-                "sign": rec.sign,
-                "betti": rec.middle_betti,
-                "torsion": rec.torsion,
-                "sphere": rec.sphere.kind
-                + ("" if rec.sphere.bp8_residue is None else "[%d]" % rec.sphere.bp8_residue),
-                "signature": rec.signature,
-            }
-        )
-    return rows
+    return [dict(zip(_TITLES, _row(rec))) for rec in records]
 
 
 def cmd_search(args):

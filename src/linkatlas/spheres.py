@@ -91,6 +91,11 @@ class SphereVerdict:
     kind: str
     bp8_residue: int | None = None
 
+    @property
+    def label(self) -> str:
+        """kind, then [residue] when there is one: a record's sphere column."""
+        return self.kind if self.bp8_residue is None else "%s[%d]" % (self.kind, self.bp8_residue)
+
 
 @lru_cache(maxsize=1024)
 def _prefix_histogram(

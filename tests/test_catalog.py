@@ -116,24 +116,96 @@ def test_record_json_round_trip():
 
 
 def test_from_json_validation():
+    # each corrupt-line message, exactly: a catalog line reports it
     good = build_record(BPExponents((5, 3, 2))).to_json()
-    for mutate in (
-        lambda o: o.pop("key"),
-        lambda o: o.update(sign="sideways"),
-        lambda o: o.update(middle_betti=True),
-        lambda o: o.update(middle_betti=-1),
-        lambda o: o.update(sphere={"kind": "mystery"}),
-        lambda o: o.update(sphere={"kind": "rational_homology_sphere", "bp8_residue": 28}),
-        lambda o: o.update(signature="eight"),
+    residue = {"kind": "rational_homology_sphere", "bp8_residue": None}
+    cases = [
+        *(
+            (lambda o, name=name: o.pop(name), "missing field %r" % name)
+            for name in ("key", "sign", "middle_betti", "torsion", "sphere")
+        ),
+        (lambda o: o.update(key=5), "bad key 5"),
+        (lambda o: o.update(key=None), "bad key None"),
+        (lambda o: o.update(key="bp:5,3,2"), "bad key 'bp:5,3,2'"),
+        (lambda o: o.update(key="bp:2,x"), "bad key 'bp:2,x'"),
+        (lambda o: o.update(key="w:2,2,2@6"), "bad key 'w:2,2,2@6'"),
+        (lambda o: o.update(sign="sideways"), "bad sign 'sideways'"),
+        (lambda o: o.update(sign=["null"]), "bad sign ['null']"),
+        (lambda o: o.update(middle_betti=True), "bad middle_betti True"),
+        (lambda o: o.update(middle_betti=-1), "bad middle_betti -1"),
+        (lambda o: o.update(middle_betti=2.0), "bad middle_betti 2.0"),
+        (lambda o: o.update(middle_betti="0"), "bad middle_betti '0'"),
+        (lambda o: o.update(torsion=3), "bad torsion 3"),
+        (lambda o: o.update(torsion=None), "bad torsion None"),
+        (lambda o: o.update(sphere="homology_sphere"), "bad sphere 'homology_sphere'"),
+        (lambda o: o.update(sphere=["homology_sphere"]), "bad sphere ['homology_sphere']"),
+        (lambda o: o.update(sphere={}), "bad sphere {}"),
+        (lambda o: o.update(sphere={"kind": "mystery"}), "bad sphere {'kind': 'mystery'}"),
+        (lambda o: o.update(sphere={**residue, "bp8_residue": 28}), "bad bp8_residue 28"),
+        (lambda o: o.update(sphere={**residue, "bp8_residue": -1}), "bad bp8_residue -1"),
         # a bool is an int to Python, but never a residue
-        lambda o: o.update(sphere={"kind": "rational_homology_sphere", "bp8_residue": True}),
-        lambda o: o.update(tool_version=5),
-        lambda o: o.update(timestamp={"a": 1}),
-    ):
+        (lambda o: o.update(sphere={**residue, "bp8_residue": True}), "bad bp8_residue True"),
+        (lambda o: o.update(sphere={**residue, "bp8_residue": "1"}), "bad bp8_residue '1'"),
+        (lambda o: o.update(signature="eight"), "bad signature 'eight'"),
+        (lambda o: o.update(signature=8.0), "bad signature 8.0"),
+        (lambda o: o.update(signature=False), "bad signature False"),
+        (lambda o: o.update(constants_note=3), "bad constants_note 3"),
+        (lambda o: o.update(constants_note=["x"]), "bad constants_note ['x']"),
+        (lambda o: o.update(tool_version=5), "bad tool_version 5"),
+        (lambda o: o.update(tool_version=None), "bad tool_version None"),
+        (lambda o: o.update(timestamp={"a": 1}), "bad timestamp {'a': 1}"),
+        # the order of the checks: presence of every required field first,
+        # then each field's value in declaration order
+        (lambda o: (o.update(key="bp:x"), o.pop("sphere")), "missing field 'sphere'"),
+        (lambda o: (o.pop("key"), o.pop("sphere")), "missing field 'key'"),
+        (lambda o: o.update(key="bp:x", sign="sideways"), "bad key 'bp:x'"),
+        (lambda o: o.update(sign="sideways", middle_betti=-1), "bad sign 'sideways'"),
+        (lambda o: o.update(sphere={}, signature="eight"), "bad sphere {}"),
+        (lambda o: o.update(sphere={**residue, "bp8_residue": 28}, signature="x"), "bad bp8_residue 28"),
+        (lambda o: o.update(tool_version=5, timestamp=5), "bad tool_version 5"),
+    ]
+    for mutate, message in cases:
         obj = json.loads(json.dumps(good))
         mutate(obj)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             InvariantRecord.from_json(obj)
+        assert str(exc.value) == message
+    for not_an_object in ([good], "record", None, 5):
+        with pytest.raises(ValueError) as exc:
+            InvariantRecord.from_json(not_an_object)
+        assert str(exc.value) == "record must be an object"
+
+
+def test_from_json_reads_the_required_fields_alone():
+    # the optional fields take their defaults when a line leaves them out,
+    # as catalogs written without them (or before they existed) do
+    rec = build_record(BPExponents((5, 3, 2)))
+    required = {
+        "key": rec.key,
+        "sign": rec.sign,
+        "middle_betti": rec.middle_betti,
+        "torsion": rec.torsion,
+        "sphere": {"kind": rec.sphere.kind},
+    }
+    got = InvariantRecord.from_json(required)
+    assert got == InvariantRecord(rec.key, rec.sign, rec.middle_betti, rec.torsion, rec.sphere)
+    defaults = (None, None, catalog_module.TOOL_VERSION, None)
+    assert (got.signature, got.constants_note, got.tool_version, got.timestamp) == defaults
+
+
+def test_only_canonical_prefixes_are_parsed_as_keys(monkeypatch):
+    # a key of another spelling is corrupt before it is parsed: a mono: key
+    # would otherwise be solved for its weights, uncharged, on every read
+    def no_solve(rows):
+        pytest.fail("solve_weights called on a catalog key")
+
+    monkeypatch.setattr("linkatlas.links.solve_weights", no_solve)
+    good = build_record(BPExponents((5, 3, 2))).to_json()
+    keys = ("mono:[" + ";".join(["1,0,0"] * 60) + "]", "mono:[3,0,0;0,3,0;0,0,3]", "kervaire:1,1@3")
+    lines = [json.dumps({**good, "key": key}) for key in keys]
+    result = catalog_module.read_records(lines)
+    assert result.records == ()
+    assert [c.reason for c in result.corrupt] == ["bad key %r" % (key,) for key in keys]
 
 
 def test_parse_key():
