@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 
 from .errors import NonIntegerResult, NotQuasiSmooth
@@ -50,7 +51,12 @@ class BettiResult:
 
     def delta_at_one(self) -> int:
         """|Delta(1)|, the order of the middle homology: 0 when it is
-        infinite (see the module docstring)."""
+        infinite (see the module docstring).  Evaluated once per result:
+        the torsion and the sphere rule both read it."""
+        return self._order
+
+    @cached_property
+    def _order(self) -> int:
         if self.middle_betti:
             return 0
         num = den = 1

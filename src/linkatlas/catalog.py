@@ -336,7 +336,8 @@ def read_records(
             rec = InvariantRecord.from_json(json.loads(line))
         except UnicodeEncodeError:
             corrupt.append(CorruptLine(lineno, "not valid UTF-8"))
-        except (ValueError, TypeError) as exc:
+        # json.loads raises RecursionError on deeply nested arrays
+        except (ValueError, TypeError, RecursionError) as exc:
             corrupt.append(CorruptLine(lineno, str(exc)))
         else:
             if index is not None:
@@ -453,7 +454,7 @@ def _load_index(path, stamp: list) -> _Index | None:
             lines = _column("q", fh.readline())
             columns = {name: _column("i", fh.readline()) for name in FILTERS}
             keys = fh.read().split("\n")
-    except (OSError, ValueError, TypeError, KeyError):
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
         return None
     if not (
         type(rows) is int

@@ -409,6 +409,16 @@ _SINGLE_ARG = (
 # --- parser ------------------------------------------------------------
 
 
+def _filter_values(name: str) -> dict:
+    """add_argument keywords that accept the values cat.FILTERS allows
+    the filter name: its table as choices, or ints of at least its
+    least value."""
+    domain = cat.FILTERS[name][1]
+    if isinstance(domain, tuple):
+        return {"choices": domain}
+    return {"type": _at_least(domain)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine readable output")
@@ -427,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    signs = [s.value for s in links.SignClass]
     for name, fn, help_, positional in _SINGLE_ARG:
         add(name, fn, help_).add_argument(positional)
 
@@ -449,9 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("search", cmd_search, "enumerate a link family")
     p.add_argument("--family", required=True, choices=sorted(search.FAMILIES))
     p.add_argument("--bounds", required=True, help="k=2:8,p=2:600")
-    p.add_argument("--sign", choices=signs)
+    p.add_argument("--sign", **_filter_values("sign"))
     betti_filter = p.add_mutually_exclusive_group()
-    betti_filter.add_argument("--betti", type=_at_least(0))
+    betti_filter.add_argument("--betti", **_filter_values("middle_betti"))
     betti_filter.add_argument(
         "--rational-sphere", action="store_const", const=0, dest="betti"
     )
@@ -463,10 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("catalog", cmd_catalog, "JSONL catalog maintenance")
     p.add_argument("mode", choices=["append", "query"])
     p.add_argument("--file", help="records to append (JSONL, - for stdin)")
-    p.add_argument("--sign", choices=signs)
-    p.add_argument("--betti", type=_at_least(0), dest="middle_betti", metavar="BETTI")
-    p.add_argument("--sphere", choices=spheres.SPHERE_KINDS)
-    p.add_argument("--nvars", type=_at_least(2))
+    p.add_argument("--sign", **_filter_values("sign"))
+    p.add_argument(
+        "--betti", **_filter_values("middle_betti"), dest="middle_betti", metavar="BETTI"
+    )
+    p.add_argument("--sphere", **_filter_values("sphere"))
+    p.add_argument("--nvars", **_filter_values("nvars"))
     p.add_argument("--reverify", action="store_true")
     return parser
 

@@ -10,13 +10,28 @@ integer values of t counted in neither (open interval convention).
 
 brieskorn_signature factors the count.  With the exponents sorted and
 a the largest, the points of the other exponents (the prefix) are
-binned by R = sum i_j D' / a_j mod 2D', D' = lcm(prefix); that
-histogram is cached per prefix.  The last factor adds i L / a for
-i in [1, a - 1] (L = lcm(D', a)) to R L / D', and is counted by floor
-arithmetic, looping over whichever is shorter: the prefix residues or
-the values of i (bisecting the cumulative counts).  Everything is exact
-integer arithmetic.  brieskorn_signature_direct is the nested-loop
-oracle the tests compare against.
+binned by R = sum i_j D / a_j mod 2D, D = lcm(prefix); that histogram
+is cached per prefix.  The last factor adds i / a for i in [1, a - 1]
+to R / D.  When the prefix has many residues against a, it is counted
+by looping over the values of i and bisecting the cumulative counts.
+Otherwise it is read per residue class of a.  Write R = h D + rho
+(h = 0, 1 the half, 0 <= rho < D), a = q D + t (0 <= t < D) and
+G = gcd(D, t).  Of the values of i, those that keep R / D + i / a
+below h + 1 (inside the half of R) number
+
+    floor(((D - rho) a - G) / D) = (D - rho) q + floor(((D - rho) t - G) / D),
+
+and those that carry it past h + 1 (into the other half) number, for
+rho >= 1,
+
+    (a - 1) - floor((D - rho) a / D) = (a - 1) - (D - rho) q - floor((D - rho) t / D),
+
+and 0 for rho = 0.  Each count is linear in q and a - 1 with
+coefficients that depend on the prefix and t alone, so the sums over
+the residues are cached per (prefix, t) and a member of a known class
+costs a few multiplications.  Everything is exact integer arithmetic.
+brieskorn_signature_direct is the nested-loop oracle the tests compare
+against.
 
 sphere_verdict is the one sphere rule, read off the characteristic
 divisor that betti() builds (see linkatlas.betti), so it holds for
@@ -122,32 +137,48 @@ def _prefix_histogram(
     return d, residues, tuple(cumulative)
 
 
-def _by_residue(
-    residues: Sequence[int], cumulative: Sequence[int], d: int, a: int
-) -> tuple[int, int]:
-    """(sigma+, sigma-) of prefix residues mod 2d joined with exponent a,
-    one pass over the residues.  With L = lcm(d, a) and x = R L / d, the
-    values x + i L / a (1 <= i <= a - 1) span less than L: below the
-    next multiple of L lie (L - 1 - y) // s of them (y = x mod L,
-    s = L / a), on it at most one, and the rest above it."""
-    ell = lcm(d, a)
-    g, s, top = ell // d, ell // a, a - 1
-    # indexed by half = x // L: below the next multiple of L means t in
-    # (0, 1) for half 0 and in (1, 2) for half 1; above it, the reverse
-    below = [0, 0]
-    above = [0, 0]
+@lru_cache(maxsize=512)
+def _residue_class(prefix: tuple[int, ...], t: int) -> tuple[int, int, int, int, int]:
+    """What every last exponent a = q D + t (0 <= t < D = lcm(prefix))
+    shares in the last-factor count, summed over the prefix residues by
+    the identity of the module docstring: (slope, points of half 0,
+    points of half 1, sigma+ part, sigma- part); see _by_class."""
+    d, residues, cumulative = _prefix_histogram(prefix)
+    g = gcd(d, t)
+    # per half: points, their weight D - rho, and the t parts of the
+    # values of i that stay in the half and that carry over
+    points, weight, stay, carry = [0, 0], [0, 0], [0, 0], [0, 0]
     for r, lo, hi in zip(residues, cumulative, cumulative[1:]):
-        half, y = divmod(r * g, ell)
-        count = hi - lo
-        below[half] += count * ((ell - 1 - y) // s)
-        above[half] += count * (top - min((ell - y) // s, top))
-    return below[0] + above[1], below[1] + above[0]
+        half, rho = divmod(r, d)
+        c, w = hi - lo, d - rho
+        points[half] += c
+        weight[half] += c * w
+        stay[half] += c * ((w * t - g) // d)
+        # at rho = 0 nothing carries: (a - 1) - D q - t = -1 is made 0
+        carry[half] += c * ((w * t) // d - (rho == 0))
+    return (
+        weight[0] - weight[1],
+        points[0],
+        points[1],
+        stay[0] - carry[1],
+        stay[1] - carry[0],
+    )
+
+
+def _by_class(prefix: tuple[int, ...], d: int, a: int) -> tuple[int, int]:
+    """(sigma+, sigma-) of the prefix, whose histogram has modulus d,
+    joined with exponent a, from the cached sums of its residue class:
+    sigma+ gathers half 0 staying and half 1 carrying, sigma- the
+    reverse."""
+    q, t = divmod(a, d)
+    slope, points0, points1, pos, neg = _residue_class(prefix, t)
+    return q * slope + (a - 1) * points1 + pos, (a - 1) * points0 - q * slope + neg
 
 
 def _by_step(
     residues: Sequence[int], cumulative: Sequence[int], d: int, a: int
 ) -> tuple[int, int]:
-    """The same count as _by_residue, one pass over i in [1, a - 1]:
+    """The same count as _by_class, one pass over i in [1, a - 1]:
     the prefix points with x = R g below, on or above L - i s and
     2L - i s (g = L / d, s = L / a) are counted by bisecting the sorted
     residues."""
@@ -181,17 +212,22 @@ def brieskorn_signature(a: Sequence[int] | BPExponents) -> SignatureResult:
     Supported for the exponent counts in SIGNATURE_NVARS.
     """
     *prefix, last = sorted(_signature_exponents(a))
-    d, residues, cumulative = _prefix_histogram(tuple(prefix))
-    # a residue costs two floor divisions, a step four bisections
-    count = _by_residue if len(residues) <= 3 * (last - 1) else _by_step
-    return SignatureResult(*count(residues, cumulative, d, last))
+    prefix = tuple(prefix)
+    d, residues, cumulative = _prefix_histogram(prefix)
+    # a residue of a new class costs two floor divisions, a step four
+    # bisections
+    if len(residues) <= 3 * (last - 1):
+        return SignatureResult(*_by_class(prefix, d, last))
+    return SignatureResult(*_by_step(residues, cumulative, d, last))
 
 
 def signature_cost(exps: Sequence[int]) -> int:
     """Upper bound on the steps brieskorn_signature takes, from the
     exponents alone: each prefix factor a_j spreads at most
     min(2 lcm, points) cells over a_j - 1 steps, and the last-factor
-    loop runs over at most min(cells, 3 (a - 1)) items."""
+    loop runs over at most min(cells, 3 (a - 1)) items.  It stays an
+    upper bound, charged in full, when the prefix or the residue class
+    of a is already cached and the call takes fewer steps."""
     *prefix, last = sorted(exps)
     cost, cells, d = 0, 1, 1
     for x in prefix:

@@ -15,7 +15,7 @@ import pytest
 
 from linkatlas.betti import betti_cost
 from linkatlas.catalog import FILTERS, build_record, catalog_query, record_cost
-from linkatlas.cli import CONFIG_ENV, MAX_DIGITS, load_config, main, parse_link
+from linkatlas.cli import CONFIG_ENV, MAX_DIGITS, build_parser, load_config, main, parse_link
 from linkatlas.errors import InvalidInput
 from linkatlas.links import BPExponents, WeightSystem, reciprocal_sum
 from linkatlas.spheres import brieskorn_signature_direct
@@ -289,6 +289,36 @@ def test_every_filter_has_a_query_flag_that_agrees(capsys, tmp_path):
         assert 0 < want < total, name
         payload = run_json(capsys, "catalog", "query", flag, str(value), "--catalog", catalog)
         assert payload["matched"] == want, name
+
+
+@pytest.mark.parametrize(
+    "command, names",
+    [
+        (["catalog", "query"], list(_FILTER_FLAGS)),
+        (["search", "--family", "237m", "--bounds", "m=5:9"], ["sign", "middle_betti"]),
+    ],
+    ids=["catalog-query", "search"],
+)
+def test_filter_flags_accept_exactly_the_filter_domains(capsys, command, names):
+    # each flag takes FILTERS' table as its choices, or ints from its least value
+    parser = build_parser()
+    for name in names:
+        flag, domain = _FILTER_FLAGS[name][0], FILTERS[name][1]
+        if isinstance(domain, tuple):
+            for value in domain:
+                parser.parse_args(command + [flag, value])
+            refused, says = "bogus", "invalid choice: 'bogus'"
+        else:
+            parser.parse_args(command + [flag, str(domain)])
+            refused = str(domain - 1)
+            says = "at least %d, got %d" % (domain, domain - 1)
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(command + [flag, refused])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert says in err, (name, err)
+        if isinstance(domain, tuple):
+            assert "{%s}" % ",".join(domain) in err, (name, err)
 
 
 def test_search_budget_exit_code(capsys):
@@ -849,6 +879,34 @@ def test_non_utf8_lines_are_corrupt_lines(capsys, tmp_path):
     got = (payload["added"], payload["corrupt_input"], payload["corrupt_catalog"])
     assert got == (1, 1, 1)
     assert err == "corrupt line 1: not valid UTF-8\ncorrupt line 2: not valid UTF-8\n"
+
+
+def test_deeply_nested_json_is_a_corrupt_line(capsys, tmp_path):
+    # json.loads gives up on 100,000 nested arrays with RecursionError
+    from linkatlas import BPExponents as BP, build_record
+
+    good = json.dumps(build_record(BP((5, 3, 2))).to_json())
+    deep = "[" * 100_000 + "]" * 100_000
+    says = "corrupt line 1: maximum recursion depth exceeded"
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text(deep + "\n" + good + "\n", encoding="utf-8")
+    catalog = tmp_path / "atlas.jsonl"
+    code, out, err = run(
+        capsys, "catalog", "append", "--file", str(feed), "--catalog", str(catalog),
+        "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["added"], payload["corrupt_input"]) == (1, 1)
+    assert err.startswith(says)
+
+    # a catalog holding such a line still answers, with and without an index
+    catalog.write_text(deep + "\n" + good + "\n", encoding="utf-8")
+    for _ in range(2):
+        code, out, err = run(capsys, "catalog", "query", "--catalog", str(catalog), "--json")
+        assert code == 0
+        assert [r["key"] for r in json.loads(out)["records"]] == ["bp:2,3,5"]
+        assert err.startswith(says)
 
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")

@@ -1,6 +1,7 @@
 """Brieskorn signatures, Casson invariants and exotic sphere classes."""
 
 import itertools
+import json
 import random
 import re
 from collections import Counter
@@ -26,6 +27,7 @@ from linkatlas import (
     reciprocal_sum,
 )
 from linkatlas import spheres
+from linkatlas.cli import main
 from linkatlas.betti import TORSION_FREE, TORSION_UNKNOWN
 from linkatlas.links import kervaire_exponents
 from linkatlas.errors import (
@@ -35,6 +37,7 @@ from linkatlas.errors import (
     NotPairwiseCoprime,
     NotQuasiSmooth,
 )
+from signature_oracle import by_residue
 
 
 def test_signature_published_family():
@@ -83,14 +86,14 @@ def test_signature_routes_agree():
     "vectors",
     [
         [(a, b, c) for a in range(2, 10) for b in range(2, 10) for c in range(2, 10)],
-        [(k, k, k, k + 1, p) for k in (2, 3) for p in range(2, 121)],
+        [(k, k, k, k + 1, p) for k in (2, 3) for p in range(2, 151)],
     ],
-    ids=["box-2-9-cubed", "kkkk1p-k2-3-p120"],
+    ids=["box-2-9-cubed", "kkkk1p-k2-3-p150"],
 )
 def test_signature_both_loops_match_oracle(monkeypatch, vectors):
-    # the last factor is counted by one of two loops, chosen by the number
+    # the last factor is counted by one of two routes, chosen by the number
     # of prefix residues against 3(a - 1); both sides must occur here
-    runs = {"_by_residue": 0, "_by_step": 0}
+    runs = {"_by_class": 0, "_by_step": 0}
     for name in runs:
         real = getattr(spheres, name)
 
@@ -101,8 +104,57 @@ def test_signature_both_loops_match_oracle(monkeypatch, vectors):
         monkeypatch.setattr(spheres, name, counted)
     for exps in vectors:
         assert brieskorn_signature(exps) == brieskorn_signature_direct(exps), exps
-    assert runs["_by_residue"] > 0 and runs["_by_step"] > 0
+    assert runs["_by_class"] > 0 and runs["_by_step"] > 0
     assert sum(runs.values()) == len(vectors)
+
+
+def test_class_sums_match_the_per_residue_pass_on_the_sweep_window():
+    # every vector of the 7-sphere sweep's bounds k=2:8, p=2:600, whichever
+    # route it takes: the class sums give what one pass over the prefix
+    # residues gives
+    members = on_class_route = 0
+    classes = set()
+    for k, p in itertools.product(range(2, 9), range(2, 601)):
+        *prefix, last = sorted((k, k, k, k + 1, p))
+        prefix = tuple(prefix)
+        d, residues, cumulative = spheres._prefix_histogram(prefix)
+        want = by_residue(residues, cumulative, d, last)
+        assert spheres._by_class(prefix, d, last) == want, (k, p)
+        by_class = len(residues) <= 3 * (last - 1)
+        if by_class:
+            assert brieskorn_signature((k, k, k, k + 1, p)) == spheres.SignatureResult(*want)
+        # the sweep's members: p coprime to k and k + 1
+        if gcd(p, k * (k + 1)) == 1:
+            members += 1
+            if by_class:
+                on_class_route += 1
+                classes.add((prefix, last % d))
+    assert (members, on_class_route, len(classes)) == (1421, 1380, 82)
+
+
+def test_class_sums_match_the_per_residue_pass_on_random_vectors():
+    rng = random.Random(43)
+    for _ in range(1500):
+        n, top = rng.choice([(3, 60), (5, 14)])
+        *prefix, last = sorted(rng.randint(2, top) for _ in range(n))
+        prefix = tuple(prefix)
+        d, residues, cumulative = spheres._prefix_histogram(prefix)
+        want = by_residue(residues, cumulative, d, last)
+        assert spheres._by_class(prefix, d, last) == want, (prefix, last)
+
+
+def test_sweep_payload_does_not_depend_on_warm_tables(capsys):
+    argv = ["search", "--family", "kkkk1p", "--bounds", "k=2:8,p=2:600", "--bp8-sweep",
+            "--budget", "1000000000", "--json"]
+    payloads = []
+    for clear in (True, False, True):
+        if clear:
+            spheres._residue_class.cache_clear()
+            spheres._prefix_histogram.cache_clear()
+        assert main(argv) == 0
+        payloads.append(capsys.readouterr().out)
+    assert payloads[0] == payloads[1] == payloads[2]
+    assert json.loads(payloads[0])["distinct_residues"] == 28
 
 
 def test_bp8_class_beyond_int64():
