@@ -9,7 +9,6 @@ it separates the oriented diffeomorphism types of homotopy 7-spheres.
 from linkatlas import (
     BPExponents,
     NotASphere,
-    Predicate,
     bp8_class,
     bp_link,
     brieskorn_signature,
@@ -82,8 +81,7 @@ def main():
     # The sweep takes the search's record filters: negative links
     # L(4,4,4,5,p), p <= 193, carry negative eta-Einstein structures and
     # reach every class.
-    sweep = seven_sphere_sweep({"k": (4, 4), "p": (2, 193)},
-                               predicate=Predicate(sign="negative"))
+    sweep = seven_sphere_sweep({"k": (4, 4), "p": (2, 193)}, sign="negative")
     print("negative sweep k=4, p<=193: %d of 28 residues, %d members examined"
           % (len(sweep.witnesses), sweep.examined))
 

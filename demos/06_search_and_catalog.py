@@ -10,8 +10,6 @@ import pathlib
 import tempfile
 
 from linkatlas import (
-    Predicate,
-    SearchSpec,
     catalog_append,
     catalog_query,
     run_search,
@@ -23,20 +21,16 @@ def main():
     # The (2,3,7,m) family: count members whose last exponent is coprime
     # to at least two of the fixed ones.  The search attaches a note
     # about a previously published count for this family.
-    spec = SearchSpec("237m", {"m": (5, 41)}, Predicate(min_coprime_fixed=2))
-    result = run_search(spec)
+    result = run_search("237m", {"m": (5, 41)}, min_coprime_fixed=2)
     print("(2,3,7,m), m in [5,41]: %d matched of %d examined"
           % (result.matched, result.examined))
     for note in result.notes:
         print("  note:", note)
 
     # A small positive box, deduplicated by canonical key.
-    spec = SearchSpec(
-        "bp-box",
-        {"a0": (2, 3), "a1": (2, 3), "a2": (2, 2)},
-        Predicate(sign="positive"),
+    result = run_search(
+        "bp-box", {"a0": (2, 3), "a1": (2, 3), "a2": (2, 2)}, sign="positive"
     )
-    result = run_search(spec)
     print()
     print("bp box: %d matched" % result.matched)
     for rec in result.records:

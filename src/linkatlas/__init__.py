@@ -75,13 +75,7 @@ from .links import (
     reciprocal_sum,
     solve_weights,
 )
-from .search import (
-    DEFAULT_BUDGET,
-    Predicate,
-    SearchSpec,
-    run_search,
-    seven_sphere_sweep,
-)
+from .search import DEFAULT_BUDGET, run_search, seven_sphere_sweep
 from .spheres import (
     SignatureResult,
     SphereVerdict,
@@ -89,7 +83,6 @@ from .spheres import (
     brieskorn_signature,
     brieskorn_signature_direct,
     casson_invariant,
-    is_homology_3_sphere,
     kervaire_classify,
 )
 

@@ -7,26 +7,25 @@ d / w_i = u_i / v_i (lowest terms):
     b = sum over S of (-1)^{n+1-|S|} * (prod u_i) / (prod v_i * lcm u_i)
 
 where the empty subset contributes (-1)^{n+1} (empty product 1, empty
-lcm 1).  The sum is evaluated exactly, in integers over the common
-denominator lcm(u) * prod(v), and must come out a nonnegative integer;
-anything else is an error, never a rounding.
-
-The same table is the characteristic divisor of the monodromy
-(Milnor-Orlik 1970): grouping the subsets by l = lcm u_i gives the
-integer exponents c_l = terms[l] / (l * prod v) of
+lcm 1).  Grouping the subsets by l = lcm u_i gives the characteristic
+divisor of the monodromy (Milnor-Orlik 1970): the integer exponents
+c_l = terms[l] / (l * prod v) of
 
     Delta(t) = prod over l of (t^l - 1)^{c_l},
 
-whose multiplicity of the root 1 is sum c_l, the Betti number.  When
-that sum is 0, |Delta(1)| = prod l^{c_l} is the order of the middle
-homology; when the root -1 is absent (sum over even l of c_l is 0),
-|Delta(-1)| = prod over odd l of 2^{c_l} * prod over even l of l^{c_l}.
+whose multiplicity of the root 1 is sum c_l, the Betti number.
+betti() divides each term exactly and keeps the nonzero c_l as
+BettiResult.divisor; a term that leaves a remainder, or a negative sum,
+is an error (NonIntegerResult), never a rounding.  When that sum is 0,
+|Delta(1)| = prod l^{c_l} is the order of the middle homology; when the
+root -1 is absent (sum over even l of c_l is 0), |Delta(-1)| = prod
+over odd l of 2^{c_l} * prod over even l of l^{c_l}.
 BettiResult.delta_at_one and delta_at_minus_one evaluate them as exact
-integer products.  All of this describes a link only when the weight
-system is quasi-smooth, as every Brieskorn-Pham one is, so betti()
-first refuses any other (NotQuasiSmooth): every BettiResult is that of
-a link.  torsion_closed_form reads |Delta(1)| too: a homotopy sphere
-has no middle homology at all.
+integer products of that one divisor.  All of this describes a link
+only when the weight system is quasi-smooth, as every Brieskorn-Pham
+one is, so betti() first refuses any other (NotQuasiSmooth): every
+BettiResult is that of a link.  torsion_closed_form reads |Delta(1)|
+too: a homotopy sphere has no middle homology at all.
 """
 
 from __future__ import annotations
@@ -45,9 +44,8 @@ class BettiResult:
     middle_betti: int
     link_dim: int
     quotients: tuple[Fraction, ...]
-    # the characteristic divisor: c_l = terms[l] / (l * vprod)
-    terms: dict[int, int] = field(compare=False, repr=False)
-    vprod: int = field(compare=False, repr=False)
+    # the characteristic divisor: {l: c_l} for each nonzero c_l
+    divisor: dict[int, int] = field(compare=False, repr=False)
 
     def delta_at_one(self) -> int:
         """|Delta(1)|, the order of the middle homology: 0 when it is
@@ -57,37 +55,27 @@ class BettiResult:
 
     @cached_property
     def _order(self) -> int:
-        if self.middle_betti:
-            return 0
-        num = den = 1
-        vprod = self.vprod
-        for ell, t in self.terms.items():
-            k = t // (ell * vprod)
-            if k > 0:
-                num *= ell**k
-            elif k < 0:
-                den *= ell**-k
-        return num // den
+        return 0 if self.middle_betti else _product(self.divisor)
 
     def delta_at_minus_one(self) -> int:
         """|Delta(-1)|: 0 when -1 is a root (see the module docstring)."""
-        num = den = 1
-        odd = even = 0  # the sums of c_l over the odd and the even l
-        vprod = self.vprod
-        for ell, t in self.terms.items():
-            k = t // (ell * vprod)
-            if ell % 2:
-                odd += k
-            else:
-                even += k
-                if k > 0:
-                    num *= ell**k
-                elif k < 0:
-                    den *= ell**-k
-        if even:
+        even = {ell: k for ell, k in self.divisor.items() if ell % 2 == 0}
+        if sum(even.values()):
             return 0
-        # each odd l gives 2^{c_l}
-        return (num << max(odd, 0)) // (den << max(-odd, 0))
+        # each odd l gives 2^{c_l}, and those c_l sum to the Betti number
+        return _product(even, 1 << self.middle_betti)
+
+
+def _product(divisor: dict[int, int], times: int = 1) -> int:
+    """times * prod of l^{c_l} over the divisor's entries, where the
+    module docstring says it is an integer."""
+    num, den = times, 1
+    for ell, k in divisor.items():
+        if k > 0:
+            num *= ell**k
+        else:
+            den *= ell**-k
+    return num // den
 
 
 TORSION_FREE = "torsion_free"
@@ -116,16 +104,18 @@ def betti(ws: WeightSystem) -> BettiResult:
             grown[with_i] = grown.get(with_i, 0) + t * ui
             grown[ell] = grown.get(ell, 0) - t * vi
         terms = grown
-    top = lcm(*u)
-    numerator = sum(t * (top // ell) for ell, t in terms.items())
     vprod = prod(v)
-    denominator = top * vprod
-    total, rest = divmod(numerator, denominator)
-    if rest or total < 0:
-        raise NonIntegerResult(
-            "betti sum reduced to %s" % Fraction(numerator, denominator)
-        )
-    return BettiResult(total, ws.link_dim, quotients, terms, vprod)
+    divisor = {}
+    for ell, t in terms.items():
+        c, rest = divmod(t, ell * vprod)
+        if rest:
+            raise NonIntegerResult("divisor c_%d = %s" % (ell, Fraction(t, ell * vprod)))
+        if c:
+            divisor[ell] = c
+    total = sum(divisor.values())
+    if total < 0:
+        raise NonIntegerResult("betti sum reduced to %d" % total)
+    return BettiResult(total, ws.link_dim, quotients, divisor)
 
 
 def betti_cost(nvars: int) -> int:

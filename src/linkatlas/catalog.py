@@ -20,7 +20,7 @@ a default is optional on read.
 
 Each catalog filter is defined once, in FILTERS, with the values it may
 ask for, its field's domain; record_filter, catalog_query,
-search.Predicate and the index all read it, and refuse (InvalidInput)
+search.run_search and the index all read it, and refuse (InvalidInput)
 what the command line refuses.
 Beside the catalog lives that index, `<catalog>.keys`, a text file with
 one row per valid record line, in file order:
@@ -41,8 +41,9 @@ rebuilt once.  Appends and queries read the whole catalog once to
 compute its stamp, and trust the index only when the stamp matches;
 else they first rebuild it from every record.  An append then skips the
 keys it lists and adds the records it writes; a query answers from the
-index, decoding only the lines whose codes pass its filters, and
-validates them again (a query that rebuilds answers from that read).
+index without splitting its keys, decoding only the lines whose codes
+pass its filters, and validates them again (a query that rebuilds
+answers from that read).
 Each call writes the index at most once: an append when it adds records
 or found the index stale, a query only when it found it stale.  The
 index is a cache: deleting it is always safe, failing to read or write
@@ -65,7 +66,7 @@ from base64 import b64decode, b64encode
 from contextlib import suppress
 from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timezone
-from functools import cache
+from functools import cache, cached_property
 from itertools import compress
 from math import prod
 from operator import attrgetter
@@ -399,10 +400,15 @@ class _Index:
     count: int = 0  # the lines read_records counts in the catalog
     corrupt: tuple[CorruptLine, ...] = ()
     lines: array = field(default_factory=lambda: array("q"))
-    keys: list[str] = field(default_factory=list)
     columns: dict[str, array] = field(
         default_factory=lambda: {name: array("i") for name in FILTERS}
     )
+    block: str = ""  # the saved keys, each ended by "\n"
+
+    @cached_property
+    def keys(self) -> list[str]:
+        """The rows' keys, split from the saved block on first use."""
+        return self.block.split("\n")[:-1]
 
     def add(self, lineno: int, rec: InvariantRecord) -> None:
         self.lines.append(lineno)
@@ -453,18 +459,19 @@ def _load_index(path, stamp: list) -> _Index | None:
             corrupt = tuple(CorruptLine(n, reason) for n, reason in head["corrupt"])
             lines = _column("q", fh.readline())
             columns = {name: _column("i", fh.readline()) for name in FILTERS}
-            keys = fh.read().split("\n")
+            block = fh.read()
     except (OSError, ValueError, TypeError, KeyError, RecursionError):
         return None
     if not (
         type(rows) is int
         and type(count) is int
         and all(type(c.lineno) is int and isinstance(c.reason, str) for c in corrupt)
-        and keys.pop() == ""  # each key ends with "\n"
-        and all(len(column) == rows for column in (lines, keys, *columns.values()))
+        and block.count("\n") == rows
+        and block[-1:] in ("", "\n")  # each key ends with "\n"
+        and all(len(column) == rows for column in (lines, *columns.values()))
     ):
         return None
-    return _Index(stamp, count, corrupt, lines, keys, columns)
+    return _Index(stamp, count, corrupt, lines, columns, block)
 
 
 def _save_index(path, index: _Index) -> None:

@@ -307,7 +307,7 @@ def _record_rows(records) -> list[dict]:
 
 def cmd_search(args):
     bounds = links.parse_bounds(args.bounds)
-    pred = search.Predicate(
+    filters = dict(
         sign=args.sign,
         middle_betti=args.betti,
         pairwise_coprime=args.pairwise_coprime,
@@ -319,7 +319,7 @@ def cmd_search(args):
         if args.min_coprime_fixed is not None:
             # the sweep fixes it at 2: p coprime to k and k+1
             raise InvalidInput("--bp8-sweep does not take --min-coprime-fixed")
-        result = search.seven_sphere_sweep(bounds, args.budget, pred)
+        result = search.seven_sphere_sweep(bounds, args.budget, **filters)
         payload = {
             "distinct_residues": len(result.witnesses),
             "examined": result.examined,
@@ -329,8 +329,7 @@ def cmd_search(args):
             },
         }
     else:
-        spec = search.SearchSpec(args.family, bounds, pred)
-        result = search.run_search(spec, budget=args.budget)
+        result = search.run_search(args.family, bounds, args.budget, **filters)
         payload = {
             "examined": result.examined,
             "matched": result.matched,

@@ -4,7 +4,7 @@ Each family maps integer parameters inside bounds to a Brieskorn-Pham
 exponent vector.  A search streams the family's members through the
 member filters (min_coprime_fixed, then pairwise_coprime), keeps the
 first passing spelling of each canonical key, builds one record per
-key and returns those the predicate matches, sorted by key, plus the
+key and returns those the record filters keep, sorted by key, plus the
 first matched member of each bp8 residue.  The number of parameter
 tuples inside the bounds is checked against the budget before any
 member is generated, and the estimated cost (catalog.record_cost per
@@ -19,7 +19,7 @@ k+1, read for its residue witnesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from math import gcd, prod
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -30,34 +30,6 @@ from .links import BPExponents, canonical_key, kervaire_exponents
 from .spheres import kervaire_classify  # noqa: F401  (a name perfbench traces)
 
 DEFAULT_BUDGET = 10**8
-
-
-@dataclass(frozen=True)
-class Predicate:
-    """Filters applied to each family member.
-
-    min_coprime_fixed asks that the varying parameter be coprime to at
-    least that many of the member's fixed exponents; only families with
-    a designated varying parameter support it.  A value the command line
-    refuses raises InvalidInput.
-    """
-
-    sign: str | None = None
-    middle_betti: int | None = None
-    pairwise_coprime: bool = False
-    min_coprime_fixed: int | None = None
-
-    def __post_init__(self):
-        record_filter(sign=self.sign, middle_betti=self.middle_betti)
-        if self.min_coprime_fixed is not None:
-            at_least("min_coprime_fixed", self.min_coprime_fixed, 0)
-
-
-@dataclass(frozen=True)
-class SearchSpec:
-    family: str
-    bounds: Mapping[str, tuple[int, int]]
-    predicate: Predicate = field(default_factory=Predicate)
 
 
 @dataclass(frozen=True)
@@ -151,9 +123,8 @@ def _family_kervaire(bounds) -> Iterator[Member]:
             yield Member(kervaire_exponents(rs, a), fixed=rs, varying=a)
 
 
-def _notes_237m(spec: SearchSpec, examined: int) -> list[str]:
-    pred = spec.predicate
-    if pred.min_coprime_fixed == 2 and tuple(spec.bounds.get("m", ())) == (5, 41):
+def _notes_237m(bounds, min_coprime_fixed: int | None, examined: int) -> list[str]:
+    if min_coprime_fixed == 2 and tuple(bounds.get("m", ())) == (5, 41):
         return [
             "enumeration finds %d members; a previously published count "
             "for this family is 27" % examined
@@ -164,11 +135,12 @@ def _notes_237m(spec: SearchSpec, examined: int) -> list[str]:
 class Family(NamedTuple):
     """Member generator of a family, whether its members carry a varying
     parameter (min_coprime_fixed needs one), and its optional notes hook,
-    which comments on the whole search from the examined count."""
+    which comments on the whole search from its bounds, min_coprime_fixed
+    and the examined count."""
 
     generate: Callable[[Mapping[str, tuple[int, int]]], Iterator[Member]]
     varying: bool = False
-    notes: Callable[[SearchSpec, int], Sequence[str]] = lambda s, n: ()
+    notes: Callable[..., Sequence[str]] = lambda bounds, least, n: ()
 
 
 FAMILIES = {
@@ -197,23 +169,40 @@ def check_budget(exponents: list[BPExponents], budget: int) -> int:
     return charge(sum(record_cost(e) for e in exponents), budget)
 
 
-def run_search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> SearchResult:
+def run_search(
+    family: str,
+    bounds: Mapping[str, tuple[int, int]],
+    budget: int = DEFAULT_BUDGET,
+    *,
+    pairwise_coprime: bool = False,
+    min_coprime_fixed: int | None = None,
+    **filters,
+) -> SearchResult:
     """Stream the family's members once through min_coprime_fixed (which
     counts them as examined) and pairwise_coprime, keeping the first
     passing spelling of each canonical key; charge the budget for those
-    keys, build one record for each and keep those the predicate matches."""
+    keys, build one record for each and keep those record_filter(**filters)
+    keeps: the record filters are catalog.FILTERS.
+
+    min_coprime_fixed asks that the varying parameter be coprime to at
+    least that many of the member's fixed exponents; only families with
+    a designated varying parameter support it.  A filter value or
+    min_coprime_fixed the command line refuses raises InvalidInput before
+    the budget is charged; an unknown filter keyword raises TypeError."""
+    keep = record_filter(**filters)
+    if min_coprime_fixed is not None:
+        at_least("min_coprime_fixed", min_coprime_fixed, 0)
     # every family enumerates at most the parameter tuples inside the bounds
-    charge(prod(max(0, hi - lo + 1) for lo, hi in spec.bounds.values()), budget)
+    charge(prod(max(0, hi - lo + 1) for lo, hi in bounds.values()), budget)
     try:
-        family = FAMILIES[spec.family]
+        fam = FAMILIES[family]
     except KeyError:
         raise InvalidInput(
-            "unknown family %r (have: %s)" % (spec.family, ", ".join(sorted(FAMILIES)))
+            "unknown family %r (have: %s)" % (family, ", ".join(sorted(FAMILIES)))
         ) from None
-    pred, least = spec.predicate, spec.predicate.min_coprime_fixed
-    if least is not None and not family.varying:
+    if min_coprime_fixed is not None and not fam.varying:
         raise InvalidInput(
-            "family %r has no varying parameter for min_coprime_fixed" % spec.family
+            "family %r has no varying parameter for min_coprime_fixed" % family
         )
 
     # min_coprime_fixed reads the member; a record and pairwise_coprime
@@ -221,17 +210,16 @@ def run_search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> SearchResult:
     # is the first of its key: keep that spelling, which a witness names
     examined = 0
     firsts: dict[str, BPExponents] = {}
-    for member in family.generate(spec.bounds):
-        if least is not None and _coprime_hits(member) < least:
+    for member in fam.generate(bounds):
+        if min_coprime_fixed is not None and _coprime_hits(member) < min_coprime_fixed:
             continue
         examined += 1
         exps = member.exponents
         key = canonical_key(exps)
-        if key not in firsts and (not pred.pairwise_coprime or exps.pairwise_coprime()):
+        if key not in firsts and (not pairwise_coprime or exps.pairwise_coprime()):
             firsts[key] = exps
     check_budget(list(firsts.values()), budget)
 
-    keep = record_filter(sign=pred.sign, middle_betti=pred.middle_betti)
     matched: dict[str, InvariantRecord] = {}
     witnesses: dict[int, tuple[int, ...]] = {}
     for exps in firsts.values():
@@ -241,33 +229,29 @@ def run_search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> SearchResult:
             if rec.sphere.bp8_residue is not None:
                 witnesses.setdefault(rec.sphere.bp8_residue, exps.exponents)
 
-    notes = family.notes(spec, examined)
+    notes = fam.notes(bounds, min_coprime_fixed, examined)
     ordered = tuple(matched[k] for k in sorted(matched))
     return SearchResult(ordered, examined, len(ordered), tuple(notes), witnesses)
 
 
 def seven_sphere_sweep(
-    bounds: Mapping[str, tuple[int, int]],
-    budget: int = DEFAULT_BUDGET,
-    predicate: Predicate = Predicate(),
+    bounds: Mapping[str, tuple[int, int]], budget: int = DEFAULT_BUDGET, **filters
 ) -> SearchResult:
     """Search the kkkk1p family L(k,k,k,k+1,p) inside bounds (keys k and
     p) with p coprime to both k and k+1, for exotic 7-sphere classes.
 
     Every such member is a homotopy 7-sphere (k+1 and p are isolated
     vertices of Brieskorn's graph), so the result's witnesses name the
-    first matched member of each bp8 residue; predicate's other filters
-    apply as in any search, and its min_coprime_fixed is replaced by 2.
+    first matched member of each bp8 residue; filters are run_search's
+    keywords and apply as in any search, but min_coprime_fixed is
+    replaced by 2.
     """
-    spec = SearchSpec("kkkk1p", bounds, replace(predicate, min_coprime_fixed=2))
-    return run_search(spec, budget)
+    return run_search("kkkk1p", bounds, budget, **{**filters, "min_coprime_fixed": 2})
 
 
 __all__ = [
     "DEFAULT_BUDGET",
     "FAMILIES",
-    "Predicate",
-    "SearchSpec",
     "SearchResult",
     "run_search",
     "seven_sphere_sweep",

@@ -265,15 +265,6 @@ def casson_invariant(a: Sequence[int] | BPExponents) -> int:
     return sig // 8
 
 
-def is_homology_3_sphere(a: Sequence[int] | BPExponents) -> bool:
-    """A 3-dimensional BP link is an integral homology sphere exactly
-    when the exponents are pairwise coprime."""
-    exps = _as_exponents(a)
-    if exps.nvars != 3:
-        raise DimensionUnsupported("needs 3 exponents")
-    return exps.pairwise_coprime()
-
-
 def bp8_residue(signature: int) -> int | None:
     """Class of a 7-dimensional rational homology sphere link in bP_8:
     (signature / 8) mod BP8_ORDER, None when 8 does not divide the
@@ -349,7 +340,6 @@ __all__ = [
     "brieskorn_signature_direct",
     "signature_cost",
     "casson_invariant",
-    "is_homology_3_sphere",
     "bp8_residue",
     "sphere_verdict",
     "bp8_class",

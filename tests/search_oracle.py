@@ -3,33 +3,37 @@ each key and the first matched member of each bp8 residue.
 
 run_search builds one record per canonical key; this loop builds one per
 member and filters with its own comparisons, so the two agree only if a
-record and the predicate depend on nothing but the key.
+record and the record filters depend on nothing but the key.
 """
 
 import itertools
 from math import gcd
 
-from linkatlas import SearchSpec, build_record
+from linkatlas import build_record
 from linkatlas.search import FAMILIES, SearchResult
 
 
-def naive_search(spec: SearchSpec) -> SearchResult:
-    pred = spec.predicate
-    members = list(FAMILIES[spec.family].generate(spec.bounds))
-    if pred.min_coprime_fixed is not None:
+def naive_search(
+    family, bounds, *, pairwise_coprime=False, min_coprime_fixed=None,
+    sign=None, middle_betti=None,
+) -> SearchResult:
+    """run_search's answer for the same arguments (sign and middle_betti
+    are the record filters it compares)."""
+    members = list(FAMILIES[family].generate(bounds))
+    if min_coprime_fixed is not None:
         members = [
             m for m in members
-            if sum(gcd(m.varying, q) == 1 for q in set(m.fixed)) >= pred.min_coprime_fixed
+            if sum(gcd(m.varying, q) == 1 for q in set(m.fixed)) >= min_coprime_fixed
         ]
     matched, witnesses = {}, {}
     for member in members:
         exps = member.exponents.exponents
         rec = build_record(member.exponents)
         if (
-            pred.sign in (None, rec.sign)
-            and pred.middle_betti in (None, rec.middle_betti)
+            sign in (None, rec.sign)
+            and middle_betti in (None, rec.middle_betti)
             and not (
-                pred.pairwise_coprime
+                pairwise_coprime
                 and any(gcd(x, y) != 1 for x, y in itertools.combinations(exps, 2))
             )
         ):

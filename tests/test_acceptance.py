@@ -12,8 +12,6 @@ from math import gcd
 
 from linkatlas import (
     EtaConstants,
-    Predicate,
-    SearchSpec,
     SignClass,
     WeightSystem,
     berger_sphere,
@@ -187,8 +185,7 @@ def test_criterion_9_documented_discrepancy():
             for m in range(5, 42)
             if sum(1 for q in (2, 3, 7) if gcd(m, q) == 1) >= 2
         )
-        spec = SearchSpec("237m", {"m": (5, 41)}, Predicate(min_coprime_fixed=2))
-        result = run_search(spec)
+        result = run_search("237m", {"m": (5, 41)}, min_coprime_fixed=2)
         assert result.matched == oracle
         assert oracle == 28
         assert any("27" in note for note in result.notes)

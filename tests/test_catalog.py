@@ -17,8 +17,6 @@ import pytest
 from linkatlas import (
     BPExponents,
     InvariantRecord,
-    Predicate,
-    SearchSpec,
     WeightSystem,
     build_record,
     catalog_append,
@@ -65,7 +63,7 @@ def test_build_record_null_link():
 @pytest.mark.parametrize("nvars, lo, hi", [(2, 2, 4), (3, 2, 6), (4, 2, 6), (5, 4, 6)])
 def test_null_notes_are_the_eta_null_constants(nvars, lo, hi):
     bounds = {"a%d" % i: (lo, hi) for i in range(nvars)}
-    result = run_search(SearchSpec("bp-box", bounds, Predicate(sign="null")))
+    result = run_search("bp-box", bounds, sign="null")
     assert result.records
     # nvars exponents cut out a link of dimension 2 nvars - 3 = 2n + 1
     n = nvars - 2
@@ -877,9 +875,9 @@ def _produced_records():
     weight systems."""
     for n, hi in ((2, 7), (3, 5), (4, 4), (5, 3)):
         bounds = {"a%d" % i: (2, hi) for i in range(n)}
-        yield from run_search(SearchSpec("bp-box", bounds, Predicate())).records
+        yield from run_search("bp-box", bounds).records
     kervaire = {"r1": (1, 3), "r2": (1, 5), "a": (3, 9)}
-    yield from run_search(SearchSpec("kervaire", kervaire, Predicate())).records
+    yield from run_search("kervaire", kervaire).records
     for key in ("w:1,1,1@3", "w:6,10,15@30", "w:1,1,4,6@12", "w:13,43,101,158@316"):
         yield build_record(parse_key(key))
 

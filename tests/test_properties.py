@@ -11,8 +11,6 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from linkatlas import (  # noqa: E402
     BPExponents,
-    Predicate,
-    SearchSpec,
     betti,
     bp_link,
     brieskorn_signature,
@@ -77,7 +75,7 @@ def test_key_nvars_counts_the_variables_of_a_canonical_key(link):
 
 
 # small bp-box boxes: 3 to 5 exponents, each span at most 3 wide, and
-# any combination of the predicate's record filters
+# any combination of the search's filters
 boxes = st.integers(3, 5).flatmap(
     lambda n: st.lists(
         st.tuples(st.integers(2, 6), st.integers(0, 2)).map(lambda s: (s[0], s[0] + s[1])),
@@ -85,17 +83,16 @@ boxes = st.integers(3, 5).flatmap(
         max_size=n,
     )
 )
-predicates = st.builds(
-    Predicate,
+filters = st.fixed_dictionaries(dict(
     sign=st.sampled_from([None, "positive", "null", "negative"]),
     middle_betti=st.sampled_from([None, 0, 2]),
     pairwise_coprime=st.booleans(),
-)
+))
 
 
 @settings(max_examples=60, deadline=None)
-@given(boxes, predicates)
-def test_search_matches_the_naive_loop_on_random_boxes(spans, pred):
+@given(boxes, filters)
+def test_search_matches_the_naive_loop_on_random_boxes(spans, filters):
     bounds = {"a%d" % i: span for i, span in enumerate(spans)}
-    spec = SearchSpec("bp-box", bounds, pred)
-    assert_same_search(run_search(spec), naive_search(spec))
+    got = run_search("bp-box", bounds, **filters)
+    assert_same_search(got, naive_search("bp-box", bounds, **filters))

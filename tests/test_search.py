@@ -10,8 +10,6 @@ import pytest
 from linkatlas import (
     BoundsTooLarge,
     BPExponents,
-    Predicate,
-    SearchSpec,
     betti,
     bp_link,
     build_record,
@@ -20,7 +18,7 @@ from linkatlas import (
     seven_sphere_sweep,
 )
 from linkatlas import search as search_module
-from linkatlas.catalog import parse_key, record_cost
+from linkatlas.catalog import parse_key, record_cost, record_filter
 from linkatlas.cli import main
 from linkatlas.errors import InvalidInput
 from linkatlas.search import FAMILIES, Family, Member, check_budget
@@ -40,15 +38,13 @@ def _coprime_box_keys():
 
 
 def test_pairwise_coprime_predicate_matches_a_gcd_filter():
-    spec = SearchSpec("bp-box", BOX, Predicate(pairwise_coprime=True))
-    result = run_search(spec)
+    result = run_search("bp-box", BOX, pairwise_coprime=True)
     assert result.examined == 11 * 11 * 12
     assert result.witnesses == {}  # three exponents: no bp8 class
     assert {r.key for r in result.records} == _coprime_box_keys()
     # the flag combines with the record filters
-    spec = SearchSpec("bp-box", BOX, Predicate(sign="positive", pairwise_coprime=True))
-    positive = {r.key for r in run_search(spec).records}
-    assert positive == {"bp:2,3,5"}
+    positive = run_search("bp-box", BOX, sign="positive", pairwise_coprime=True)
+    assert {r.key for r in positive.records} == {"bp:2,3,5"}
 
 
 def test_pairwise_coprime_flag_matches_a_gcd_filter(capsys):
@@ -62,17 +58,13 @@ def test_pairwise_coprime_flag_matches_a_gcd_filter(capsys):
 
 def test_237m_positive_count():
     # 1/2 + 1/3 + 1/7 + 1/m > 1 for every m up to 41
-    spec = SearchSpec("237m", {"m": (5, 41)}, Predicate(sign="positive"))
-    result = run_search(spec)
+    result = run_search("237m", {"m": (5, 41)}, sign="positive")
     assert result.examined == 37
     assert result.matched == 37
 
 
 def test_237m_coprime_count_and_note():
-    spec = SearchSpec(
-        "237m", {"m": (5, 41)}, Predicate(min_coprime_fixed=2)
-    )
-    result = run_search(spec)
+    result = run_search("237m", {"m": (5, 41)}, min_coprime_fixed=2)
     assert result.matched == 28
     assert result.examined == 28
     assert any("27" in note for note in result.notes)
@@ -86,15 +78,11 @@ def test_237m_coprime_matches_brute_force():
         for m in range(5, 42)
         if sum(1 for q in (2, 3, 7) if gcd(m, q) == 1) >= 2
     )
-    spec = SearchSpec("237m", {"m": (5, 41)}, Predicate(min_coprime_fixed=2))
-    assert run_search(spec).matched == expected
+    assert run_search("237m", {"m": (5, 41)}, min_coprime_fixed=2).matched == expected
 
 
 def test_pqr_family_member():
-    spec = SearchSpec(
-        "pqrpqr", {"p": (2, 2), "q": (3, 3), "r": (11, 11)}, Predicate()
-    )
-    result = run_search(spec)
+    result = run_search("pqrpqr", {"p": (2, 2), "q": (3, 3), "r": (11, 11)})
     assert result.matched == 1
     rec = result.records[0]
     assert rec.key == "bp:2,3,11,66"
@@ -123,8 +111,7 @@ def test_k1p_families_members_in_order():
 
 
 def test_bp_box_dedupes_permutations():
-    spec = SearchSpec("bp-box", {"a0": (2, 3), "a1": (2, 3)}, Predicate())
-    result = run_search(spec)
+    result = run_search("bp-box", {"a0": (2, 3), "a1": (2, 3)})
     assert result.examined == 4
     # (2,3) and (3,2) share the canonical key bp:2,3
     assert result.matched == 3
@@ -140,21 +127,21 @@ _ORACLE_SPECS = {
     "box5": ("bp-box", {"a0": (3, 5), "a1": (2, 3), "a2": (2, 3), "a3": (2, 3), "a4": (2, 5)}),
     "kervaire": ("kervaire", {"r1": (1, 2), "r2": (1, 3), "a": (2, 5)}),
 }
-_ORACLE_PREDICATES = {
-    "none": Predicate(),
-    "sign-negative": Predicate(sign="negative"),
-    "sign-positive": Predicate(sign="positive"),
-    "betti-0": Predicate(middle_betti=0),
-    "pairwise-coprime": Predicate(pairwise_coprime=True),
-    "negative-coprime": Predicate(sign="negative", pairwise_coprime=True),
+_ORACLE_FILTERS = {
+    "none": {},
+    "sign-negative": dict(sign="negative"),
+    "sign-positive": dict(sign="positive"),
+    "betti-0": dict(middle_betti=0),
+    "pairwise-coprime": dict(pairwise_coprime=True),
+    "negative-coprime": dict(sign="negative", pairwise_coprime=True),
 }
 
 
-@pytest.mark.parametrize("pred", _ORACLE_PREDICATES.values(), ids=_ORACLE_PREDICATES)
+@pytest.mark.parametrize("filters", _ORACLE_FILTERS.values(), ids=_ORACLE_FILTERS)
 @pytest.mark.parametrize("family, bounds", _ORACLE_SPECS.values(), ids=_ORACLE_SPECS)
-def test_run_search_matches_the_naive_loop(family, bounds, pred):
-    spec = SearchSpec(family, bounds, pred)
-    assert_same_search(run_search(spec), naive_search(spec))
+def test_run_search_matches_the_naive_loop(family, bounds, filters):
+    got = run_search(family, bounds, **filters)
+    assert_same_search(got, naive_search(family, bounds, **filters))
 
 
 def test_oracle_boxes_hold_permuted_keys_and_unsorted_witnesses():
@@ -165,14 +152,15 @@ def test_oracle_boxes_hold_permuted_keys_and_unsorted_witnesses():
     family, bounds = _ORACLE_SPECS["kervaire"]
     members = list(FAMILIES[family].generate(bounds))
     assert (len(members), len({canonical_key(m.exponents) for m in members})) == (20, 14)
-    witnesses = run_search(SearchSpec(*_ORACLE_SPECS["box5"], Predicate())).witnesses
+    witnesses = run_search(*_ORACLE_SPECS["box5"]).witnesses
     assert any(list(w) != sorted(w) for w in witnesses.values())
 
 
 def test_kkkk1p_sweep_window_matches_the_naive_loop():
-    for pred in (Predicate(min_coprime_fixed=2), Predicate(min_coprime_fixed=1, sign="negative")):
-        spec = SearchSpec("kkkk1p", {"k": (2, 5), "p": (2, 40)}, pred)
-        assert_same_search(run_search(spec), naive_search(spec))
+    bounds = {"k": (2, 5), "p": (2, 40)}
+    for filters in (dict(min_coprime_fixed=2), dict(min_coprime_fixed=1, sign="negative")):
+        got = run_search("kkkk1p", bounds, **filters)
+        assert_same_search(got, naive_search("kkkk1p", bounds, **filters))
 
 
 def test_a_search_builds_each_key_once_in_every_call(monkeypatch, capsys):
@@ -212,24 +200,22 @@ def test_budget_charges_each_distinct_key_once(capsys):
 
 
 def test_search_deterministic():
-    spec = SearchSpec("237m", {"m": (5, 30)}, Predicate(sign="positive"))
-    a = run_search(spec)
-    b = run_search(spec)
+    a = run_search("237m", {"m": (5, 30)}, sign="positive")
+    b = run_search("237m", {"m": (5, 30)}, sign="positive")
     stripped = lambda res: [(r.key, r.middle_betti, r.sign) for r in res.records]
     assert stripped(a) == stripped(b)
 
 
 def test_search_budget_refusal():
-    spec = SearchSpec("237m", {"m": (5, 41)}, Predicate())
     with pytest.raises(BoundsTooLarge):
-        run_search(spec, budget=10)
+        run_search("237m", {"m": (5, 41)}, budget=10)
 
 
 def test_bounds_refused_before_enumeration(monkeypatch, capsys):
     # reversed spans hold no tuples: they stay invalid input, however long
     reversed_spans = {"a0": (3000, 2), "a1": (3000, 2)}
     with pytest.raises(InvalidInput):
-        run_search(SearchSpec("bp-box", reversed_spans, Predicate()))
+        run_search("bp-box", reversed_spans)
 
     def never(bounds):
         pytest.fail("members enumerated before the bounds were charged")
@@ -238,7 +224,7 @@ def test_bounds_refused_before_enumeration(monkeypatch, capsys):
     monkeypatch.setitem(FAMILIES, "bp-box", Family(never))
     bounds = {"a%d" % i: (2, 1001) for i in range(3)}  # 10^9 tuples
     with pytest.raises(BoundsTooLarge):
-        run_search(SearchSpec("bp-box", bounds, Predicate()))
+        run_search("bp-box", bounds)
     argv = ["search", "--family", "bp-box", "--bounds", "a0=2:1001,a1=2:1001,a2=2:1001"]
     assert main(argv) == 3
     assert "budget" in capsys.readouterr().err
@@ -258,19 +244,19 @@ def test_min_coprime_fixed_needs_varying_parameter(monkeypatch):
         ("pqrpqr", {"p": (2, 3), "q": (3, 5), "r": (5, 7)}),
     ):
         with pytest.raises(InvalidInput, match="no varying parameter"):
-            run_search(SearchSpec(family, bounds, Predicate(min_coprime_fixed=1)))
+            run_search(family, bounds, min_coprime_fixed=1)
 
     def never(bounds):
         pytest.fail("members generated before min_coprime_fixed was refused")
         yield
 
     monkeypatch.setitem(FAMILIES, "bp-box", Family(never))
-    spec = SearchSpec("bp-box", {"a0": (2, 3), "a1": (2, 3)}, Predicate(min_coprime_fixed=1))
+    box = {"a0": (2, 3), "a1": (2, 3)}
     with pytest.raises(InvalidInput, match="no varying parameter"):
-        run_search(spec)
+        run_search("bp-box", box, min_coprime_fixed=1)
     # a family with a varying parameter passes the check, members or none
     monkeypatch.setitem(FAMILIES, "bp-box", Family(lambda bounds: iter(()), varying=True))
-    assert run_search(spec).examined == 0
+    assert run_search("bp-box", box, min_coprime_fixed=1).examined == 0
 
 
 @pytest.mark.parametrize(
@@ -289,16 +275,37 @@ def test_min_coprime_fixed_needs_varying_parameter(monkeypatch):
          "unknown-sign", "betti-text", "coprime-float"],
 )
 def test_a_predicate_refuses_what_the_parser_refuses(capsys, given, says, flag):
+    # the values are refused before the bounds, here far over the budget,
+    # are charged
     with pytest.raises(InvalidInput, match=says):
-        Predicate(**given)
+        run_search("237m", {"m": (5, 10**9)}, **given)
     if flag is not None:
         with pytest.raises(SystemExit) as exc:
             main(["search", "--family", "237m", "--bounds", "m=5:9", *flag])
         assert exc.value.code == 2
     # the least values the parser takes are taken
-    assert run_search(
-        SearchSpec("237m", {"m": (5, 9)}, Predicate(middle_betti=0, min_coprime_fixed=0))
-    ).examined == 5
+    least = run_search("237m", {"m": (5, 9)}, middle_betti=0, min_coprime_fixed=0)
+    assert least.examined == 5
+
+
+def test_an_unknown_filter_keyword_is_a_type_error():
+    with pytest.raises(TypeError, match="'kind'"):
+        run_search("237m", {"m": (5, 9)}, kind="standard_sphere")
+    with pytest.raises(TypeError, match="'sphere_kind'"):
+        seven_sphere_sweep({"k": (2, 3), "p": (2, 9)}, sphere_kind="standard_sphere")
+
+
+def test_the_search_filters_are_the_catalog_filters():
+    # sphere has no search flag: the search takes it from catalog.FILTERS
+    box = dict.fromkeys(("a0", "a1", "a2", "a3"), (2, 7))
+    every = run_search("bp-box", box).records
+    for kind in ("standard_sphere", "kervaire_sphere", "rational_homology_sphere"):
+        keep = record_filter(sphere=kind)
+        want = tuple(rec for rec in every if keep(rec))
+        assert want, kind
+        assert run_search("bp-box", box, sphere=kind).records == want
+    with pytest.raises(InvalidInput, match="sphere must be one of"):
+        run_search("bp-box", box, sphere="sphere")
 
 
 def test_a_search_holds_no_list_of_members(monkeypatch):
@@ -316,10 +323,9 @@ def test_a_search_holds_no_list_of_members(monkeypatch):
 
     monkeypatch.setitem(FAMILIES, "one-key", Family(spellings))
     monkeypatch.setattr(search_module, "build_record", counted)
-    spec = SearchSpec("one-key", {"n": (1, 50_000)}, Predicate())
     tracemalloc.start()
     try:
-        result = run_search(spec)
+        result = run_search("one-key", {"n": (1, 50_000)})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -364,16 +370,11 @@ def test_pairwise_coprime_builds_and_charges_only_coprime_keys(monkeypatch, caps
 
 def test_unknown_family_rejected():
     with pytest.raises(InvalidInput):
-        run_search(SearchSpec("nope", {"m": (2, 3)}, Predicate()))
+        run_search("nope", {"m": (2, 3)})
 
 
 def test_kervaire_family_verdicts():
-    spec = SearchSpec(
-        "kervaire",
-        {"r1": (3, 3), "r2": (5, 5), "a": (7, 11)},
-        Predicate(),
-    )
-    result = run_search(spec)
+    result = run_search("kervaire", {"r1": (3, 3), "r2": (5, 5), "a": (7, 11)})
     # the Betti-0 members here (a = 7, 11) are homotopy spheres
     for rec in result.records:
         if rec.middle_betti != 0:
@@ -400,7 +401,7 @@ def test_every_searched_record_is_a_function_of_its_key():
     # no family adjusts a record: the key alone rebuilds it
     assert _FAMILY_BOUNDS.keys() == FAMILIES.keys()
     for family, bounds in _FAMILY_BOUNDS.items():
-        records = run_search(SearchSpec(family, bounds, Predicate())).records
+        records = run_search(family, bounds).records
         assert records, family
         for rec in records:
             assert build_record(parse_key(rec.key)) == rec
@@ -422,8 +423,8 @@ def test_sweep_witnesses_are_spheres():
 def test_every_coprime_kkkk1p_member_has_a_residue():
     # with p coprime to k and k+1, both are isolated vertices of
     # Brieskorn's graph, so every member is a homotopy 7-sphere
-    spec = SearchSpec("kkkk1p", {"k": (2, 8), "p": (2, 200)}, Predicate(min_coprime_fixed=2))
-    records = run_search(spec).records
+    bounds = {"k": (2, 8), "p": (2, 200)}
+    records = run_search("kkkk1p", bounds, min_coprime_fixed=2).records
     assert records
     for rec in records:
         assert rec.sphere.bp8_residue is not None, rec.key
@@ -431,9 +432,8 @@ def test_every_coprime_kkkk1p_member_has_a_residue():
 
 def test_sweep_examines_what_run_search_examines():
     bounds = {"k": (3, 4), "p": (20, 60)}
-    spec = SearchSpec("kkkk1p", bounds, Predicate(min_coprime_fixed=2))
     sweep = seven_sphere_sweep(bounds)
-    assert sweep == run_search(spec)
+    assert sweep == run_search("kkkk1p", bounds, min_coprime_fixed=2)
     # each witness is the first member of its residue in (k, p) order
     first = {}
     for m in FAMILIES["kkkk1p"].generate(bounds):
@@ -445,9 +445,9 @@ def test_sweep_examines_what_run_search_examines():
 
 def test_sweep_applies_the_search_filters():
     bounds = {"k": (2, 8), "p": (2, 200)}
-    negative = seven_sphere_sweep(bounds, predicate=Predicate(sign="negative"))
+    negative = seven_sphere_sweep(bounds, sign="negative")
     assert negative.witnesses
     assert all(rec.sign == "negative" for rec in negative.records)
-    # min_coprime_fixed is the sweep's own, whatever the predicate says
-    loose = seven_sphere_sweep(bounds, predicate=Predicate(min_coprime_fixed=0))
+    # min_coprime_fixed is the sweep's own, whatever the caller says
+    loose = seven_sphere_sweep(bounds, min_coprime_fixed=0)
     assert loose == seven_sphere_sweep(bounds)

@@ -22,7 +22,6 @@ from linkatlas import (
     build_record,
     casson_invariant,
     classify_sign,
-    is_homology_3_sphere,
     kervaire_classify,
     reciprocal_sum,
 )
@@ -193,14 +192,6 @@ def test_casson_guards():
         casson_invariant((6, 10, 15))
     with pytest.raises(DimensionUnsupported):
         casson_invariant((2, 3, 5, 7, 11))
-
-
-def test_homology_3_sphere():
-    assert is_homology_3_sphere((5, 3, 2))
-    assert not is_homology_3_sphere((6, 10, 15))
-    assert is_homology_3_sphere((7, 3, 2))
-    with pytest.raises(DimensionUnsupported):
-        is_homology_3_sphere((2, 3, 5, 7))
 
 
 def test_bp8_class():
