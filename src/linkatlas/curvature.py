@@ -179,25 +179,32 @@ def eta_fit(alg: MetricAlgebra, ric: Matrix | None = None) -> RicciFit:
     n = (d - 1) // 2
     if ric is None:
         ric = ricci_tensor(alg)
-    g = alg.metric
     eta = alg.eta
-    q = [[eta[i] * eta[j] for j in range(d)] for i in range(d)]
+    # g and eta (x) eta by their nonzero entries: the dot products of the
+    # normal equations are sums over those alone
+    g = {(i, j): x for i, row in enumerate(alg.metric) for j, x in enumerate(row) if x}
+    support = [i for i in range(d) if eta[i]]
+    q = {(i, j): eta[i] * eta[j] for i in support for j in support}
 
-    def dot(x, y):
-        return sum(x[i][j] * y[i][j] for i in range(d) for j in range(d))
-
-    a11, a12, a22 = dot(g, g), dot(g, q), dot(q, q)
-    b1, b2 = dot(g, ric), dot(q, ric)
+    a11 = sum(x * x for x in g.values())
+    a12 = sum(x * q[ij] for ij, x in g.items() if ij in q)
+    a22 = sum(x * x for x in q.values())
+    b1 = sum(x * ric[i][j] for (i, j), x in g.items())
+    b2 = sum(x * ric[i][j] for (i, j), x in q.items())
     det = a11 * a22 - a12 * a12
     if det == 0:
         raise DegenerateMetric("g and eta (x) eta are dependent")
     lam = (b1 * a22 - b2 * a12) / det
     nu = (a11 * b2 - a12 * b1) / det
 
+    # off both supports the fit is 0 and the residual entry is |Ric_ij|
+    fitted = {ij: lam * x for ij, x in g.items()}
+    for ij, x in q.items():
+        fitted[ij] = fitted.get(ij, 0) + nu * x
     residual = max(
-        abs(ric[i][j] - lam * g[i][j] - nu * q[i][j])
-        for i in range(d)
-        for j in range(d)
+        abs(x - fitted[i, j]) if (i, j) in fitted else abs(x)
+        for i, row in enumerate(ric)
+        for j, x in enumerate(row)
     )
     r = alg.reeb_index
     kc = max(abs(ric[r][i] - 2 * n * eta[i]) for i in range(d))

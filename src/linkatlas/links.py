@@ -52,11 +52,11 @@ class WeightSystem:
 
     def __post_init__(self) -> None:
         w, d = tuple(self.weights), self.degree
-        if any(type(x) is not int for x in (*w, d)):  # no bool, float or str
+        if {*map(type, w), type(d)} - {int}:  # no bool, float or str
             raise InvalidInput("weights and degree must be integers")
         if len(w) < 2:
             raise InvalidInput("need at least two weights")
-        if any(x < 1 for x in w) or d < 1:
+        if min(w) < 1 or d < 1:
             raise InvalidInput("weights and degree must be positive")
         g = gcd(*w)
         if g > 1:
@@ -380,8 +380,14 @@ def canonical_key(obj: WeightSystem | BPExponents) -> str:
     """Stable catalog key: sorted exponents for Brieskorn-Pham input,
     sorted primitive weights with degree otherwise."""
     if isinstance(obj, BPExponents):
-        return "bp:" + ",".join(map(str, sorted(obj.exponents)))
+        return bp_key(obj.exponents)
     return "w:%s@%d" % (",".join(map(str, obj.weights)), obj.degree)
+
+
+def bp_key(exponents: Sequence[int]) -> str:
+    """canonical_key of a Brieskorn-Pham exponent vector, read from the
+    bare vector."""
+    return "bp:" + ",".join(map(str, sorted(exponents)))
 
 
 def key_nvars(key: str) -> int:
@@ -479,6 +485,7 @@ __all__ = [
     "pi1_class",
     "ade_match",
     "canonical_key",
+    "bp_key",
     "key_nvars",
     "reciprocal_sum",
     "parse_link",

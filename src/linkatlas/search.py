@@ -26,15 +26,18 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import InvariantRecord, at_least, build_record, record_cost, record_filter
 from .errors import BoundsTooLarge, InvalidInput
-from .links import BPExponents, canonical_key, kervaire_exponents
+from .links import BPExponents, bp_key, kervaire_exponents
 from .spheres import kervaire_classify  # noqa: F401  (a name perfbench traces)
 
 DEFAULT_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class Member:
-    exponents: BPExponents
+class Member(NamedTuple):
+    """A family member: its exponent vector, a plain tuple that a search
+    makes a BPExponents only when min_coprime_fixed passes it and its
+    canonical key is new."""
+
+    exponents: tuple[int, ...]
     # distinct exponents the varying parameter must dodge, and its value
     fixed: tuple[int, ...] | None = None
     varying: int | None = None
@@ -79,13 +82,13 @@ def _bp_box(bounds) -> Iterator[Member]:
     if not keys or set(keys) != set(bounds):
         raise InvalidInput("bp-box bounds use keys a0, a1, ...")
     for tup in itertools.product(*_spans(bounds, dict.fromkeys(keys, 2))):
-        yield Member(BPExponents(tup))
+        yield Member(tup)
 
 
 def _family_237m(bounds) -> Iterator[Member]:
     (ms,) = _spans(bounds, {"m": 2})
     for m in ms:
-        yield Member(BPExponents((2, 3, 7, m)), fixed=(2, 3, 7), varying=m)
+        yield Member((2, 3, 7, m), (2, 3, 7), m)
 
 
 def _family_k1p(count: int, bounds) -> Iterator[Member]:
@@ -93,9 +96,7 @@ def _family_k1p(count: int, bounds) -> Iterator[Member]:
     ks, ps = _spans(bounds, {"k": 2, "p": 2})
     for k in ks:
         for p in ps:
-            yield Member(
-                BPExponents((k,) * count + (k + 1, p)), fixed=(k, k + 1), varying=p
-            )
+            yield Member((k,) * count + (k + 1, p), (k, k + 1), p)
 
 
 def _family_pqr(bounds) -> Iterator[Member]:
@@ -107,7 +108,7 @@ def _family_pqr(bounds) -> Iterator[Member]:
             for r in rs:
                 if r <= q or gcd(r, p) != 1 or gcd(r, q) != 1:
                     continue
-                yield Member(BPExponents((p, q, r, p * q * r)))
+                yield Member((p, q, r, p * q * r))
 
 
 def _family_kervaire(bounds) -> Iterator[Member]:
@@ -120,7 +121,7 @@ def _family_kervaire(bounds) -> Iterator[Member]:
         if any(gcd(x, y) != 1 for x, y in itertools.combinations(rs, 2)):
             continue
         for a in a_span:
-            yield Member(kervaire_exponents(rs, a), fixed=rs, varying=a)
+            yield Member(kervaire_exponents(rs, a).exponents, rs, a)
 
 
 def _notes_237m(bounds, min_coprime_fixed: int | None, examined: int) -> list[str]:
@@ -214,9 +215,11 @@ def run_search(
         if min_coprime_fixed is not None and _coprime_hits(member) < min_coprime_fixed:
             continue
         examined += 1
-        exps = member.exponents
-        key = canonical_key(exps)
-        if key not in firsts and (not pairwise_coprime or exps.pairwise_coprime()):
+        key = bp_key(member.exponents)
+        if key in firsts:
+            continue
+        exps = BPExponents(member.exponents)
+        if not pairwise_coprime or exps.pairwise_coprime():
             firsts[key] = exps
     check_budget(list(firsts.values()), budget)
 

@@ -9,7 +9,7 @@ record and the record filters depend on nothing but the key.
 import itertools
 from math import gcd
 
-from linkatlas import build_record
+from linkatlas import BPExponents, build_record
 from linkatlas.search import FAMILIES, SearchResult
 
 
@@ -27,8 +27,8 @@ def naive_search(
         ]
     matched, witnesses = {}, {}
     for member in members:
-        exps = member.exponents.exponents
-        rec = build_record(member.exponents)
+        exps = member.exponents
+        rec = build_record(BPExponents(exps))
         if (
             sign in (None, rec.sign)
             and middle_betti in (None, rec.middle_betti)

@@ -18,9 +18,10 @@ from linkatlas import (
     is_rational_homology_sphere,
     torsion_closed_form,
 )
-from linkatlas.betti import TORSION_FREE, TORSION_UNKNOWN
-from linkatlas.errors import NotQuasiSmooth
+from linkatlas.betti import TORSION_FREE, TORSION_UNKNOWN, _product
+from linkatlas.errors import NonIntegerResult, NotQuasiSmooth
 from linkatlas.links import quasi_smooth_cost
+from betti_oracle import join_fermat, old_product, repeated_non_fermat_systems, subset_betti
 
 
 def test_betti_published_values():
@@ -306,3 +307,56 @@ def test_the_gate_costs_nothing_on_fermat_systems_and_not_d_elsewhere():
     assert quasi_smooth_cost(ws) == quasi_smooth_cost(WeightSystem((1, 2, 3, 4, 5), 67))
     assert quasi_smooth_cost(ws) == (2 + 5) * 8 + (3 + 5) * 4 + (4 + 5) * 2 + (5 + 5)
     assert is_quasi_smooth(ws)
+
+
+# --- the grouped Betti step, against one term per subset ----------------
+
+
+def _assert_matches_the_subset_sum(ws):
+    b = betti(ws)
+    got = (b.middle_betti, b.divisor, b.delta_at_one(), b.delta_at_minus_one(), b.quotients)
+    assert got == subset_betti(ws), ws
+
+
+def test_betti_matches_the_subset_sum_on_repeated_weights():
+    rng = random.Random(43)
+    # 3 variables with d < 16 and 4 with d < 10
+    systems = list(repeated_non_fermat_systems(((3, range(2, 16)), (4, range(2, 10)))))
+    assert len(systems) > 100
+    for ws in systems:
+        _assert_matches_the_subset_sum(ws)
+    for _ in range(150):
+        exps = [rng.randint(2, 9) for _ in range(rng.randint(2, 7))]
+        _assert_matches_the_subset_sum(bp_link(exps))
+        base = rng.choice(systems)
+        extra = [rng.randint(2, 6)] * rng.randint(1, 3)
+        _assert_matches_the_subset_sum(join_fermat(base, extra))
+
+
+def test_the_coprime_base_product_is_the_old_powers():
+    rng = random.Random(47)
+    integral = 0
+    for _ in range(400):
+        divisor = {rng.randint(1, 60): rng.randint(-3, 3) for _ in range(rng.randint(1, 6))}
+        factors = list(divisor.items())
+        num = prod(ell**k for ell, k in factors if k > 0)
+        den = prod(ell**-k for ell, k in factors if k < 0)
+        if num % den:
+            with pytest.raises(NonIntegerResult):
+                _product(factors, list(divisor))
+        else:
+            integral += 1
+            assert _product(factors, list(divisor)) == old_product(divisor)
+    assert integral > 100
+
+
+def test_delta_needs_no_large_powers():
+    # five equal exponents give c_l near (k - 1)^5 / l, which the old
+    # powers built in full
+    for exps in ((10, 10, 10, 10, 10, 11, 13), (12, 12, 12, 12, 12, 13, 17)):
+        b = betti(bp_link(exps))
+        assert max(abs(c) for c in b.divisor.values()) > 1000
+        assert b.middle_betti == 0 and b.delta_at_one() == old_product(b.divisor) == 1
+        even = {ell: c for ell, c in b.divisor.items() if ell % 2 == 0}
+        assert sum(even.values()) == 0
+        assert b.delta_at_minus_one() == old_product(even, 1 << b.middle_betti)

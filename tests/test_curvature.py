@@ -263,3 +263,72 @@ def test_ew_check_refuses_non_finite_offset_and_no_samples(samples, offset):
     # residual of 0.0 that checked nothing
     with pytest.raises(InvalidInput):
         ew_function_check(1, samples, offset=offset)
+
+
+def _dense_fit(alg, ric):
+    """(lam, nu, residual) of the fit over every entry of the d x d
+    matrices, eta (x) eta built in full."""
+    d, g, eta = alg.dim, alg.metric, alg.eta
+    q = [[eta[i] * eta[j] for j in range(d)] for i in range(d)]
+
+    def dot(x, y):
+        return sum(x[i][j] * y[i][j] for i in range(d) for j in range(d))
+
+    a11, a12, a22 = dot(g, g), dot(g, q), dot(q, q)
+    b1, b2 = dot(g, ric), dot(q, ric)
+    det = a11 * a22 - a12 * a12
+    lam = (b1 * a22 - b2 * a12) / det
+    nu = (a11 * b2 - a12 * b1) / det
+    residual = max(
+        abs(ric[i][j] - lam * g[i][j] - nu * q[i][j]) for i in range(d) for j in range(d)
+    )
+    return lam, nu, residual
+
+
+def _random_metric(rng, d):
+    # m^T m + 4 I is symmetric positive definite, with few zero entries
+    m = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+    return [
+        [F(sum(m[k][i] * m[k][j] for k in range(d)) + (4 if i == j else 0)) for j in range(d)]
+        for i in range(d)
+    ]
+
+
+def test_the_sparse_fit_is_the_dense_fit():
+    rng = random.Random(83)
+    algebras = [heisenberg_algebra(n) for n in range(1, 9)]
+    algebras += [berger_sphere(a) for a in (F(1, 3), F(1, 2), 2, 3)]
+    for _ in range(40):
+        coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+        algebras.append(_diagonal_su2(*coeffs, metric=_random_metric(rng, 3)))
+    for n in range(1, 4):
+        # a Heisenberg bracket table under a dense metric, Reeb field anywhere
+        d = 2 * n + 1
+        table = {(i, n + i): {d - 1: 2} for i in range(n)}
+        for _ in range(5):
+            algebras.append(MetricAlgebra(table, _random_metric(rng, d), rng.randrange(d)))
+    while len(algebras) < 90:
+        # nilpotent tables under the identity metric: Ric has entries off
+        # the supports of g and eta (x) eta
+        d = rng.choice((5, 7))
+        table = {
+            (i, j): {k: rng.randint(-3, 3) for k in rng.sample(range(j + 1, d), 1)}
+            for i, j in itertools.combinations(range(d - 1), 2)
+            if rng.random() < 0.3
+        }
+        try:
+            algebras.append(MetricAlgebra(table, _identity(d), rng.randrange(d)))
+        except InvalidInput:
+            continue
+    fitted = set()
+    for alg in algebras:
+        d = alg.dim
+        # the Ricci tensor, and a symmetric matrix with entries anywhere
+        noise = [[F(rng.randint(-5, 5)) for _ in range(d)] for _ in range(d)]
+        noise = [[noise[min(i, j)][max(i, j)] for j in range(d)] for i in range(d)]
+        for ric in (ricci_tensor(alg), noise):
+            fit = eta_fit(alg, ric)
+            assert (fit.lam, fit.nu, fit.residual) == _dense_fit(alg, ric)
+            assert all(type(x) is F for x in (fit.lam, fit.nu, fit.residual))
+            fitted.add(fit.is_eta_einstein)
+    assert fitted == {True, False}

@@ -1,6 +1,7 @@
 """Property tests tying the signature to its oracle, to the Betti sum and
-to the sphere rule, a catalog key's variable count to the link it
-names, and run_search to the naive loop that builds every member."""
+to the sphere rule, the Betti sum to its subset-by-subset oracle, a
+catalog key's variable count to the link it names, and run_search to
+the naive loop that builds every member."""
 
 from math import gcd, prod
 
@@ -21,6 +22,7 @@ from linkatlas import (  # noqa: E402
     run_search,
 )
 from linkatlas.links import key_nvars  # noqa: E402
+from betti_oracle import join_fermat, repeated_non_fermat_systems, subset_betti  # noqa: E402
 from search_oracle import assert_same_search, naive_search  # noqa: E402
 
 # 3 exponents up to 14 and 5 up to 5 keep the direct oracle under ~4^5
@@ -56,6 +58,31 @@ def test_five_exponent_homotopy_spheres_have_signature_divisible_by_8(exps):
     b = betti(bp_link(exps))
     assume(b.middle_betti == 0 and b.delta_at_one() == 1)
     assert brieskorn_signature(exps).signature % 8 == 0
+
+
+# quasi-smooth systems with repeated weights: a Brieskorn-Pham vector
+# from a small range, or a non-Fermat system of 3 variables with d < 12
+# joined with repeated Fermat variables z^a
+_NON_FERMAT = list(repeated_non_fermat_systems(((3, range(2, 12)),)))
+
+repeated = st.one_of(
+    st.lists(st.integers(2, 8), min_size=2, max_size=7).map(bp_link),
+    st.builds(
+        join_fermat,
+        st.sampled_from(_NON_FERMAT),
+        st.lists(st.integers(2, 7), min_size=1, max_size=4).map(
+            lambda a: a + a[:1]
+        ),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated)
+def test_betti_matches_the_subset_oracle(ws):
+    b = betti(ws)
+    got = (b.middle_betti, b.divisor, b.delta_at_one(), b.delta_at_minus_one(), b.quotients)
+    assert got == subset_betti(ws)
 
 
 links = st.one_of(
