@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import NonIntegerResult, NotQuasiSmooth
 from .links import WeightSystem, bp_link, canonical_key, is_quasi_smooth, is_well_formed
@@ -64,8 +64,8 @@ class BettiResult:
     middle_betti: int
     # the characteristic divisor: {l: c_l} for each nonzero c_l
     divisor: dict[int, int] = field(compare=False, repr=False)
-    # |Delta(1)|, 0 when the middle homology is infinite
-    order: int = field(compare=False, repr=False)
+    # |Delta(1)|, read through delta_at_one()
+    _order: int = field(compare=False, repr=False)
 
     @property
     def link_dim(self) -> int:
@@ -79,7 +79,7 @@ class BettiResult:
     def delta_at_one(self) -> int:
         """|Delta(1)|, the order of the middle homology: 0 when it is
         infinite (see the module docstring)."""
-        return self.order
+        return self._order
 
     def delta_at_minus_one(self) -> int:
         """|Delta(-1)|: 0 when -1 is a root (see the module docstring)."""
@@ -97,8 +97,6 @@ def _coprime_base(numbers: list[int]) -> list[int]:
     goes on as its cofactor, and two that share another factor g are
     split into g and their cofactors."""
     pending = [x for x in set(numbers) if x > 1]
-    if lcm(*pending) == prod(pending):  # pairwise coprime already
-        return pending
     base: list[int] = []
     while pending:
         y = pending.pop()
@@ -120,19 +118,16 @@ def _coprime_base(numbers: list[int]) -> list[int]:
 def _product(factors: list[tuple[int, int]], atoms: list[int]) -> int:
     """prod of l^{c_l} over the (l, c_l) pairs, where every l is the lcm
     of some of the atoms, so a product of powers of their coprime base
-    and a divisor of their lcm (the module docstring says the product
-    is an integer).  The exponent of a base element b is the sum, over
-    the powers b^j that divide the atoms' lcm, of the c_l with b^j
-    dividing l; b is raised once, and a negative exponent is
-    NonIntegerResult."""
-    top = lcm(*atoms)
+    (the module docstring says the product is an integer).  The exponent
+    of a base element b is the sum of c_l times the power of b in l; b
+    is raised once, and a negative exponent is NonIntegerResult."""
     total = 1
     for b in _coprime_base(atoms):
         e = 0
-        power = b
-        while top % power == 0:
-            e += sum(k for ell, k in factors if ell % power == 0)
-            power *= b
+        for ell, k in factors:
+            while ell % b == 0:
+                ell //= b
+                e += k
         if e < 0:
             raise NonIntegerResult(
                 "prod l^c_l of %s is not an integer" % dict(factors)

@@ -52,11 +52,11 @@ class WeightSystem:
 
     def __post_init__(self) -> None:
         w, d = tuple(self.weights), self.degree
-        if {*map(type, w), type(d)} - {int}:  # no bool, float or str
+        if any(type(x) is not int for x in (*w, d)):  # no bool, float or str
             raise InvalidInput("weights and degree must be integers")
         if len(w) < 2:
             raise InvalidInput("need at least two weights")
-        if min(w) < 1 or d < 1:
+        if any(x < 1 for x in w) or d < 1:
             raise InvalidInput("weights and degree must be positive")
         g = gcd(*w)
         if g > 1:

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import InvariantRecord, at_least, build_record, record_cost, record_filter
 from .errors import BoundsTooLarge, InvalidInput
-from .links import BPExponents, bp_key, kervaire_exponents
+from .links import BPExponents, bp_key
 from .spheres import kervaire_classify  # noqa: F401  (a name perfbench traces)
 
 DEFAULT_BUDGET = 10**8
@@ -120,8 +120,10 @@ def _family_kervaire(bounds) -> Iterator[Member]:
     for rs in itertools.product(*spans):
         if any(gcd(x, y) != 1 for x, y in itertools.combinations(rs, 2)):
             continue
+        # the bounds and the coprimality are checked: the vector of
+        # links.kervaire_exponents, left a plain tuple
         for a in a_span:
-            yield Member(kervaire_exponents(rs, a).exponents, rs, a)
+            yield Member((2, *(2 * r for r in rs), a), rs, a)
 
 
 def _notes_237m(bounds, min_coprime_fixed: int | None, examined: int) -> list[str]:
