@@ -6,16 +6,14 @@ sphere.  The combinatorics of the weights already decides a lot about the
 geometry of that link, before any curvature enters the picture.
 """
 
-from linkatlas import (
+from linkatlas import bp_link, classify_sign
+from linkatlas.links import (
     SignClass,
     WeightSystem,
     ade_match,
-    bp_link,
     canonical_key,
-    classify_sign,
     count_monomials,
     pi1_class,
-    reciprocal_sum,
     solve_weights,
 )
 
@@ -26,7 +24,7 @@ def main():
     poincare = bp_link((2, 3, 5))
     print("L(2,3,5):", poincare)
     print("  key:", canonical_key(poincare))
-    print("  reciprocal sum:", reciprocal_sum((2, 3, 5)))
+    print("  d - |w|:", poincare.degree - poincare.total_weight)
 
     # The sign of d - |w| splits links into three regimes.  For three
     # variables it is the same trichotomy as spherical / nil / hyperbolic

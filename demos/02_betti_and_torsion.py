@@ -2,18 +2,14 @@
 
 The rank of the middle homology of a link is an alternating sum of
 rational products indexed by subsets of the variables.  Everything here
-is exact: the sum is assembled in Fraction arithmetic and only accepted
-if it lands on an integer.
+is exact: the sum is assembled in integer arithmetic, one step per
+distinct weight, and each of its terms is only accepted if it divides
+exactly.
 """
 
-from linkatlas import (
-    WeightSystem,
-    betti,
-    bp_link,
-    is_quasi_smooth,
-    is_rational_homology_sphere,
-    torsion_closed_form,
-)
+from linkatlas import betti, bp_link
+from linkatlas.betti import torsion_closed_form
+from linkatlas.links import WeightSystem, is_quasi_smooth
 
 
 def main():
@@ -48,9 +44,8 @@ def main():
     # Rational homology spheres are the links with vanishing middle rank.
     print()
     for exps in ((2, 3, 5), (2, 3, 7, 43), (2, 3, 7, 42)):
-        link = bp_link(exps)
-        print("L%s rational homology sphere: %s" % (
-            exps, is_rational_homology_sphere(link)))
+        b = betti(bp_link(exps)).middle_betti
+        print("L%s rational homology sphere: %s" % (exps, b == 0))
 
     # Torsion in closed form where one is known, read off the same Betti
     # table of the weight system: a homotopy sphere (|Delta(1)| = 1, here

@@ -1,24 +1,20 @@
 """Signatures, the Casson invariant, and exotic 7-spheres.
 
 For links in dimensions 3 and 7 the signature of the Milnor fiber is a
-lattice point count.  Two independent routes compute it; dividing by 8
-gives the Casson invariant of a Brieskorn homology 3-sphere, and mod 28
-it separates the oriented diffeomorphism types of homotopy 7-spheres.
+lattice point count, which every record checks against the Betti sum;
+dividing it by 8 gives the Casson invariant of a Brieskorn homology
+3-sphere, and mod 28 it separates the oriented diffeomorphism types of
+homotopy 7-spheres.
 """
 
-from linkatlas import (
-    BPExponents,
-    NotASphere,
-    bp8_class,
-    bp_link,
-    brieskorn_signature,
-    brieskorn_signature_direct,
-    casson_invariant,
-    build_record,
-    kervaire_classify,
-    seven_sphere_sweep,
-)
-from linkatlas.links import parse_link
+from math import prod
+
+from linkatlas import casson_invariant
+from linkatlas.catalog import build_record
+from linkatlas.errors import NotASphere
+from linkatlas.links import BPExponents, parse_link
+from linkatlas.search import seven_sphere_sweep
+from linkatlas.spheres import bp8_class, brieskorn_signature
 
 
 def main():
@@ -29,11 +25,17 @@ def main():
         print("sigma%s = %d (+%d, -%d)" % (exps, res.signature,
                                            res.positive, res.negative))
 
-    # The histogram route and the direct lattice walk must agree.
-    exps = (11, 7, 3)
-    assert brieskorn_signature(exps) == brieskorn_signature_direct(exps)
+    # The lattice points with integer t are the eigenvalue-1 part of the
+    # monodromy, so they number the middle Betti number: a record of the
+    # link is built only when the count and the Betti sum agree.
+    exps = (12, 8, 3)
+    res = brieskorn_signature(exps)
+    rec = build_record(BPExponents(exps))
+    points = prod(x - 1 for x in exps)
+    assert res.positive + res.negative + rec.middle_betti == points
     print()
-    print("dual routes agree on", exps)
+    print("%s: %d + %d lattice points off the integers, b = %d, of %d"
+          % (rec.key, res.positive, res.negative, rec.middle_betti, points))
 
     # Casson invariant of the Poincare sphere chain.
     for exps in ((5, 3, 2), (7, 3, 2), (11, 3, 2)):
@@ -50,24 +52,20 @@ def main():
     except NotASphere as exc:
         print("L(2, 2, 2, 4, 5): no bP_8 class,", exc)
 
-    # Kervaire-type links L(2,2r1,...,2r2m,a): for odd a coprime to every
-    # ri the class depends only on a mod 8 (kervaire_classify, the closed
-    # form the tests check the record against); the sign class compares
-    # sum 1/ri with (a-2)/a.
+    # Kervaire-type links L(2,2r1,...,2r2m,a), written kervaire:r1,...@a:
+    # the record reads the class off Delta(-1) mod 8.  For odd a coprime
+    # to every ri it depends only on a mod 8 (standard for +-1, Kervaire
+    # for +-3); the sign class compares sum 1/ri with (a-2)/a.
     print()
-    for r, a in (((3, 5), 7), ((3, 5), 11), ((3, 5), 4)):
-        verdict, sign = kervaire_classify(r, a)
-        print("r=%s a=%d -> %s, %s" % (r, a, verdict.kind, sign.value))
-    # The record of the same link reads the class off Delta(-1) mod 8.
-    rec = build_record(BPExponents((2, 6, 10, 11)))
-    print("%s -> %s" % (rec.key, rec.sphere.kind))
-    # It also decides where the closed form does not hold: in
+    for link in ("kervaire:3,5@7", "kervaire:3,5@11", "kervaire:3,5@4"):
+        rec = build_record(parse_link(link))
+        print("%s is %s -> %s, %s" % (link, rec.key, rec.sphere.kind, rec.sign))
+    # It also decides where the mod 8 rule does not hold: in
     # kervaire:1,3@3, a = 3 shares a factor with r2 = 3, so the link
     # L(2,2,6,3) has middle Betti number 2 and is no sphere.
     rec = build_record(parse_link("kervaire:1,3@3"))
-    verdict, _ = kervaire_classify((1, 3), 3)
-    print("kervaire:1,3@3 is %s -> %s, b = %d (closed form: %s)"
-          % (rec.key, rec.sphere.kind, rec.middle_betti, verdict.kind))
+    print("kervaire:1,3@3 is %s -> %s, b = %d"
+          % (rec.key, rec.sphere.kind, rec.middle_betti))
 
     # Sweep L(k,k,k,k+1,p) for all 28 residues.  The small box below finds
     # some of them; the full k=2:8, p=2:600 box, also within the default

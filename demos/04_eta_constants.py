@@ -8,8 +8,8 @@ orbit geometry decides which special metrics the family can reach.
 
 from fractions import Fraction
 
-from linkatlas import (
-    EtaConstants,
+from linkatlas import EtaConstants, transverse_homothety
+from linkatlas.eta import (
     einstein_scale,
     ew_mu_squared,
     heisenberg_alpha_squared,
@@ -18,7 +18,6 @@ from linkatlas import (
     scalar_curvature,
     scalar_flat_scale,
     squash_class,
-    transverse_homothety,
 )
 
 

@@ -13,13 +13,11 @@ from fractions import Fraction
 from linkatlas import (
     EtaConstants,
     MetricAlgebra,
-    berger_sphere,
     eta_fit,
-    ew_function_check,
     heisenberg_algebra,
-    ricci_tensor,
     transverse_homothety,
 )
+from linkatlas.curvature import berger_sphere, ew_function_check, ricci_tensor
 
 
 def main():
@@ -51,7 +49,7 @@ def main():
     ric = ricci_tensor(alg)
     print()
     print("lopsided su(2) Ricci diagonal:", [ric[i][i] for i in range(3)])
-    fit = eta_fit(alg, ric)
+    fit = eta_fit(alg)
     print("fit residual:", fit.residual, "(not eta-Einstein:",
           not fit.is_eta_einstein, ")")
 

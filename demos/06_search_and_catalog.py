@@ -9,12 +9,8 @@ canonical form, and the catalog can be queried and reverified later.
 import pathlib
 import tempfile
 
-from linkatlas import (
-    catalog_append,
-    catalog_query,
-    run_search,
-    reverify_record,
-)
+from linkatlas.catalog import catalog_append, catalog_query, reverify_record
+from linkatlas.search import run_search
 
 
 def main():

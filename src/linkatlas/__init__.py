@@ -1,89 +1,27 @@
 """Exact invariants of links of weighted homogeneous hypersurface
 singularities: weight systems, Betti numbers, signatures, exotic
 sphere classes, eta-Einstein constants and left-invariant curvature.
+
+The package exports the names of the README's library quick start;
+every other name is imported from the module that defines it.
 """
 
-from .betti import (
-    BettiResult,
-    betti,
-    is_rational_homology_sphere,
-    torsion_closed_form,
-)
-from .catalog import (
-    TOOL_VERSION,
-    InvariantRecord,
-    build_record,
-    catalog_append,
-    catalog_query,
-    read_catalog,
-    reverify_record,
-)
-from .curvature import (
-    MetricAlgebra,
-    RicciFit,
-    berger_sphere,
-    eta_fit,
-    ew_function_check,
-    heisenberg_algebra,
-    ricci_tensor,
-)
-from .errors import (
-    AtlasError,
-    BoundsTooLarge,
-    DegenerateMetric,
-    DimensionUnsupported,
-    InconsistentInvariants,
-    InvalidInput,
-    NoEWPair,
-    NonDivisible,
-    NonIntegerResult,
-    NonPositiveScale,
-    NoPositiveSolution,
-    NotASphere,
-    NotNegativeClass,
-    NotPairwiseCoprime,
-    NotPositiveClass,
-    NotQuasiSmooth,
-    PoleProximity,
-    RankDeficient,
-)
-from .eta import (
-    EtaConstants,
-    einstein_scale,
-    ew_mu_squared,
-    heisenberg_alpha_squared,
-    lorentzian_scale,
-    null_constants,
-    scalar_curvature,
-    scalar_flat_scale,
-    squash_class,
-    transverse_homothety,
-)
-from .links import (
-    BPExponents,
-    Pi1Class,
-    SignClass,
-    WeightSystem,
-    ade_match,
-    bp_link,
-    canonical_key,
-    classify_sign,
-    count_monomials,
-    is_quasi_smooth,
-    is_well_formed,
-    pi1_class,
-    reciprocal_sum,
-    solve_weights,
-)
-from .search import DEFAULT_BUDGET, run_search, seven_sphere_sweep
-from .spheres import (
-    SignatureResult,
-    SphereVerdict,
-    bp8_class,
-    brieskorn_signature,
-    brieskorn_signature_direct,
-    casson_invariant,
-    kervaire_classify,
-)
+from .betti import betti
+from .catalog import TOOL_VERSION as __version__
+from .curvature import MetricAlgebra, eta_fit, heisenberg_algebra
+from .eta import EtaConstants, transverse_homothety
+from .links import bp_link, classify_sign
+from .spheres import casson_invariant
 
-__version__ = TOOL_VERSION
+__all__ = [
+    "__version__",
+    "bp_link",
+    "classify_sign",
+    "betti",
+    "casson_invariant",
+    "EtaConstants",
+    "transverse_homothety",
+    "eta_fit",
+    "heisenberg_algebra",
+    "MetricAlgebra",
+]

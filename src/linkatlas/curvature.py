@@ -171,14 +171,13 @@ class RicciFit:
         return self.residual == 0
 
 
-def eta_fit(alg: MetricAlgebra, ric: Matrix | None = None) -> RicciFit:
+def eta_fit(alg: MetricAlgebra) -> RicciFit:
     """Fit the Ricci tensor of the algebra to lam g + nu eta (x) eta."""
     d = alg.dim
     if d % 2 == 0 or d < 3:
         raise InvalidInput("eta-Einstein fit needs odd dimension >= 3")
     n = (d - 1) // 2
-    if ric is None:
-        ric = ricci_tensor(alg)
+    ric = ricci_tensor(alg)
     eta = alg.eta
     # g and eta (x) eta by their nonzero entries: the dot products of the
     # normal equations are sums over those alone

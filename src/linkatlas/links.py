@@ -396,12 +396,6 @@ def key_nvars(key: str) -> int:
     return key.count(",") + 1
 
 
-def reciprocal_sum(a: Sequence[int] | BPExponents) -> Fraction:
-    """sum 1/a_i; the sign class of a BP link compares this against 1."""
-    exps = _as_exponents(a).exponents
-    return sum((Fraction(1, x) for x in exps), Fraction(0))
-
-
 def _ints(text: str, sep: str = ",") -> tuple[int, ...]:
     try:
         return tuple(map(int, text.split(sep)))
@@ -487,7 +481,6 @@ __all__ = [
     "canonical_key",
     "bp_key",
     "key_nvars",
-    "reciprocal_sum",
     "parse_link",
     "parse_bounds",
 ]

@@ -47,10 +47,13 @@ class Member(NamedTuple):
 class SearchResult:
     records: tuple[InvariantRecord, ...]
     examined: int
-    matched: int
     notes: tuple[str, ...] = ()
     # the first matched member of each bp8 residue, in enumeration order
     witnesses: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
+
+    @property
+    def matched(self) -> int:
+        return len(self.records)
 
 
 def _span(bounds: Mapping[str, tuple[int, int]], key: str, lo_min: int) -> range:
@@ -236,7 +239,7 @@ def run_search(
 
     notes = fam.notes(bounds, min_coprime_fixed, examined)
     ordered = tuple(matched[k] for k in sorted(matched))
-    return SearchResult(ordered, examined, len(ordered), tuple(notes), witnesses)
+    return SearchResult(ordered, examined, tuple(notes), witnesses)
 
 
 def seven_sphere_sweep(

@@ -30,8 +30,7 @@ and 0 for rho = 0.  Each count is linear in q and a - 1 with
 coefficients that depend on the prefix and t alone, so the sums over
 the residues are cached per (prefix, t) and a member of a known class
 costs a few multiplications.  Everything is exact integer arithmetic.
-brieskorn_signature_direct is the nested-loop oracle the tests compare
-against.
+The tests check it against a nested-loop oracle, tests/signature_oracle.py.
 
 sphere_verdict is the one sphere rule, read off the characteristic
 divisor that betti() builds (see linkatlas.betti), so it holds for
@@ -237,21 +236,6 @@ def signature_cost(exps: Sequence[int]) -> int:
     return cost + min(cells, 3 * (last - 1))
 
 
-def brieskorn_signature_direct(a: Sequence[int] | BPExponents) -> SignatureResult:
-    """Nested-loop oracle for the same count; cost Prod(a_i - 1)."""
-    exps = _signature_exponents(a)
-    d = lcm(*exps)
-    steps = [d // x for x in exps]
-    pos = neg = 0
-    for tup in itertools.product(*(range(1, x) for x in exps)):
-        r = sum(i * s for i, s in zip(tup, steps)) % (2 * d)
-        if 0 < r < d:
-            pos += 1
-        elif r > d:
-            neg += 1
-    return SignatureResult(pos, neg)
-
-
 def casson_invariant(a: Sequence[int] | BPExponents) -> int:
     """Casson invariant of a Brieskorn homology 3-sphere: signature / 8."""
     exps = _as_exponents(a)
@@ -337,7 +321,6 @@ __all__ = [
     "SPHERE_KINDS",
     "SphereVerdict",
     "brieskorn_signature",
-    "brieskorn_signature_direct",
     "signature_cost",
     "casson_invariant",
     "bp8_residue",

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from linkatlas import WeightSystem, is_quasi_smooth
+from linkatlas.links import WeightSystem, is_quasi_smooth
 
 
 def old_product(divisor, times=1):

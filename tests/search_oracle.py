@@ -9,7 +9,8 @@ record and the record filters depend on nothing but the key.
 import itertools
 from math import gcd
 
-from linkatlas import BPExponents, build_record
+from linkatlas.catalog import build_record
+from linkatlas.links import BPExponents
 from linkatlas.search import FAMILIES, SearchResult
 
 
@@ -41,7 +42,7 @@ def naive_search(
             if rec.sphere.bp8_residue is not None:
                 witnesses.setdefault(rec.sphere.bp8_residue, exps)
     records = tuple(matched[k] for k in sorted(matched))
-    return SearchResult(records, len(members), len(records), (), witnesses)
+    return SearchResult(records, len(members), (), witnesses)
 
 
 def assert_same_search(got: SearchResult, want: SearchResult) -> None:

@@ -1,13 +1,34 @@
-"""The slow last-factor oracle: one pass over the prefix residues per
-member.
+"""The slow signature oracles: a nested loop over every lattice point,
+and one pass over the prefix residues per member for the last factor.
 
-brieskorn_signature reads the last factor from sums cached once per
-residue class of the last exponent; this loop counts it again for every
-exponent from the prefix histogram alone, so the two agree only if the
-class sums are the identity of the spheres module docstring.
+brieskorn_signature factors the count and reads the last factor from
+sums cached once per residue class of the last exponent.
+brieskorn_signature_direct visits each of the prod(a_i - 1) lattice
+points on its own, and by_residue counts the last factor again for every
+exponent from the prefix histogram alone, so they agree only if the
+factoring and the class sums are the identities of the spheres module
+docstring.
 """
 
+import itertools
 from math import lcm
+
+from linkatlas.spheres import SignatureResult, _signature_exponents
+
+
+def brieskorn_signature_direct(a):
+    """Nested-loop oracle for brieskorn_signature; cost prod(a_i - 1)."""
+    exps = _signature_exponents(a)
+    d = lcm(*exps)
+    steps = [d // x for x in exps]
+    pos = neg = 0
+    for tup in itertools.product(*(range(1, x) for x in exps)):
+        r = sum(i * s for i, s in zip(tup, steps)) % (2 * d)
+        if 0 < r < d:
+            pos += 1
+        elif r > d:
+            neg += 1
+    return SignatureResult(pos, neg)
 
 
 def by_residue(residues, cumulative, d, a):

@@ -12,25 +12,20 @@ from math import gcd
 
 from linkatlas import (
     EtaConstants,
-    SignClass,
-    WeightSystem,
-    berger_sphere,
     betti,
     bp_link,
-    brieskorn_signature,
-    brieskorn_signature_direct,
     casson_invariant,
     classify_sign,
-    count_monomials,
-    einstein_scale,
     eta_fit,
-    ew_function_check,
-    ew_mu_squared,
     heisenberg_algebra,
-    run_search,
-    seven_sphere_sweep,
     transverse_homothety,
 )
+from linkatlas.curvature import berger_sphere, ew_function_check
+from linkatlas.eta import einstein_scale, ew_mu_squared
+from linkatlas.links import SignClass, WeightSystem, count_monomials
+from linkatlas.search import run_search, seven_sphere_sweep
+from linkatlas.spheres import brieskorn_signature
+from signature_oracle import brieskorn_signature_direct
 
 
 def _report(num, label, body):

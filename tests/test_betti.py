@@ -9,18 +9,21 @@ from math import gcd, lcm, prod
 
 import pytest
 
-from linkatlas import (
-    BPExponents,
-    WeightSystem,
-    betti,
-    bp_link,
-    is_quasi_smooth,
+from linkatlas import betti, bp_link
+from linkatlas.betti import (
+    TORSION_FREE,
+    TORSION_UNKNOWN,
+    _product,
     is_rational_homology_sphere,
     torsion_closed_form,
 )
-from linkatlas.betti import TORSION_FREE, TORSION_UNKNOWN, _product
 from linkatlas.errors import NonIntegerResult, NotQuasiSmooth
-from linkatlas.links import quasi_smooth_cost
+from linkatlas.links import (
+    BPExponents,
+    WeightSystem,
+    is_quasi_smooth,
+    quasi_smooth_cost,
+)
 from betti_oracle import join_fermat, old_product, repeated_non_fermat_systems, subset_betti
 
 

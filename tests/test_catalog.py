@@ -14,32 +14,28 @@ from pathlib import Path
 
 import pytest
 
-from linkatlas import (
-    BPExponents,
-    InvariantRecord,
-    WeightSystem,
-    build_record,
-    catalog_append,
-    catalog_query,
-    eta_fit,
-    heisenberg_algebra,
-    null_constants,
-    read_catalog,
-    reverify_record,
-    run_search,
-)
+from linkatlas import eta_fit, heisenberg_algebra
 import linkatlas.catalog as catalog_module
 from linkatlas.catalog import (
     FILTERS,
+    InvariantRecord,
     ReadResult,
     _load_index,
     _stamp,
+    build_record,
+    catalog_append,
+    catalog_query,
     parse_key,
+    read_catalog,
     record_cost,
     record_filter,
+    reverify_record,
 )
 from linkatlas.cli import main as cli_main
 from linkatlas.errors import InconsistentInvariants, InvalidInput
+from linkatlas.eta import null_constants
+from linkatlas.links import BPExponents, WeightSystem
+from linkatlas.search import run_search
 
 
 def test_build_record_poincare():

@@ -17,8 +17,9 @@ from linkatlas.betti import betti_cost
 from linkatlas.catalog import FILTERS, build_record, catalog_query, record_cost
 from linkatlas.cli import CONFIG_ENV, MAX_DIGITS, build_parser, load_config, main, parse_link
 from linkatlas.errors import InvalidInput
-from linkatlas.links import BPExponents, WeightSystem, reciprocal_sum
-from linkatlas.spheres import brieskorn_signature_direct
+from linkatlas.links import BPExponents, WeightSystem
+from sign_oracle import reciprocal_sum
+from signature_oracle import brieskorn_signature_direct
 
 
 def run(capsys, *argv):
@@ -463,7 +464,7 @@ def _bad_config_classify(tmp_path):
 
 
 def _bad_catalog_key(tmp_path):
-    from linkatlas import BPExponents as BP, build_record
+    from linkatlas.links import BPExponents as BP
 
     obj = build_record(BP((5, 3, 2))).to_json()
     obj["key"] = "bp:2,x"
@@ -763,7 +764,7 @@ def test_missing_config_fails_every_command(capsys, tmp_path):
 def test_catalog_append_from_file(capsys, tmp_path):
     catalog = str(tmp_path / "atlas.jsonl")
     feed = tmp_path / "feed.jsonl"
-    from linkatlas import BPExponents as BP, build_record
+    from linkatlas.links import BPExponents as BP
 
     rec = build_record(BP((5, 3, 2)))
     feed.write_text(
@@ -782,7 +783,7 @@ def test_catalog_append_from_file(capsys, tmp_path):
 
 def test_catalog_append_from_stdin(capsys, tmp_path, monkeypatch):
     catalog = str(tmp_path / "atlas.jsonl")
-    from linkatlas import BPExponents as BP, build_record
+    from linkatlas.links import BPExponents as BP
 
     rec = build_record(BP((5, 3, 2)))
     feed = json.dumps(rec.to_json()) + "\n\n{not json\n"
@@ -799,7 +800,7 @@ def test_catalog_append_from_stdin(capsys, tmp_path, monkeypatch):
 
 def _cut_catalog(path):
     """A catalog of two records whose second line was cut mid-line."""
-    from linkatlas import BPExponents as BP, build_record
+    from linkatlas.links import BPExponents as BP
 
     first, second = (
         json.dumps(build_record(BP(e)).to_json()) for e in ((5, 3, 2), (7, 3, 2))
@@ -808,7 +809,7 @@ def _cut_catalog(path):
 
 
 def _stored_keys(path):
-    from linkatlas import read_catalog
+    from linkatlas.catalog import read_catalog
 
     data = read_catalog(path)
     return [r.key for r in data.records], [bad.lineno for bad in data.corrupt]
@@ -817,7 +818,7 @@ def _stored_keys(path):
 def test_catalog_append_ends_a_cut_last_line(capsys, tmp_path):
     catalog = tmp_path / "atlas.jsonl"
     _cut_catalog(catalog)
-    from linkatlas import BPExponents as BP, build_record
+    from linkatlas.links import BPExponents as BP
 
     feed = tmp_path / "feed.jsonl"
     feed.write_text(
@@ -851,7 +852,7 @@ def test_search_append_ends_a_cut_last_line(capsys, tmp_path):
 
 
 def test_non_utf8_lines_are_corrupt_lines(capsys, tmp_path):
-    from linkatlas import BPExponents as BP, build_record
+    from linkatlas.links import BPExponents as BP
 
     good = json.dumps(build_record(BP((5, 3, 2))).to_json()).encode()
     catalog = tmp_path / "atlas.jsonl"
@@ -883,7 +884,7 @@ def test_non_utf8_lines_are_corrupt_lines(capsys, tmp_path):
 
 def test_deeply_nested_json_is_a_corrupt_line(capsys, tmp_path):
     # json.loads gives up on 100,000 nested arrays with RecursionError
-    from linkatlas import BPExponents as BP, build_record
+    from linkatlas.links import BPExponents as BP
 
     good = json.dumps(build_record(BP((5, 3, 2))).to_json())
     deep = "[" * 100_000 + "]" * 100_000
@@ -946,7 +947,7 @@ def test_closed_stdout_is_not_an_io_error():
 
 def test_catalog_query_reverify(capsys, tmp_path):
     catalog = tmp_path / "atlas.jsonl"
-    from linkatlas import BPExponents as BP, build_record
+    from linkatlas.links import BPExponents as BP
 
     rec = build_record(BP((5, 3, 2)))
     obj = rec.to_json()

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from linkatlas import (
-    EtaConstants,
-    SignClass,
+from linkatlas import EtaConstants, transverse_homothety
+from linkatlas.eta import (
     einstein_scale,
     ew_mu_squared,
     heisenberg_alpha_squared,
@@ -16,7 +15,6 @@ from linkatlas import (
     scalar_curvature,
     scalar_flat_scale,
     squash_class,
-    transverse_homothety,
 )
 from linkatlas.errors import (
     InvalidInput,
@@ -25,6 +23,7 @@ from linkatlas.errors import (
     NotNegativeClass,
     NotPositiveClass,
 )
+from linkatlas.links import SignClass
 
 
 def _rand_rational(rng, lo=-10, hi=10):

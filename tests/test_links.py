@@ -7,31 +7,30 @@ from math import gcd
 
 import pytest
 
-from linkatlas import (
-    BPExponents,
+from linkatlas import bp_link, classify_sign
+from linkatlas.errors import (
+    DimensionUnsupported,
     InvalidInput,
     NoPositiveSolution,
-    Pi1Class,
     RankDeficient,
+)
+from linkatlas.links import (
+    BPExponents,
+    Pi1Class,
     SignClass,
     WeightSystem,
     ade_match,
-    bp_link,
     canonical_key,
-    classify_sign,
     count_monomials,
     is_well_formed,
-    pi1_class,
-    reciprocal_sum,
-    solve_weights,
-)
-from linkatlas.errors import DimensionUnsupported
-from linkatlas.links import (
     kervaire_exponents,
     parse_bounds,
     parse_link,
+    pi1_class,
     solve_cost,
+    solve_weights,
 )
+from sign_oracle import reciprocal_sum
 
 
 def test_weight_system_sorts_and_normalizes():

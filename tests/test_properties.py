@@ -10,20 +10,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from linkatlas import (  # noqa: E402
-    BPExponents,
-    betti,
-    bp_link,
-    brieskorn_signature,
-    brieskorn_signature_direct,
-    WeightSystem,
-    build_record,
-    canonical_key,
-    run_search,
-)
-from linkatlas.links import key_nvars  # noqa: E402
+from linkatlas import betti, bp_link  # noqa: E402
+from linkatlas.catalog import build_record  # noqa: E402
+from linkatlas.links import BPExponents, WeightSystem, canonical_key, key_nvars  # noqa: E402
+from linkatlas.search import run_search  # noqa: E402
+from linkatlas.spheres import brieskorn_signature  # noqa: E402
 from betti_oracle import join_fermat, repeated_non_fermat_systems, subset_betti  # noqa: E402
 from search_oracle import assert_same_search, naive_search  # noqa: E402
+from signature_oracle import brieskorn_signature_direct  # noqa: E402
 
 # 3 exponents up to 14 and 5 up to 5 keep the direct oracle under ~4^5
 # lattice points per example

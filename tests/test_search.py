@@ -7,22 +7,20 @@ from math import gcd
 
 import pytest
 
-from linkatlas import (
-    BoundsTooLarge,
-    BPExponents,
-    betti,
-    bp_link,
-    build_record,
-    canonical_key,
+from linkatlas import betti, bp_link
+from linkatlas import search as search_module
+from linkatlas.catalog import build_record, parse_key, record_cost, record_filter
+from linkatlas.links import BPExponents, bp_key, canonical_key
+from linkatlas.cli import main
+from linkatlas.errors import BoundsTooLarge, InvalidInput
+from linkatlas.search import (
+    FAMILIES,
+    Family,
+    Member,
+    check_budget,
     run_search,
     seven_sphere_sweep,
 )
-from linkatlas import search as search_module
-from linkatlas.catalog import parse_key, record_cost, record_filter
-from linkatlas.links import bp_key
-from linkatlas.cli import main
-from linkatlas.errors import InvalidInput
-from linkatlas.search import FAMILIES, Family, Member, check_budget
 from search_oracle import assert_same_search, naive_search
 
 

@@ -10,25 +10,12 @@ from math import gcd, prod
 
 import pytest
 
-from linkatlas import (
-    BPExponents,
-    SignClass,
-    WeightSystem,
-    betti,
-    bp8_class,
-    bp_link,
-    brieskorn_signature,
-    brieskorn_signature_direct,
-    build_record,
-    casson_invariant,
-    classify_sign,
-    kervaire_classify,
-    reciprocal_sum,
-)
+from linkatlas import betti, bp_link, casson_invariant, classify_sign
 from linkatlas import spheres
+from linkatlas.catalog import build_record
 from linkatlas.cli import main
 from linkatlas.betti import TORSION_FREE, TORSION_UNKNOWN
-from linkatlas.links import kervaire_exponents
+from linkatlas.links import BPExponents, SignClass, WeightSystem, kervaire_exponents
 from linkatlas.errors import (
     DimensionUnsupported,
     InvalidInput,
@@ -36,7 +23,9 @@ from linkatlas.errors import (
     NotPairwiseCoprime,
     NotQuasiSmooth,
 )
-from signature_oracle import by_residue
+from linkatlas.spheres import bp8_class, brieskorn_signature, kervaire_classify
+from sign_oracle import reciprocal_sum
+from signature_oracle import brieskorn_signature_direct, by_residue
 
 
 def test_signature_published_family():

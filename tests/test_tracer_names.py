@@ -29,7 +29,9 @@ def test_every_wrapped_name_resolves(tracer):
 def test_catalog_files_open_in_counted_modes(tracer, tmp_path, monkeypatch):
     # the traced benchmark counts catalog bytes through an `open` that
     # takes only the text modes r, w and a
-    from linkatlas import BPExponents, build_record, catalog
+    from linkatlas import catalog
+    from linkatlas.catalog import build_record
+    from linkatlas.links import BPExponents
 
     counter = tracer.ByteCounter()
     monkeypatch.setattr(catalog, "open", counter.open, raising=False)
@@ -48,7 +50,9 @@ def test_a_query_that_rebuilds_the_index_reads_the_catalog_twice(
 ):
     # once for the stamp, once for the rebuild, whose read answers the
     # query: the matched lines are not read a third time
-    from linkatlas import BPExponents, build_record, catalog
+    from linkatlas import catalog
+    from linkatlas.catalog import build_record
+    from linkatlas.links import BPExponents
 
     path = tmp_path / "atlas.jsonl"
     exponents = [(2, 3, c) for c in range(5, 60)] + [(2, 2, 2, 3, c) for c in range(5, 30)]
