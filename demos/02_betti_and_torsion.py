@@ -7,8 +7,8 @@ distinct weight, and each of its terms is only accepted if it divides
 exactly.
 """
 
-from linkatlas import betti, bp_link
-from linkatlas.betti import torsion_closed_form
+from linkatlas import bp_link
+from linkatlas.betti import betti, torsion_closed_form
 from linkatlas.links import WeightSystem, is_quasi_smooth
 
 

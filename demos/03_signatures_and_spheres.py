@@ -11,7 +11,7 @@ from math import prod
 
 from linkatlas import casson_invariant
 from linkatlas.catalog import build_record
-from linkatlas.errors import NotASphere
+from linkatlas.errors import InvalidInput
 from linkatlas.links import BPExponents, parse_link
 from linkatlas.search import seven_sphere_sweep
 from linkatlas.spheres import bp8_class, brieskorn_signature
@@ -49,7 +49,7 @@ def main():
     # Betti number 0 is not enough: H_3 of L(2,2,2,4,5) has order 5.
     try:
         bp8_class((2, 2, 2, 4, 5))
-    except NotASphere as exc:
+    except InvalidInput as exc:
         print("L(2, 2, 2, 4, 5): no bP_8 class,", exc)
 
     # Kervaire-type links L(2,2r1,...,2r2m,a), written kervaire:r1,...@a:

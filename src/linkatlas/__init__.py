@@ -2,11 +2,11 @@
 singularities: weight systems, Betti numbers, signatures, exotic
 sphere classes, eta-Einstein constants and left-invariant curvature.
 
-The package exports the names of the README's library quick start;
-every other name is imported from the module that defines it.
+The package exports the names of the README's library snippets;
+every other name is imported from the module that defines it, so
+`import linkatlas.betti` gives the module.
 """
 
-from .betti import betti
 from .catalog import TOOL_VERSION as __version__
 from .curvature import MetricAlgebra, eta_fit, heisenberg_algebra
 from .eta import EtaConstants, transverse_homothety
@@ -17,7 +17,6 @@ __all__ = [
     "__version__",
     "bp_link",
     "classify_sign",
-    "betti",
     "casson_invariant",
     "EtaConstants",
     "transverse_homothety",

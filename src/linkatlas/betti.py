@@ -28,17 +28,17 @@ integer arithmetic on u = d / gcd(d, w) and v = w / gcd(d, w).
 
 betti() divides each term exactly and keeps the nonzero c_l as
 BettiResult.divisor; a term that leaves a remainder, or a negative sum,
-is an error (NonIntegerResult), never a rounding.  When that sum is 0,
-|Delta(1)| = prod l^{c_l} is the order of the middle homology; when the
-root -1 is absent (sum over even l of c_l is 0), |Delta(-1)| = prod
-over odd l of 2^{c_l} * prod over even l of l^{c_l}.  Neither product
-builds an l^{c_l}, whose c_l grows like (u - 1)^m / l: both run over a
-coprime base (gcd refinement) of numbers that every l is an lcm of:
-the distinct u for |Delta(1)|, the even l and 2 for |Delta(-1)|.  The
-exponent of a base element b sums c_l times the power of b in l, each
-base element is raised once, and a negative exponent is
-NonIntegerResult.  betti() evaluates |Delta(1)| once, since the torsion
-and the sphere rule both read it.
+breaks an identity of the program (InconsistentInvariants), never a
+rounding.  When that sum is 0, |Delta(1)| = prod l^{c_l} is the order
+of the middle homology; when the root -1 is absent (sum over even l of
+c_l is 0), |Delta(-1)| = prod over odd l of 2^{c_l} * prod over even l
+of l^{c_l}.  Neither product builds an l^{c_l}, whose c_l grows like
+(u - 1)^m / l: both run over a coprime base (gcd refinement) of numbers
+that every l is an lcm of: the distinct u for |Delta(1)|, the even l
+and 2 for |Delta(-1)|.  The exponent of a base element b sums c_l times
+the power of b in l, each base element is raised once, and a negative
+exponent is InconsistentInvariants.  betti() evaluates |Delta(1)| once,
+since the torsion and the sphere rule both read it.
 
 All of this describes a link only when the weight system is
 quasi-smooth, as every Brieskorn-Pham one is, so betti() first refuses
@@ -54,7 +54,7 @@ from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
 
-from .errors import NonIntegerResult, NotQuasiSmooth
+from .errors import InconsistentInvariants, NotQuasiSmooth
 from .links import WeightSystem, bp_link, canonical_key, is_quasi_smooth, is_well_formed
 
 
@@ -120,7 +120,7 @@ def _product(factors: list[tuple[int, int]], atoms: list[int]) -> int:
     of some of the atoms, so a product of powers of their coprime base
     (the module docstring says the product is an integer).  The exponent
     of a base element b is the sum of c_l times the power of b in l; b
-    is raised once, and a negative exponent is NonIntegerResult."""
+    is raised once, and a negative exponent is InconsistentInvariants."""
     total = 1
     for b in _coprime_base(atoms):
         e = 0
@@ -129,7 +129,7 @@ def _product(factors: list[tuple[int, int]], atoms: list[int]) -> int:
                 ell //= b
                 e += k
         if e < 0:
-            raise NonIntegerResult(
+            raise InconsistentInvariants(
                 "prod l^c_l of %s is not an integer" % dict(factors)
             )
         total *= b**e
@@ -172,12 +172,14 @@ def betti(ws: WeightSystem) -> BettiResult:
     for ell, t in terms.items():
         c, rest = divmod(t, ell * vprod)
         if rest:
-            raise NonIntegerResult("divisor c_%d = %s" % (ell, Fraction(t, ell * vprod)))
+            raise InconsistentInvariants(
+                "divisor c_%d = %s is not an integer" % (ell, Fraction(t, ell * vprod))
+            )
         if c:
             divisor[ell] = c
     total = sum(divisor.values())
     if total < 0:
-        raise NonIntegerResult("betti sum reduced to %d" % total)
+        raise InconsistentInvariants("betti sum reduced to %d, which is negative" % total)
     # every l is an lcm of the u's
     order = 0 if total else _product(list(divisor.items()), us)
     return BettiResult(ws, total, divisor, order)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import DegenerateMetric, InvalidInput, PoleProximity
+from .errors import InvalidInput
 from .eta import heisenberg_alpha_squared
 from .links import row_reduce
 
@@ -106,7 +106,7 @@ def _inverse(g: Matrix) -> list[list[Fraction]]:
     d = len(g)
     a = [list(row) + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(g)]
     if row_reduce(a)[:d] != list(range(d)):
-        raise DegenerateMetric("frame metric is singular")
+        raise InvalidInput("frame metric is singular")
     return [row[d:] for row in a]
 
 
@@ -192,7 +192,7 @@ def eta_fit(alg: MetricAlgebra) -> RicciFit:
     b2 = sum(x * ric[i][j] for (i, j), x in q.items())
     det = a11 * a22 - a12 * a12
     if det == 0:
-        raise DegenerateMetric("g and eta (x) eta are dependent")
+        raise InvalidInput("g and eta (x) eta are dependent")
     lam = (b1 * a22 - b2 * a12) / det
     nu = (a11 * b2 - a12 * b1) / det
 
@@ -251,9 +251,9 @@ def ew_function_check(
 
     xibar is the rescaled Reeb field alpha d/dz, so the identity reads
     alpha^2 tan^2 - alpha^2 sec^2 + alpha^2 = 0 pointwise.  Floats are
-    appropriate here (alpha is irrational); samples within 1e-6 of a
-    pole of tan raise PoleProximity instead of returning garbage.  A
-    non-finite offset, or no sample at all, raises InvalidInput.
+    appropriate here (alpha is irrational).  A sample within 1e-6 of a
+    pole of tan, a non-finite offset, or no sample at all raises
+    InvalidInput instead of returning garbage.
     """
     if not math.isfinite(offset):
         raise InvalidInput("offset must be finite, got %r" % offset)
@@ -271,7 +271,7 @@ def ew_function_check(
         dist = abs((t - math.pi / 2) % math.pi)
         dist = min(dist, math.pi - dist)
         if dist < 1e-6:
-            raise PoleProximity("z + c = %r is within 1e-6 of a pole" % t)
+            raise InvalidInput("z + c = %r is within 1e-6 of a pole" % t)
         f = alpha * math.tan(t)
         xibar_f = alpha * (alpha / math.cos(t) ** 2)
         worst = max(worst, abs(f * f - xibar_f + alpha * alpha))

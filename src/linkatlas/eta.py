@@ -15,13 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    InvalidInput,
-    NoEWPair,
-    NonPositiveScale,
-    NotNegativeClass,
-    NotPositiveClass,
-)
+from .errors import InvalidInput
 from .links import SignClass
 
 Rational = Fraction | int
@@ -72,7 +66,7 @@ def transverse_homothety(c: EtaConstants, a: Rational) -> EtaConstants:
     """Constants after the homothety with scale a > 0."""
     a = Fraction(a)
     if a <= 0:
-        raise NonPositiveScale("scale must be positive, got %s" % a)
+        raise InvalidInput("scale must be positive, got %s" % a)
     return EtaConstants.of(c.n, (c.lam + 2 - 2 * a) / a)
 
 
@@ -80,7 +74,7 @@ def einstein_scale(c: EtaConstants) -> Fraction:
     """Scale taking a positive structure to the Einstein one,
     lambda' = 2n: a = (lambda + 2) / (2n + 2).  Needs lambda > -2."""
     if c.lam <= -2:
-        raise NotPositiveClass("requires lambda > -2, got %s" % c.lam)
+        raise InvalidInput("requires lambda > -2, got %s" % c.lam)
     return (c.lam + 2) / Fraction(2 * c.n + 2)
 
 
@@ -90,7 +84,7 @@ def lorentzian_scale(c: EtaConstants) -> Fraction:
     as evaluated (callers flag it), since the Lorentzian deformation
     -g' = a g + a(a-1) eta (x) eta is not a homothety of the metric."""
     if c.lam >= -2:
-        raise NotNegativeClass("requires lambda < -2, got %s" % c.lam)
+        raise InvalidInput("requires lambda < -2, got %s" % c.lam)
     return (c.lam + 2) / Fraction(2 + 2 * c.n)
 
 
@@ -98,7 +92,7 @@ def squash_class(a: Rational) -> str:
     """"squashed" for 0 < a < 1, "einstein" at a = 1, "stretched" above."""
     a = Fraction(a)
     if a <= 0:
-        raise NonPositiveScale("scale must be positive, got %s" % a)
+        raise InvalidInput("scale must be positive, got %s" % a)
     if a < 1:
         return "squashed"
     if a == 1:
@@ -115,7 +109,7 @@ def scalar_flat_scale(c: EtaConstants) -> Fraction:
     """Scale a = lambda + 2 reaching lambda' = -1, i.e. s' = 0.
     Needs lambda > -2 so the scale is positive."""
     if c.lam <= -2:
-        raise NotPositiveClass("requires lambda > -2, got %s" % c.lam)
+        raise InvalidInput("requires lambda > -2, got %s" % c.lam)
     return c.lam + 2
 
 
@@ -124,7 +118,7 @@ def ew_mu_squared(c: EtaConstants) -> Fraction:
     Exists only for nu < 0; mu itself is irrational in general, so the
     square is the stored quantity."""
     if c.nu >= 0:
-        raise NoEWPair("requires nu < 0, got %s" % c.nu)
+        raise InvalidInput("requires nu < 0, got %s" % c.nu)
     return -c.nu / Fraction(2 * c.n - 1)
 
 

@@ -15,13 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Sequence
 
-from .errors import (
-    DimensionUnsupported,
-    InvalidInput,
-    NoPositiveSolution,
-    NotPairwiseCoprime,
-    RankDeficient,
-)
+from .errors import InvalidInput
 
 
 class SignClass(enum.Enum):
@@ -126,13 +120,13 @@ def kervaire_exponents(r: Sequence[int], a: int) -> BPExponents:
     pairwise coprime integers r_i >= 1 and an integer a >= 2."""
     rs = tuple(r)
     if len(rs) < 2 or len(rs) % 2:
-        raise DimensionUnsupported("need an even count 2m >= 2 of r_i")
+        raise InvalidInput("need an even count 2m >= 2 of r_i")
     if any(x < 1 for x in rs) or a < 2:
         raise InvalidInput("r_i must be >= 1 and a >= 2")
     # BPExponents refuses a non-integer r_i or a
     exps = BPExponents((2,) + tuple(2 * x for x in rs) + (a,))
     if any(gcd(x, y) != 1 for x, y in itertools.combinations(rs, 2)):
-        raise NotPairwiseCoprime("r must be pairwise coprime")
+        raise InvalidInput("r must be pairwise coprime")
     return exps
 
 
@@ -188,8 +182,8 @@ def solve_weights(rows: Sequence[Sequence[int]]) -> WeightSystem:
     Each row (m_0, ..., m_n) of a monomial z^m imposes
     sum_j m_j * w_j = d.  The homogeneous system in (w, d) must have a
     one dimensional kernel; the primitive positive representative is
-    returned.  Raises RankDeficient when the kernel has dimension > 1
-    and NoPositiveSolution when no strictly positive solution exists.
+    returned.  Raises InvalidInput when the kernel has dimension > 1
+    or no strictly positive solution exists.
     """
     mat = [list(r) for r in rows]
     if not mat:
@@ -210,9 +204,9 @@ def solve_weights(rows: Sequence[Sequence[int]]) -> WeightSystem:
 
     free = [c for c in range(ncols) if c not in pivots]
     if len(free) == 0:
-        raise NoPositiveSolution("only the zero solution")
+        raise InvalidInput("only the zero solution")
     if len(free) > 1:
-        raise RankDeficient("solution space has dimension %d" % len(free))
+        raise InvalidInput("solution space has dimension %d" % len(free))
 
     # Kernel vector: free column set to 1, pivots back substituted.
     fcol = free[0]
@@ -224,7 +218,7 @@ def solve_weights(rows: Sequence[Sequence[int]]) -> WeightSystem:
     if vec[-1] < 0:
         vec = [-x for x in vec]
     if vec[-1] == 0 or any(x <= 0 for x in vec[:-1]):
-        raise NoPositiveSolution("kernel vector is not strictly positive")
+        raise InvalidInput("kernel vector is not strictly positive")
 
     # clear denominators; the constructor divides out the weight gcd,
     # which always divides d = m.w here
@@ -328,7 +322,7 @@ def is_well_formed(ws: WeightSystem) -> bool:
     forces the degree-two homology of the link to be torsion free.
     """
     if ws.nvars != 4:
-        raise DimensionUnsupported("well-formedness needs nvars = 4")
+        raise InvalidInput("well-formedness needs nvars = 4")
     return all(
         gcd(gcd(x, y), z) == 1
         for x, y, z in itertools.combinations(ws.weights, 3)
@@ -338,7 +332,7 @@ def is_well_formed(ws: WeightSystem) -> bool:
 def pi1_class(ws: WeightSystem) -> Pi1Class:
     """Fundamental group size for 3-dimensional links, by sign class."""
     if ws.nvars != 3:
-        raise DimensionUnsupported("pi1 classification needs nvars = 3")
+        raise InvalidInput("pi1 classification needs nvars = 3")
     return {
         SignClass.POSITIVE: Pi1Class.FINITE,
         SignClass.NULL: Pi1Class.INFINITE_NILPOTENT,
@@ -362,7 +356,7 @@ def ade_match(ws: WeightSystem) -> str | None:
     the three exceptional rows E_6, E_7, E_8.  Returns the label or None.
     """
     if ws.nvars != 3:
-        raise DimensionUnsupported("ADE table needs nvars = 3")
+        raise InvalidInput("ADE table needs nvars = 3")
     if classify_sign(ws) is not SignClass.POSITIVE:
         return None
     if ws in _E_SYSTEMS:

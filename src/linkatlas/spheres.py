@@ -58,12 +58,7 @@ from typing import Sequence
 
 from .betti import BettiResult, betti
 from .betti import is_rational_homology_sphere  # noqa: F401  (a name perfbench traces)
-from .errors import (
-    DimensionUnsupported,
-    NonDivisible,
-    NotASphere,
-    NotPairwiseCoprime,
-)
+from .errors import InconsistentInvariants, InvalidInput
 from .links import (
     BPExponents,
     SignClass,
@@ -199,7 +194,7 @@ def _by_step(
 def _signature_exponents(a: Sequence[int] | BPExponents) -> tuple[int, ...]:
     exps = _as_exponents(a).exponents
     if len(exps) not in SIGNATURE_NVARS:
-        raise DimensionUnsupported(
+        raise InvalidInput(
             "signature defined for %d or %d exponents" % SIGNATURE_NVARS
         )
     return exps
@@ -240,12 +235,12 @@ def casson_invariant(a: Sequence[int] | BPExponents) -> int:
     """Casson invariant of a Brieskorn homology 3-sphere: signature / 8."""
     exps = _as_exponents(a)
     if exps.nvars != 3:
-        raise DimensionUnsupported("Casson invariant needs 3 exponents")
+        raise InvalidInput("Casson invariant needs 3 exponents")
     if not exps.pairwise_coprime():
-        raise NotPairwiseCoprime("exponents %s" % (exps.exponents,))
+        raise InvalidInput("exponents %s are not pairwise coprime" % (exps.exponents,))
     sig = brieskorn_signature(exps).signature
     if sig % 8:
-        raise NonDivisible("signature %d not divisible by 8" % sig)
+        raise InconsistentInvariants("signature %d not divisible by 8" % sig)
     return sig // 8
 
 
@@ -277,21 +272,21 @@ def sphere_verdict(b: BettiResult, signature: int | None = None) -> SphereVerdic
 
 
 def bp8_class(a: Sequence[int] | BPExponents) -> SphereVerdict:
-    """bp8_residue of a 5-exponent homotopy sphere link; NotASphere names
-    the order of H_3 of any other."""
+    """bp8_residue of a 5-exponent homotopy sphere link; the InvalidInput
+    raised for any other names the order of H_3."""
     exps = _as_exponents(a)
     if exps.nvars != 5:
-        raise DimensionUnsupported("bp8 class needs 5 exponents")
+        raise InvalidInput("bp8 class needs 5 exponents")
     b = betti(bp_link(exps))
     if b.middle_betti:
-        raise NotASphere("middle Betti number is nonzero")
+        raise InvalidInput("middle Betti number is nonzero")
     sig = brieskorn_signature(exps).signature
     verdict = sphere_verdict(b, sig)
     if verdict.bp8_residue is None:
         order = b.delta_at_one()
         if order != 1:
-            raise NotASphere("H_3 has order %d, not 1" % order)
-        raise NonDivisible("signature %d not divisible by 8" % sig)
+            raise InvalidInput("H_3 has order %d, not 1" % order)
+        raise InconsistentInvariants("signature %d not divisible by 8" % sig)
     return verdict
 
 

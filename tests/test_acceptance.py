@@ -12,7 +12,6 @@ from math import gcd
 
 from linkatlas import (
     EtaConstants,
-    betti,
     bp_link,
     casson_invariant,
     classify_sign,
@@ -20,6 +19,7 @@ from linkatlas import (
     heisenberg_algebra,
     transverse_homothety,
 )
+from linkatlas.betti import betti
 from linkatlas.curvature import berger_sphere, ew_function_check
 from linkatlas.eta import einstein_scale, ew_mu_squared
 from linkatlas.links import SignClass, WeightSystem, count_monomials

@@ -9,15 +9,16 @@ from math import gcd, lcm, prod
 
 import pytest
 
-from linkatlas import betti, bp_link
+from linkatlas import bp_link
 from linkatlas.betti import (
     TORSION_FREE,
     TORSION_UNKNOWN,
     _product,
+    betti,
     is_rational_homology_sphere,
     torsion_closed_form,
 )
-from linkatlas.errors import NonIntegerResult, NotQuasiSmooth
+from linkatlas.errors import InconsistentInvariants, NotQuasiSmooth
 from linkatlas.links import (
     BPExponents,
     WeightSystem,
@@ -345,7 +346,7 @@ def test_the_coprime_base_product_is_the_old_powers():
         num = prod(ell**k for ell, k in factors if k > 0)
         den = prod(ell**-k for ell, k in factors if k < 0)
         if num % den:
-            with pytest.raises(NonIntegerResult):
+            with pytest.raises(InconsistentInvariants, match="is not an integer"):
                 _product(factors, list(divisor))
         else:
             integral += 1

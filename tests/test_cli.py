@@ -123,6 +123,12 @@ def test_signature_requires_bp(capsys):
     assert "bp:" in err
 
 
+def test_casson_refusal_names_its_reason(capsys):
+    code, out, err = run(capsys, "casson", "bp:2,3,4")
+    assert (code, out) == (2, "")
+    assert "pairwise coprime" in err
+
+
 def test_eta_transform(capsys):
     payload = run_json(
         capsys, "eta", "transform", "--n", "1", "--lam", "2", "--scale", "1/2"

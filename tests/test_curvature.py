@@ -16,7 +16,7 @@ from linkatlas import (
 )
 from linkatlas import curvature
 from linkatlas.curvature import berger_sphere, ew_function_check, ricci_tensor
-from linkatlas.errors import DegenerateMetric, InvalidInput, PoleProximity
+from linkatlas.errors import InvalidInput
 from linkatlas.eta import scalar_curvature
 
 F = Fraction
@@ -161,7 +161,7 @@ def test_degenerate_metric():
     # symmetric but singular: passes shape checks, fails inversion
     g = ((F(1), F(0), F(0)), (F(0), F(0), F(0)), (F(0), F(0), F(1)))
     alg = MetricAlgebra({}, g, 2)
-    with pytest.raises(DegenerateMetric):
+    with pytest.raises(InvalidInput, match="frame metric is singular"):
         ricci_tensor(alg)
 
 
@@ -245,11 +245,11 @@ def test_ew_function_identity():
 
 
 def test_ew_function_pole_guard():
-    with pytest.raises(PoleProximity):
+    with pytest.raises(InvalidInput, match="of a pole"):
         ew_function_check(1, [math.pi / 2])
-    with pytest.raises(PoleProximity):
+    with pytest.raises(InvalidInput, match="of a pole"):
         ew_function_check(1, [math.pi / 2 + math.pi])
-    with pytest.raises(PoleProximity):
+    with pytest.raises(InvalidInput, match="of a pole"):
         ew_function_check(1, [0.0], offset=math.pi / 2)
 
 

@@ -10,7 +10,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from linkatlas import betti, bp_link  # noqa: E402
+from linkatlas import bp_link  # noqa: E402
+from linkatlas.betti import betti  # noqa: E402
 from linkatlas.catalog import build_record  # noqa: E402
 from linkatlas.links import BPExponents, WeightSystem, canonical_key, key_nvars  # noqa: E402
 from linkatlas.search import run_search  # noqa: E402

@@ -56,6 +56,16 @@ def test_the_package_exports_the_names_the_snippets_import():
         if isinstance(node, ast.ImportFrom) and node.module == "linkatlas"
         for alias in node.names
     }
+    assert imported == {
+        "bp_link",
+        "classify_sign",
+        "casson_invariant",
+        "EtaConstants",
+        "transverse_homothety",
+        "eta_fit",
+        "heisenberg_algebra",
+        "MetricAlgebra",
+    }
     assert set(linkatlas.__all__) == imported | {"__version__"}
     public = {
         name
@@ -63,3 +73,10 @@ def test_the_package_exports_the_names_the_snippets_import():
         if not name.startswith("_") and not inspect.ismodule(obj)
     }
     assert public == imported
+
+
+def test_the_betti_module_is_not_hidden_by_its_function():
+    import linkatlas.betti as m
+
+    assert inspect.ismodule(m)
+    assert callable(m.betti)

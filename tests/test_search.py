@@ -7,8 +7,9 @@ from math import gcd
 
 import pytest
 
-from linkatlas import betti, bp_link
+from linkatlas import bp_link
 from linkatlas import search as search_module
+from linkatlas.betti import betti
 from linkatlas.catalog import build_record, parse_key, record_cost, record_filter
 from linkatlas.links import BPExponents, bp_key, canonical_key
 from linkatlas.cli import main
