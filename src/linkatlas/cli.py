@@ -319,7 +319,13 @@ def cmd_search(args):
         if args.min_coprime_fixed is not None:
             # the sweep fixes it at 2: p coprime to k and k+1
             raise InvalidInput("--bp8-sweep does not take --min-coprime-fixed")
-        result = search.seven_sphere_sweep(bounds, args.budget, **filters)
+        if args.append:
+            # the sweep stops at its last witness; --append writes every
+            # matched record, so it runs the same search to the end
+            filters["min_coprime_fixed"] = 2
+            result = search.run_search(args.family, bounds, args.budget, **filters)
+        else:
+            result = search.seven_sphere_sweep(bounds, args.budget, **filters)
         payload = {
             "distinct_residues": len(result.witnesses),
             "examined": result.examined,

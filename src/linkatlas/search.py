@@ -11,9 +11,14 @@ member is generated, and the estimated cost (catalog.record_cost per
 distinct key that passed the member filters) before any record is
 built; a search never silently truncates.
 
-run_search is the one loop that builds records.  The exotic 7-sphere
-sweep, seven_sphere_sweep, is a kkkk1p search with p coprime to k and
-k+1, read for its residue witnesses.
+_search holds the one loop that builds records: run_search runs it to
+the end, and the exotic 7-sphere sweep, seven_sphere_sweep, a kkkk1p
+search with p coprime to k and k+1 read for its residue witnesses,
+stops it once all BP8_ORDER residues have one.  The sweep still
+enumerates, counts and charges every member and key of its bounds
+first, so its charge is an upper bound on the work it does; a caller
+that needs every matched record (the CLI's --bp8-sweep --append) runs
+the search to the end.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 from .catalog import InvariantRecord, at_least, build_record, record_cost, record_filter
 from .errors import BoundsTooLarge, InvalidInput
 from .links import BPExponents, bp_key
+from .spheres import BP8_ORDER
 from .spheres import kervaire_classify  # noqa: F401  (a name perfbench traces)
 
 DEFAULT_BUDGET = 10**8
@@ -195,6 +201,29 @@ def run_search(
     a designated varying parameter support it.  A filter value or
     min_coprime_fixed the command line refuses raises InvalidInput before
     the budget is charged; an unknown filter keyword raises TypeError."""
+    return _search(
+        family,
+        bounds,
+        budget,
+        None,
+        pairwise_coprime=pairwise_coprime,
+        min_coprime_fixed=min_coprime_fixed,
+        **filters,
+    )
+
+
+def _search(
+    family: str,
+    bounds: Mapping[str, tuple[int, int]],
+    budget: int,
+    enough: int | None,
+    *,
+    pairwise_coprime: bool = False,
+    min_coprime_fixed: int | None = None,
+    **filters,
+) -> SearchResult:
+    """run_search, whose build loop stops once `enough` bp8 residues have
+    a witness (None: it builds every key)."""
     keep = record_filter(**filters)
     if min_coprime_fixed is not None:
         at_least("min_coprime_fixed", min_coprime_fixed, 0)
@@ -234,8 +263,12 @@ def run_search(
         rec = build_record(exps)
         if keep(rec):
             matched[rec.key] = rec
-            if rec.sphere.bp8_residue is not None:
-                witnesses.setdefault(rec.sphere.bp8_residue, exps.exponents)
+            residue = rec.sphere.bp8_residue
+            if residue is not None and residue not in witnesses:
+                witnesses[residue] = exps.exponents
+                # every residue has its first matched member: no later key's is read
+                if len(witnesses) == enough:
+                    break
 
     notes = fam.notes(bounds, min_coprime_fixed, examined)
     ordered = tuple(matched[k] for k in sorted(matched))
@@ -253,8 +286,17 @@ def seven_sphere_sweep(
     first matched member of each bp8 residue; filters are run_search's
     keywords and apply as in any search, but min_coprime_fixed is
     replaced by 2.
+
+    The sweep stops building records once all BP8_ORDER residues have a
+    witness.  Its examined count, its witnesses and every budget refusal
+    are run_search's: every member is still enumerated and counted, and
+    every distinct key charged before the first build, so the charge is
+    an upper bound on the work done.  Its records hold only the matched
+    records built before the stop; run_search returns every one.
     """
-    return run_search("kkkk1p", bounds, budget, **{**filters, "min_coprime_fixed": 2})
+    return _search(
+        "kkkk1p", bounds, budget, BP8_ORDER, **{**filters, "min_coprime_fixed": 2}
+    )
 
 
 __all__ = [

@@ -667,16 +667,20 @@ def test_bp8_sweep_takes_the_search_filters(capsys, extra, residues):
         assert payload == plain
 
 
-def test_bp8_sweep_appends_its_matched_records(capsys, tmp_path):
+# p=2:400 finds all 28 residues at its 55th key, where the plain sweep
+# stops building: --append must still write all 132
+@pytest.mark.parametrize("p_max, count", [(30, 9), (400, 132)], ids=["p30", "p400"])
+def test_bp8_sweep_appends_its_matched_records(capsys, tmp_path, p_max, count):
     catalog = str(tmp_path / "atlas.jsonl")
-    plain = run_json(capsys, *_SWEEP)
-    first = run_json(capsys, *_SWEEP, "--append", "--catalog", catalog)
-    assert first == {**plain, "appended": 9, "skipped": 0}
-    again = run_json(capsys, *_SWEEP, "--append", "--catalog", catalog)
-    assert again == {**plain, "appended": 0, "skipped": 9}
+    sweep = ["search", "--family", "kkkk1p", "--bounds", "k=2:2,p=2:%d" % p_max, "--bp8-sweep"]
+    plain = run_json(capsys, *sweep)
+    first = run_json(capsys, *sweep, "--append", "--catalog", catalog)
+    assert first == {**plain, "appended": count, "skipped": 0}
+    again = run_json(capsys, *sweep, "--append", "--catalog", catalog)
+    assert again == {**plain, "appended": 0, "skipped": count}
     rows = run_json(capsys, "catalog", "query", "--catalog", catalog)["records"]
     assert {r["key"] for r in rows} == {
-        "bp:2,2,2,3,%d" % p for p in range(2, 31) if gcd(p, 6) == 1
+        "bp:2,2,2,3,%d" % p for p in range(2, p_max + 1) if gcd(p, 6) == 1
     }
 
 

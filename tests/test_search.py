@@ -431,10 +431,32 @@ def test_every_coprime_kkkk1p_member_has_a_residue():
         assert rec.sphere.bp8_residue is not None, rec.key
 
 
-def test_sweep_examines_what_run_search_examines():
-    bounds = {"k": (3, 4), "p": (20, 60)}
+_SWEEP_WINDOWS = {
+    "full": {"k": (2, 8), "p": (2, 600)},
+    "k2": {"k": (2, 2), "p": (2, 400)},
+    "window": {"k": (7, 8), "p": (500, 600)},
+    "k4": {"k": (4, 4), "p": (2, 193)},
+    "k3": {"k": (3, 4), "p": (20, 60)},
+}
+_SWEEP_FILTERS = {"none": {}, "negative": {"sign": "negative"}, "b0": {"middle_betti": 0}}
+
+
+@pytest.mark.parametrize("filters", _SWEEP_FILTERS.values(), ids=_SWEEP_FILTERS)
+@pytest.mark.parametrize("bounds", _SWEEP_WINDOWS.values(), ids=_SWEEP_WINDOWS)
+def test_sweep_examines_what_run_search_examines(bounds, filters):
+    sweep = seven_sphere_sweep(bounds, **filters)
+    search = run_search("kkkk1p", bounds, min_coprime_fixed=2, **filters)
+    assert (sweep.witnesses, sweep.examined) == (search.witnesses, search.examined)
+    assert sweep.notes == search.notes
+    # the records the sweep built before it stopped are the search's
+    assert set(sweep.records) <= set(search.records)
+    if len(search.witnesses) < 28:
+        assert sweep == search
+
+
+def test_sweep_witnesses_are_first_members():
+    bounds = _SWEEP_WINDOWS["k3"]
     sweep = seven_sphere_sweep(bounds)
-    assert sweep == run_search("kkkk1p", bounds, min_coprime_fixed=2)
     # each witness is the first member of its residue in (k, p) order
     first = {}
     for m in FAMILIES["kkkk1p"].generate(bounds):
@@ -442,6 +464,45 @@ def test_sweep_examines_what_run_search_examines():
             residue = build_record(BPExponents(m.exponents)).sphere.bp8_residue
             first.setdefault(residue, m.exponents)
     assert sweep.witnesses == first
+
+
+@pytest.mark.parametrize(
+    "bounds, filters, builds",
+    [
+        # all 28 residues by the 55th of 1,421 keys, and of 132
+        (_SWEEP_WINDOWS["full"], {}, 55),
+        (_SWEEP_WINDOWS["k2"], {}, 55),
+        (_SWEEP_WINDOWS["full"], {"sign": "negative"}, 475),
+        # 21 residues: every key is built
+        (_SWEEP_WINDOWS["window"], {}, 76),
+    ],
+    ids=["full", "k2", "full-negative", "window"],
+)
+def test_sweep_stops_building_once_every_residue_has_a_witness(
+    monkeypatch, bounds, filters, builds
+):
+    calls = []
+
+    def counted(source):
+        calls.append(source)
+        return build_record(source)
+
+    monkeypatch.setattr(search_module, "build_record", counted)
+    charged = []
+
+    def charge(exps, budget):
+        charged.append(len(exps))
+        return check_budget(exps, budget)
+
+    monkeypatch.setattr(search_module, "check_budget", charge)
+    sweep = seven_sphere_sweep(bounds, **filters)
+    assert len(calls) == builds
+    # the charge, made before any build, still covers every distinct key
+    assert charged == [sweep.examined]
+    # a search with no stop builds every key
+    calls.clear()
+    run_search("kkkk1p", bounds, min_coprime_fixed=2, **filters)
+    assert len(calls) == sweep.examined
 
 
 def test_sweep_applies_the_search_filters():
