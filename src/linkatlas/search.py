@@ -3,11 +3,12 @@
 Each family maps integer parameters inside bounds to a Brieskorn-Pham
 exponent vector.  A search streams the family's members through the
 member filters (min_coprime_fixed, then pairwise_coprime), keeps the
-first passing spelling of each canonical key, builds one record per
-key and returns those the record filters keep, sorted by key, plus the
-first matched member of each bp8 residue.  The number of parameter
-tuples inside the bounds is checked against the budget before any
-member is generated, and the estimated cost (catalog.record_cost per
+first passing spelling of each key (its sorted exponent tuple: the
+canonical key string is made once, by build_record), builds one record
+per key and returns those the record filters keep, sorted by canonical
+key, plus the first matched member of each bp8 residue.  The number of
+parameter tuples inside the bounds is checked against the budget before
+any member is generated, and the estimated cost (catalog.record_cost per
 distinct key that passed the member filters) before any record is
 built; a search never silently truncates.
 
@@ -31,7 +32,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import InvariantRecord, at_least, build_record, record_cost, record_filter
 from .errors import BoundsTooLarge, InvalidInput
-from .links import BPExponents, bp_key
+from .links import BPExponents
 from .spheres import BP8_ORDER
 from .spheres import kervaire_classify  # noqa: F401  (a name perfbench traces)
 
@@ -44,7 +45,8 @@ class Member(NamedTuple):
     canonical key is new."""
 
     exponents: tuple[int, ...]
-    # distinct exponents the varying parameter must dodge, and its value
+    # distinct exponents the varying parameter must dodge (min_coprime_fixed
+    # counts each value it is given), and its value
     fixed: tuple[int, ...] | None = None
     varying: int | None = None
 
@@ -104,8 +106,9 @@ def _family_k1p(count: int, bounds) -> Iterator[Member]:
     # (k, ..., k, k+1, p) with count k's
     ks, ps = _spans(bounds, {"k": 2, "p": 2})
     for k in ks:
+        head, fixed = (k,) * count + (k + 1,), (k, k + 1)
         for p in ps:
-            yield Member((k,) * count + (k + 1, p), (k, k + 1), p)
+            yield Member(head + (p,), fixed, p)
 
 
 def _family_pqr(bounds) -> Iterator[Member]:
@@ -130,9 +133,11 @@ def _family_kervaire(bounds) -> Iterator[Member]:
         if any(gcd(x, y) != 1 for x, y in itertools.combinations(rs, 2)):
             continue
         # the bounds and the coprimality are checked: the vector of
-        # links.kervaire_exponents, left a plain tuple
+        # links.kervaire_exponents, left a plain tuple.  Pairwise coprime
+        # r_i repeat only as 1, given once in fixed
+        head, fixed = (2, *(2 * r for r in rs)), tuple(dict.fromkeys(rs))
         for a in a_span:
-            yield Member((2, *(2 * r for r in rs), a), rs, a)
+            yield Member(head + (a,), fixed, a)
 
 
 def _notes_237m(bounds, min_coprime_fixed: int | None, examined: int) -> list[str]:
@@ -166,7 +171,7 @@ FAMILIES = {
 
 
 def _coprime_hits(member: Member) -> int:
-    return sum(1 for q in set(member.fixed) if gcd(member.varying, q) == 1)
+    return [gcd(member.varying, q) for q in member.fixed].count(1)
 
 
 def charge(cost: int, budget: int) -> int:
@@ -244,12 +249,12 @@ def _search(
     # depend only on the key, and the first matched member of a residue
     # is the first of its key: keep that spelling, which a witness names
     examined = 0
-    firsts: dict[str, BPExponents] = {}
+    firsts: dict[tuple[int, ...], BPExponents] = {}
     for member in fam.generate(bounds):
         if min_coprime_fixed is not None and _coprime_hits(member) < min_coprime_fixed:
             continue
         examined += 1
-        key = bp_key(member.exponents)
+        key = tuple(sorted(member.exponents))
         if key in firsts:
             continue
         exps = BPExponents(member.exponents)

@@ -215,19 +215,28 @@ def brieskorn_signature(a: Sequence[int] | BPExponents) -> SignatureResult:
     return SignatureResult(*_by_step(residues, cumulative, d, last))
 
 
-def signature_cost(exps: Sequence[int]) -> int:
-    """Upper bound on the steps brieskorn_signature takes, from the
-    exponents alone: each prefix factor a_j spreads at most
-    min(2 lcm, points) cells over a_j - 1 steps, and the last-factor
-    loop runs over at most min(cells, 3 (a - 1)) items.  It stays an
-    upper bound, charged in full, when the prefix or the residue class
-    of a is already cached and the call takes fewer steps."""
-    *prefix, last = sorted(exps)
+@lru_cache(maxsize=1024)
+def _prefix_cost(prefix: tuple[int, ...]) -> tuple[int, int]:
+    """(cost, cells) of building the histogram of prefix: each factor
+    a_j spreads at most min(2 lcm, points) cells over a_j - 1 steps."""
     cost, cells, d = 0, 1, 1
     for x in prefix:
         cost += cells * (x - 1)
         d = lcm(d, x)
         cells = min(2 * d, cells * (x - 1))
+    return cost, cells
+
+
+def signature_cost(exps: Sequence[int]) -> int:
+    """Upper bound on the steps brieskorn_signature takes, from the
+    exponents alone: the prefix walk of _prefix_cost, cached per sorted
+    prefix as the histogram is (a sweep's keys share a few prefixes),
+    then at most min(cells, 3 (a - 1)) items in the last-factor loop.
+    The walk is the same integer cached or not, and it stays an upper
+    bound, charged in full, when the prefix or the residue class of a
+    is already cached and the call takes fewer steps."""
+    *prefix, last = sorted(exps)
+    cost, cells = _prefix_cost(tuple(prefix))
     return cost + min(cells, 3 * (last - 1))
 
 

@@ -8,6 +8,9 @@ points on its own, and by_residue counts the last factor again for every
 exponent from the prefix histogram alone, so they agree only if the
 factoring and the class sums are the identities of the spheres module
 docstring.
+
+signature_cost_walk is the budget's charge for a signature walked afresh
+on every call, which spheres.signature_cost caches per sorted prefix.
 """
 
 import itertools
@@ -49,3 +52,15 @@ def by_residue(residues, cumulative, d, a):
         below[half] += count * ((ell - 1 - y) // s)
         above[half] += count * (top - min((ell - y) // s, top))
     return below[0] + above[1], below[1] + above[0]
+
+
+def signature_cost_walk(exps):
+    """spheres.signature_cost walked afresh for every call: the prefix
+    factors in sorted order, then the last-factor loop."""
+    *prefix, last = sorted(exps)
+    cost, cells, d = 0, 1, 1
+    for x in prefix:
+        cost += cells * (x - 1)
+        d = lcm(d, x)
+        cells = min(2 * d, cells * (x - 1))
+    return cost + min(cells, 3 * (last - 1))

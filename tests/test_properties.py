@@ -15,10 +15,10 @@ from linkatlas.betti import betti  # noqa: E402
 from linkatlas.catalog import build_record  # noqa: E402
 from linkatlas.links import BPExponents, WeightSystem, canonical_key, key_nvars  # noqa: E402
 from linkatlas.search import run_search  # noqa: E402
-from linkatlas.spheres import brieskorn_signature  # noqa: E402
+from linkatlas.spheres import brieskorn_signature, signature_cost  # noqa: E402
 from betti_oracle import join_fermat, repeated_non_fermat_systems, subset_betti  # noqa: E402
 from search_oracle import assert_same_search, naive_search  # noqa: E402
-from signature_oracle import brieskorn_signature_direct  # noqa: E402
+from signature_oracle import brieskorn_signature_direct, signature_cost_walk  # noqa: E402
 
 # 3 exponents up to 14 and 5 up to 5 keep the direct oracle under ~4^5
 # lattice points per example
@@ -44,6 +44,21 @@ def test_betti_counts_lattice_points_off_the_signature(exps):
     record = build_record(BPExponents(tuple(exps)))
     assert record.middle_betti == middle
     assert record.signature == sig.signature
+
+
+# small prefix values and a wide last exponent, so the sorted prefixes
+# repeat and most charges read a cached walk
+costed = st.one_of(
+    st.tuples(st.lists(st.integers(2, 5), min_size=2, max_size=2), st.integers(2, 10**4)),
+    st.tuples(st.lists(st.integers(2, 6), min_size=4, max_size=4), st.integers(2, 10**4)),
+).flatmap(lambda pl: st.permutations(pl[0] + [pl[1]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(costed)
+def test_signature_cost_is_the_uncached_prefix_walk(exps):
+    assert signature_cost(exps) == signature_cost_walk(exps)
+    assert signature_cost(exps) == signature_cost_walk(exps)
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from linkatlas import bp_link
+from linkatlas import links as links_module
 from linkatlas import search as search_module
 from linkatlas.betti import betti
 from linkatlas.catalog import build_record, parse_key, record_cost, record_filter
@@ -22,6 +23,7 @@ from linkatlas.search import (
     run_search,
     seven_sphere_sweep,
 )
+from linkatlas.spheres import _prefix_cost
 from search_oracle import assert_same_search, naive_search
 
 
@@ -182,6 +184,36 @@ def test_a_search_builds_each_key_once_in_every_call(monkeypatch, capsys):
     assert len(calls) == 70
 
 
+@pytest.mark.parametrize(
+    "family, bounds, flags, counts",
+    [
+        ("bp-box", "a0=2:6,a1=2:6,a2=2:6", [], (125, 35)),
+        ("kkkk1p", "k=2:8,p=2:600", ["--bp8-sweep"], (1421, 55)),
+    ],
+    ids=["bp-box", "bp8-sweep"],
+)
+def test_a_search_makes_each_key_string_once(monkeypatch, capsys, family, bounds, flags, counts):
+    # members are keyed by their sorted tuple; the string is the record's
+    keys, calls = [], []
+
+    def counted_key(exponents):
+        keys.append(exponents)
+        return bp_key(exponents)
+
+    def counted(source):
+        calls.append(source)
+        return build_record(source)
+
+    monkeypatch.setattr(links_module, "bp_key", counted_key)
+    monkeypatch.setattr(search_module, "build_record", counted)
+    argv = ["search", "--family", family, "--bounds", bounds, *flags, "--json"]
+    assert main(argv) == 0
+    examined = json.loads(capsys.readouterr().out)["examined"]
+    assert (examined, len(calls)) == counts
+    assert len(keys) == len(calls)
+    assert "bp_key" not in vars(search_module)
+
+
 def test_budget_charges_each_distinct_key_once(capsys):
     spans = {"a0": (4, 9), "a1": (2, 7), "a2": (3, 8)}
     keys = {
@@ -234,6 +266,22 @@ def test_bounds_refused_before_enumeration(monkeypatch, capsys):
 def test_budget_estimate_counts_signature_cost():
     # 3 * 2^3 for the Betti sum plus 3 prefix build steps and 2 loop items
     assert check_budget([BPExponents((5, 3, 2))], 10**6) == 24 + 5
+
+
+def test_the_full_sweep_charges_494993_walking_each_prefix_once(capsys):
+    full = {"k": (2, 8), "p": (2, 600)}
+    _prefix_cost.cache_clear()
+    with pytest.raises(BoundsTooLarge, match="^estimated cost 494993 exceeds budget 494992$"):
+        seven_sphere_sweep(full, budget=494992)
+    # the 1,421 keys (k, k, k, k + 1, p) sort to 13 distinct prefixes
+    assert _prefix_cost.cache_info().misses == 13
+    assert seven_sphere_sweep(full, budget=494993).examined == 1421
+    argv = ["search", "--family", "kkkk1p", "--bounds", "k=2:8,p=2:600", "--bp8-sweep",
+            "--json", "--budget"]
+    assert main(argv + ["494992"]) == 3
+    assert capsys.readouterr().err == "error: estimated cost 494993 exceeds budget 494992\n"
+    assert main(argv + ["494993"]) == 0
+    assert json.loads(capsys.readouterr().out)["distinct_residues"] == 28
 
 
 def test_min_coprime_fixed_needs_varying_parameter(monkeypatch):
@@ -396,6 +444,23 @@ _FAMILY_BOUNDS = {
     "pqrpqr": {"p": (2, 5), "q": (2, 7), "r": (2, 11)},
     "kervaire": {"r1": (1, 3), "r2": (1, 5), "a": (3, 9)},
 }
+
+
+def test_every_family_gives_each_fixed_value_once():
+    for family, bounds in _FAMILY_BOUNDS.items():
+        for member in FAMILIES[family].generate(bounds):
+            if member.fixed is not None:
+                assert len(set(member.fixed)) == len(member.fixed), (family, member)
+
+
+def test_kervaire_counts_a_repeated_r_of_1_once():
+    # r1 = r2 = 1 are coprime, and gcd(a, 1) = 1 is one hit, not two
+    bounds = {"r1": (1, 3), "r2": (1, 3), "a": (2, 9)}
+    got = run_search("kervaire", bounds, min_coprime_fixed=2)
+    assert (got.examined, got.matched) == (22, 11)
+    assert_same_search(got, naive_search("kervaire", bounds, min_coprime_fixed=2))
+    ones = [m for m in FAMILIES["kervaire"].generate(bounds) if m.exponents[1:3] == (2, 2)]
+    assert {m.fixed for m in ones} == {(1,)}
 
 
 def test_every_searched_record_is_a_function_of_its_key():
