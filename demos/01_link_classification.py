@@ -22,8 +22,7 @@ def main():
     # A Brieskorn-Pham link z0^a0 + ... + zn^an = 0 has weights d/ai
     # for d the lcm of the exponents.
     poincare = bp_link((2, 3, 5))
-    print("L(2,3,5):", poincare)
-    print("  key:", canonical_key(poincare))
+    print("L(2,3,5):", canonical_key(poincare))
     print("  d - |w|:", poincare.degree - poincare.total_weight)
 
     # The sign of d - |w| splits links into three regimes.  For three
@@ -51,7 +50,7 @@ def main():
     ]
     ws = solve_weights(rows)
     print()
-    print("solved from monomial rows:", ws)
+    print("solved from monomial rows:", canonical_key(ws))
     print("  sign:", classify_sign(ws).value)
 
     # Null weight systems in three variables admit only a handful of

@@ -9,7 +9,7 @@ exactly.
 
 from linkatlas import bp_link
 from linkatlas.betti import betti, torsion_closed_form
-from linkatlas.links import WeightSystem, is_quasi_smooth
+from linkatlas.links import WeightSystem, canonical_key, is_quasi_smooth
 
 
 def main():
@@ -25,13 +25,13 @@ def main():
     # Weight systems that are not Brieskorn-Pham work the same way.
     for weights in ((13, 43, 101, 158), (11, 61, 85, 158)):
         ws = WeightSystem(weights, 316)
-        print("w=%s@316: b_2 = %d" % (weights, betti(ws).middle_betti))
+        print("%s: b_2 = %d" % (canonical_key(ws), betti(ws).middle_betti))
 
     # Only a quasi-smooth weight system has a link: no polynomial of
     # degree 11 in weights (1,1,1,4) has an isolated singularity, so
     # betti() refuses it with NotQuasiSmooth.
     ws = WeightSystem((1, 1, 1, 4), 11)
-    print("w=(1, 1, 1, 4)@11 quasi-smooth: %s" % is_quasi_smooth(ws))
+    print("%s quasi-smooth: %s" % (canonical_key(ws), is_quasi_smooth(ws)))
 
     # A closed form for one family, checked against the subset sum.
     print()

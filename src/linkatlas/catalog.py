@@ -84,7 +84,7 @@ from .links import (
     classify_sign,
     is_well_formed,  # noqa: F401  (a name perfbench traces)
     key_nvars,
-    parse_link as parse_key,
+    parse_link,
     quasi_smooth_cost,
 )
 from .spheres import (
@@ -110,7 +110,7 @@ def _canonical(key):
     if not isinstance(key, str) or not key.startswith(("bp:", "w:")):
         return _BAD
     try:
-        return key if canonical_key(parse_key(key)) == key else _BAD
+        return key if canonical_key(parse_link(key)) == key else _BAD
     except AtlasError:
         return _BAD
 
@@ -609,7 +609,7 @@ def reverify_record(rec: InvariantRecord) -> list[str]:
     differs, apart from the write-time fields.  An empty list means the
     record still checks out; a key with no link is one issue."""
     try:
-        fresh = build_record(parse_key(rec.key))
+        fresh = build_record(parse_link(rec.key))
     except NotQuasiSmooth:
         return ["no link: not quasi-smooth"]
     issues = []
@@ -628,7 +628,6 @@ __all__ = [
     "CorruptLine",
     "ReadResult",
     "AppendResult",
-    "parse_key",
     "build_record",
     "record_cost",
     "read_records",

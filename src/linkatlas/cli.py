@@ -22,6 +22,7 @@ import argparse
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, fields
 from fractions import Fraction
@@ -43,6 +44,10 @@ DEFAULTS = {"catalog": "atlas.jsonl", "budget": search.DEFAULT_BUDGET}
 # largest output (nu of eta transform, from --n, --lam and --scale) about
 # 4,000, which still prints: str(int) stops at 4,300 digits
 MAX_DIGITS = 800
+
+# a parser with this matcher reads a token starting "-<digit>" or "-." as
+# a value (--lam -5/2); argparse's own takes only -2 and -2.5 for one
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 def _rat(text: str) -> Fraction:
@@ -223,14 +228,12 @@ def cmd_bp8(args):
 def _constants(args) -> eta.EtaConstants:
     if abs(args.n) >= 10**MAX_DIGITS:
         raise InvalidInput("--n may have at most %d digits" % MAX_DIGITS)
-    if args.lam is not None:
-        c = eta.EtaConstants.of(args.n, _rat(args.lam))
-        if args.nu is not None and Fraction(c.nu) != _rat(args.nu):
-            raise InvalidInput("lambda + nu must equal 2n")
-        return c
-    if args.nu is not None:
-        return eta.EtaConstants.of(args.n, 2 * args.n - _rat(args.nu))
-    raise InvalidInput("need --lam or --nu")
+    if args.lam is None and args.nu is None:
+        raise InvalidInput("need --lam or --nu")
+    # EtaConstants checks lambda + nu = 2n when both are given
+    lam = 2 * args.n - _rat(args.nu) if args.lam is None else _rat(args.lam)
+    nu = 2 * args.n - lam if args.nu is None else _rat(args.nu)
+    return eta.EtaConstants(args.n, lam, nu)
 
 
 def _eta_payload(c: eta.EtaConstants) -> dict:
@@ -446,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         add(name, fn, help_).add_argument(positional)
 
     p = add("eta", cmd_eta, "constants algebra")
+    p._negative_number_matcher = _NEGATIVE_VALUE
     p.add_argument("mode", choices=["transform", "einstein", "lorentzian", "ew", "scalar"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lam")
@@ -453,6 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale")
 
     p = add("curvature", cmd_curvature, "exact Ricci fits for model frames")
+    p._negative_number_matcher = _NEGATIVE_VALUE
     p.add_argument("mode", choices=["heisenberg", "berger", "check-ew"])
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--scale")

@@ -28,10 +28,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InvalidInput
-from .eta import heisenberg_alpha_squared
+from .eta import Rational, heisenberg_alpha_squared
 from .links import row_reduce
 
-Rational = Fraction | int
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 

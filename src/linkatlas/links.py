@@ -75,9 +75,6 @@ class WeightSystem:
     def link_dim(self) -> int:
         return 2 * self.nvars - 3
 
-    def __str__(self) -> str:
-        return "w=(%s)@%d" % (",".join(map(str, self.weights)), self.degree)
-
 
 @dataclass(frozen=True)
 class BPExponents:
@@ -102,12 +99,12 @@ class BPExponents:
         return len(self.exponents)
 
     def pairwise_coprime(self) -> bool:
-        return all(
-            gcd(x, y) == 1 for x, y in itertools.combinations(self.exponents, 2)
-        )
+        return pairwise_coprime(self.exponents)
 
-    def __str__(self) -> str:
-        return "bp:" + ",".join(map(str, self.exponents))
+
+def pairwise_coprime(values: Sequence[int]) -> bool:
+    """Whether every two of the values have gcd 1."""
+    return all(gcd(x, y) == 1 for x, y in itertools.combinations(values, 2))
 
 
 def _as_exponents(a: Sequence[int] | BPExponents) -> BPExponents:
@@ -125,7 +122,7 @@ def kervaire_exponents(r: Sequence[int], a: int) -> BPExponents:
         raise InvalidInput("r_i must be >= 1 and a >= 2")
     # BPExponents refuses a non-integer r_i or a
     exps = BPExponents((2,) + tuple(2 * x for x in rs) + (a,))
-    if any(gcd(x, y) != 1 for x, y in itertools.combinations(rs, 2)):
+    if not pairwise_coprime(rs):
         raise InvalidInput("r must be pairwise coprime")
     return exps
 
@@ -371,17 +368,12 @@ def ade_match(ws: WeightSystem) -> str | None:
 
 
 def canonical_key(obj: WeightSystem | BPExponents) -> str:
-    """Stable catalog key: sorted exponents for Brieskorn-Pham input,
-    sorted primitive weights with degree otherwise."""
+    """A link's one text form and stable catalog key, which parse_link
+    reads back: sorted exponents for Brieskorn-Pham input, sorted
+    primitive weights with degree otherwise."""
     if isinstance(obj, BPExponents):
-        return bp_key(obj.exponents)
+        return "bp:" + ",".join(map(str, sorted(obj.exponents)))
     return "w:%s@%d" % (",".join(map(str, obj.weights)), obj.degree)
-
-
-def bp_key(exponents: Sequence[int]) -> str:
-    """canonical_key of a Brieskorn-Pham exponent vector, read from the
-    bare vector."""
-    return "bp:" + ",".join(map(str, sorted(exponents)))
 
 
 def key_nvars(key: str) -> int:
@@ -461,6 +453,7 @@ __all__ = [
     "Pi1Class",
     "WeightSystem",
     "BPExponents",
+    "pairwise_coprime",
     "kervaire_exponents",
     "bp_link",
     "classify_sign",
@@ -473,7 +466,6 @@ __all__ = [
     "pi1_class",
     "ade_match",
     "canonical_key",
-    "bp_key",
     "key_nvars",
     "parse_link",
     "parse_bounds",

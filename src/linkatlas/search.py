@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import InvariantRecord, at_least, build_record, record_cost, record_filter
 from .errors import BoundsTooLarge, InvalidInput
-from .links import BPExponents
+from .links import BPExponents, pairwise_coprime
 from .spheres import BP8_ORDER
 from .spheres import kervaire_classify  # noqa: F401  (a name perfbench traces)
 
@@ -130,7 +130,7 @@ def _family_kervaire(bounds) -> Iterator[Member]:
         raise InvalidInput("kervaire bounds use r1..r2m (even count) and a")
     *spans, a_span = _spans(bounds, {**dict.fromkeys(rkeys, 1), "a": 2})
     for rs in itertools.product(*spans):
-        if any(gcd(x, y) != 1 for x, y in itertools.combinations(rs, 2)):
+        if not pairwise_coprime(rs):
             continue
         # the bounds and the coprimality are checked: the vector of
         # links.kervaire_exponents, left a plain tuple.  Pairwise coprime
@@ -258,6 +258,7 @@ def _search(
         if key in firsts:
             continue
         exps = BPExponents(member.exponents)
+        # the flag shadows links.pairwise_coprime, which the method calls
         if not pairwise_coprime or exps.pairwise_coprime():
             firsts[key] = exps
     check_budget(list(firsts.values()), budget)

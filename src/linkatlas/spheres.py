@@ -267,7 +267,7 @@ def sphere_verdict(b: BettiResult, signature: int | None = None) -> SphereVerdic
     homology sphere, no more."""
     if b.middle_betti:
         return SphereVerdict("not_a_sphere")
-    n = (b.link_dim + 3) // 2
+    n = b.ws.nvars
     if n < 3 or b.delta_at_one() != 1:
         return SphereVerdict("rational_homology_sphere")
     if n == 3:

@@ -25,7 +25,6 @@ from linkatlas.catalog import (
     build_record,
     catalog_append,
     catalog_query,
-    parse_key,
     read_catalog,
     record_cost,
     record_filter,
@@ -34,7 +33,7 @@ from linkatlas.catalog import (
 from linkatlas.cli import main as cli_main
 from linkatlas.errors import InconsistentInvariants, InvalidInput
 from linkatlas.eta import null_constants
-from linkatlas.links import BPExponents, WeightSystem
+from linkatlas.links import BPExponents, WeightSystem, parse_link
 from linkatlas.search import run_search
 
 
@@ -203,12 +202,12 @@ def test_only_canonical_prefixes_are_parsed_as_keys(monkeypatch):
 
 
 def test_parse_key():
-    assert parse_key("bp:2,3,5") == BPExponents((2, 3, 5))
-    assert parse_key("w:1,1,4,6@12") == WeightSystem((1, 1, 4, 6), 12)
+    assert parse_link("bp:2,3,5") == BPExponents((2, 3, 5))
+    assert parse_link("w:1,1,4,6@12") == WeightSystem((1, 1, 4, 6), 12)
     with pytest.raises(InvalidInput):
-        parse_key("w:1,2,3")
+        parse_link("w:1,2,3")
     with pytest.raises(InvalidInput):
-        parse_key("elsewhere:1,2")
+        parse_link("elsewhere:1,2")
 
 
 def test_record_cost():
@@ -875,7 +874,7 @@ def _produced_records():
     kervaire = {"r1": (1, 3), "r2": (1, 5), "a": (3, 9)}
     yield from run_search("kervaire", kervaire).records
     for key in ("w:1,1,1@3", "w:6,10,15@30", "w:1,1,4,6@12", "w:13,43,101,158@316"):
-        yield build_record(parse_key(key))
+        yield build_record(parse_link(key))
 
 
 def test_every_produced_record_reads_back():

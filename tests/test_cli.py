@@ -176,6 +176,53 @@ def test_eta_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eta", "scalar", "--n", "1", "--lam", "abc"],
+         "expected a rational like 3 or -5/2, got 'abc'"),
+        (["weights-solve", "bp:2,3,5"], "weights-solve takes a mono:[...] argument"),
+        (["eta", "einstein", "--n", "1"], "need --lam or --nu"),
+        (["curvature", "berger"], "berger needs --scale"),
+        # EtaConstants is the one check of lambda + nu = 2n
+        (["eta", "transform", "--n", "1", "--lam", "2", "--nu", "5", "--scale", "2"],
+         "lambda + nu must equal 2n = 2"),
+        # a negative value reaches the library's refusal, not argparse's
+        (["curvature", "berger", "--scale", "-1/2"], "scale must be positive"),
+    ],
+    ids=["lam-not-rational", "weights-solve-not-mono", "eta-no-constants",
+         "berger-no-scale", "lam-plus-nu", "berger-negative-scale"],
+)
+def test_refusals_name_their_reason(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, code",
+    [
+        (["eta", "lorentzian", "--n", "1"], "--lam", "-5/2", 0),
+        (["eta", "ew", "--n", "1"], "--nu", "-4/3", 0),
+        (["eta", "scalar", "--n", "1"], "--lam", "-1e3", 0),
+        (["eta", "transform", "--n", "1", "--lam", "2"], "--scale", "-1/2", 2),
+        (["curvature", "berger"], "--scale", "-1/2", 2),
+    ],
+    ids=["lam", "nu", "lam-exponent", "eta-scale", "berger-scale"],
+)
+def test_a_negative_rational_may_follow_its_flag(capsys, argv, flag, value, code):
+    # argparse alone takes -5/2 or -1e3 for an option and exits 2 with
+    # "expected one argument"; the value reads as it does after "="
+    got = run(capsys, *argv, flag, value, "--json")
+    assert got == run(capsys, *argv, "%s=%s" % (flag, value), "--json")
+    assert got[0] == code, got
+
+
+def test_a_negative_lam_reaches_the_payload(capsys):
+    payload = run_json(capsys, "eta", "lorentzian", "--n", "1", "--lam", "-5/2")
+    assert payload == {"scale": "-1/8", "negative_scale": True}
+    payload = run_json(capsys, "eta", "scalar", "--n", "1", "--lam", "-1e3")
+    assert payload == {"scalar_curvature": "-1998"}
+
+
 def test_curvature_heisenberg(capsys):
     payload = run_json(capsys, "curvature", "heisenberg", "--n", "2")
     assert payload["lam"] == "-2"
@@ -953,6 +1000,28 @@ def test_closed_stdout_is_not_an_io_error():
     proc.stderr.close()
     assert proc.wait() == 0
     assert err == b""
+
+
+_COLD_SWEEP = ["search", "--family", "kkkk1p", "--bounds", "k=2:8,p=2:600", "--bp8-sweep", "--json"]
+
+
+def test_the_cold_sweep_in_fresh_interpreters():
+    # each run starts with the signature's prefix and residue tables empty,
+    # as a user's first call does; the charge of the 1,421 keys is 494,993
+    def cold(*extra):
+        proc = _cli(*_COLD_SWEEP, *extra, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate()
+        return proc.returncode, out, err
+
+    code, out, err = cold()
+    assert (code, err) == (0, b"")
+    payload = json.loads(out)
+    assert (payload["distinct_residues"], payload["examined"]) == (28, 1421)
+    assert sorted(map(int, payload["witnesses"])) == list(range(28))
+    assert cold("--budget", "494992") == (
+        3, b"", b"error: estimated cost 494993 exceeds budget 494992\n"
+    )
+    assert cold("--budget", "494993") == (0, out, b"")
 
 
 def test_catalog_query_reverify(capsys, tmp_path):

@@ -144,6 +144,21 @@ def test_algebra_validation():
         MetricAlgebra({}, _identity(3), 5)
 
 
+@pytest.mark.parametrize(
+    "metric, message",
+    [([[1]], "need dimension >= 2"), ([[1, 0], [0]], "metric must be d x d")],
+    ids=["1x1", "ragged"],
+)
+def test_metric_algebra_refuses_a_metric_of_no_shape(metric, message):
+    with pytest.raises(InvalidInput, match="^%s$" % message):
+        MetricAlgebra({}, metric, 0)
+
+
+def test_heisenberg_algebra_needs_n_at_least_1():
+    with pytest.raises(InvalidInput, match="^n must be >= 1$"):
+        heisenberg_algebra(0)
+
+
 def test_bracket_is_antisymmetric_and_sparse():
     alg = _diagonal_su2(F(1), F(0), F(4))
     assert alg.brackets == {(0, 1): {2: 4}, (1, 2): {0: 1}}

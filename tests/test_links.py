@@ -19,6 +19,7 @@ from linkatlas.links import (
     count_monomials,
     is_well_formed,
     kervaire_exponents,
+    pairwise_coprime,
     parse_bounds,
     parse_link,
     pi1_class,
@@ -60,7 +61,6 @@ def test_weight_system_properties():
     assert ws.nvars == 3
     assert ws.total_weight == 31
     assert ws.link_dim == 3
-    assert str(ws) == "w=(6,10,15)@30"
     assert WeightSystem((1, 1, 4, 6), 12).link_dim == 5
 
 
@@ -73,7 +73,6 @@ def test_bp_exponents_validation():
     assert a.nvars == 3
     assert a.pairwise_coprime()
     assert not BPExponents((6, 10, 15)).pairwise_coprime()
-    assert str(a) == "bp:5,3,2"
 
 
 def test_bp_exponents_refuse_non_integer_entries():
@@ -192,6 +191,11 @@ def test_solve_weights_input_validation():
         solve_weights([[0, 0], [2, 1]])
 
 
+def test_solve_weights_refuses_one_variable():
+    with pytest.raises(InvalidInput, match="^need at least two variables$"):
+        solve_weights([[3]])
+
+
 def test_count_monomials_table():
     assert count_monomials(WeightSystem((1, 2, 3), 6)) == 7
     assert count_monomials(WeightSystem((1, 1, 2), 4)) == 9
@@ -238,6 +242,20 @@ def test_ade_match():
     # negative and null links never match
     assert ade_match(bp_link((7, 3, 2))) is None
     assert ade_match(WeightSystem((1, 1, 1), 3)) is None
+
+
+def test_ade_match_refuses_four_variables():
+    with pytest.raises(InvalidInput, match="^ADE table needs nvars = 3$"):
+        ade_match(WeightSystem((1, 1, 1, 1), 4))
+
+
+def test_pairwise_coprime_takes_any_positive_values():
+    # the r_i of a Kervaire link may be 1, and 1 may repeat
+    assert pairwise_coprime((1, 1, 3))
+    assert pairwise_coprime((5, 3, 2)) and pairwise_coprime(())
+    assert not pairwise_coprime((1, 4, 6))
+    for exps in ((5, 3, 2), (6, 10, 15), (2, 9, 4)):
+        assert BPExponents(exps).pairwise_coprime() is pairwise_coprime(exps)
 
 
 def _ade_table(max_degree):

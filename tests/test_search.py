@@ -8,11 +8,11 @@ from math import gcd
 import pytest
 
 from linkatlas import bp_link
-from linkatlas import links as links_module
+from linkatlas import catalog as catalog_module
 from linkatlas import search as search_module
 from linkatlas.betti import betti
-from linkatlas.catalog import build_record, parse_key, record_cost, record_filter
-from linkatlas.links import BPExponents, bp_key, canonical_key
+from linkatlas.catalog import build_record, record_cost, record_filter
+from linkatlas.links import BPExponents, canonical_key, parse_link
 from linkatlas.cli import main
 from linkatlas.errors import BoundsTooLarge, InvalidInput
 from linkatlas.search import (
@@ -150,10 +150,11 @@ def test_oracle_boxes_hold_permuted_keys_and_unsorted_witnesses():
     # what the comparison above relies on to mean anything
     for family, bounds in _ORACLE_SPECS.values():
         members = [m.exponents for m in FAMILIES[family].generate(bounds)]
-        assert len({bp_key(e) for e in members}) < len(members), family
+        assert len({canonical_key(BPExponents(e)) for e in members}) < len(members), family
     family, bounds = _ORACLE_SPECS["kervaire"]
     members = list(FAMILIES[family].generate(bounds))
-    assert (len(members), len({bp_key(m.exponents) for m in members})) == (20, 14)
+    keys = {canonical_key(BPExponents(m.exponents)) for m in members}
+    assert (len(members), len(keys)) == (20, 14)
     witnesses = run_search(*_ORACLE_SPECS["box5"]).witnesses
     assert any(list(w) != sorted(w) for w in witnesses.values())
 
@@ -196,22 +197,22 @@ def test_a_search_makes_each_key_string_once(monkeypatch, capsys, family, bounds
     # members are keyed by their sorted tuple; the string is the record's
     keys, calls = [], []
 
-    def counted_key(exponents):
-        keys.append(exponents)
-        return bp_key(exponents)
+    def counted_key(source):
+        keys.append(source)
+        return canonical_key(source)
 
     def counted(source):
         calls.append(source)
         return build_record(source)
 
-    monkeypatch.setattr(links_module, "bp_key", counted_key)
+    monkeypatch.setattr(catalog_module, "canonical_key", counted_key)
     monkeypatch.setattr(search_module, "build_record", counted)
     argv = ["search", "--family", family, "--bounds", bounds, *flags, "--json"]
     assert main(argv) == 0
     examined = json.loads(capsys.readouterr().out)["examined"]
     assert (examined, len(calls)) == counts
     assert len(keys) == len(calls)
-    assert "bp_key" not in vars(search_module)
+    assert "canonical_key" not in vars(search_module)
 
 
 def test_budget_charges_each_distinct_key_once(capsys):
@@ -470,7 +471,7 @@ def test_every_searched_record_is_a_function_of_its_key():
         records = run_search(family, bounds).records
         assert records, family
         for rec in records:
-            assert build_record(parse_key(rec.key)) == rec
+            assert build_record(parse_link(rec.key)) == rec
 
 
 def test_tiny_sweep_is_incomplete():
