@@ -25,10 +25,10 @@ what the command line refuses.
 Beside the catalog lives that index, `<catalog>.keys`, a text file with
 one row per valid record line, in file order:
 
-- line 1, a JSON header: the layout tag, a stamp of the catalog it
-  describes (crc32, byte length and last character of the file), the
-  number of lines the reader counts, the corrupt lines (line number and
-  reason), the row count and the byte order of the columns;
+- line 1, a JSON header: the layout tag (linkatlas-keys/3), a stamp of
+  the catalog it describes (crc32, byte length and last character of the
+  file), the number of lines the reader counts, the corrupt lines (line
+  number and reason), the row count and the byte order of the columns;
 - one line per int column, the base64 of its packed array: the rows'
   line numbers, then one code per filter in FILTERS order (a position in
   the filter's table, or the int itself, saturated at the largest
@@ -36,14 +36,16 @@ one row per valid record line, in file order:
 - the keys, one per line.
 
 An index whose header, base64 or lengths do not check out, or one in
-the single-JSON-object layout of earlier versions, is unusable, and is
-rebuilt once.  Appends and queries read the whole catalog once to
-compute its stamp, and trust the index only when the stamp matches;
-else they first rebuild it from every record.  An append then skips the
-keys it lists and adds the records it writes; a query answers from the
-index without splitting its keys, decoding only the lines whose codes
-pass its filters, and validates them again (a query that rebuilds
-answers from that read).
+an older layout, is unusable, and is rebuilt once.  Appends and queries
+read the whole catalog once to compute its stamp, and trust the index
+only when the stamp matches; else they first rebuild it from every
+record.  An append then skips the keys it lists.  It checks each record
+it writes as a read checks a line, raising InvalidInput before it writes
+anything if one fails, and gives those without a timestamp the one time
+of the call; so every line an index lists is valid.  A query answers
+from the index without splitting its keys, decoding only the lines whose
+codes pass its filters; its corrupt lines are the index's, a full read's
+for every filter (a query that rebuilds answers from that read).
 Each call writes the index at most once: an append when it adds records
 or found the index stale, a query only when it found it stale.  The
 index is a cache: deleting it is always safe, failing to read or write
@@ -64,7 +66,7 @@ import zlib
 from array import array
 from base64 import b64decode, b64encode
 from contextlib import suppress
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cache, cached_property
 from itertools import compress
@@ -368,10 +370,6 @@ def read_catalog(
         return read_records(fh, keep, only, index)
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def _stamp(path) -> list:
     """[crc32, byte length, last character] of the file at path."""
     crc = size = 0
@@ -430,9 +428,9 @@ class _Index:
         return set(compress(self.lines, map(all, zip(*matches))))
 
 
-# the first line of an index names its layout; an index without it, such
-# as the single JSON object of earlier versions, is rebuilt
-_FORMAT = "linkatlas-keys/2"
+# the first line of an index names its layout; one without it, or of an
+# older layout (2 indexed appends unchecked), is rebuilt
+_FORMAT = "linkatlas-keys/3"
 
 
 def _column(typecode: str, line: str) -> array:
@@ -492,9 +490,8 @@ def _save_index(path, index: _Index) -> None:
         with open(target + ".tmp", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join([json.dumps(head), *packed, *index.keys, ""]))
         os.replace(target + ".tmp", target)
-    # the index is a cache: the next append or query rebuilds it (only a
-    # record made by hand can hold a key that UTF-8 cannot encode)
-    except (OSError, UnicodeEncodeError):
+    # the index is a cache: the next append or query rebuilds it
+    except OSError:
         with suppress(OSError):
             os.remove(target + ".tmp")
 
@@ -513,11 +510,11 @@ def _current_index(path, keep=lambda rec: False) -> tuple[_Index, ReadResult | N
 
 
 def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
-    """Append records not already present (by key).  Existing corrupt
-    lines are reported but left in place; a partial last line is ended
-    before the first new record.  The records are indexed as given, not
-    decoded again: they are taken to be as build_record and read_records
-    make them."""
+    """Append records not already present (by key), each checked as a
+    read checks a line; InvalidInput names the first that fails, and its
+    bad field, before anything is written.  Those without a timestamp get
+    the call's one time.  Existing corrupt lines are reported but left in
+    place; a partial last line is ended before the first new record."""
     with open(path, "a", encoding="utf-8") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         index, rebuilt = _current_index(path)
@@ -525,15 +522,21 @@ def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
         # the keys of the batch already present: far fewer to hash than
         # the catalog's
         present = {rec.key for rec in records}.intersection(index.keys)
+        now = datetime.now(timezone.utc).isoformat(timespec="seconds")
         lines = []
         skipped = 0
         for rec in records:
             if rec.key in present:
                 skipped += 1
                 continue
-            if rec.timestamp is None:
-                rec = replace(rec, timestamp=_now())
-            lines.append(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+            obj = rec.to_json()
+            if obj["timestamp"] is None:
+                obj["timestamp"] = now
+            try:
+                rec = InvariantRecord.from_json(obj)
+            except ValueError as exc:
+                raise InvalidInput("cannot append %r: %s" % (obj["key"], exc)) from None
+            lines.append(json.dumps(obj, sort_keys=True) + "\n")
             present.add(rec.key)
             # a cut last line, or one ended by "\r", was counted already;
             # the "\n" written to end it starts no line of its own
@@ -580,8 +583,8 @@ def catalog_query(path, **filters) -> ReadResult:
     """Catalog records that pass record_filter(**filters), sorted by
     key, and the catalog's corrupt lines: the same answer as
     read_catalog(path, record_filter(**filters)), sorted.  The index
-    picks the lines; only those are decoded.  A query that rebuilds the
-    index answers from the rebuild's own read."""
+    picks the lines to decode and, every line it lists being checked,
+    gives the corrupt lines; a rebuilding query answers from its read."""
     keep = record_filter(**filters)
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -589,19 +592,15 @@ def catalog_query(path, **filters) -> ReadResult:
         return ReadResult((), ())
     with fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
-        index, rebuilt = _current_index(path, keep)
-        if rebuilt is not None:
-            _save_index(path, index)
-            records, corrupt = rebuilt.records, rebuilt.corrupt
-        else:
-            only, corrupt = index.select(**filters), index.corrupt
+        index, data = _current_index(path, keep)
+        corrupt = index.corrupt
+        if data is None:
+            only = index.select(**filters)
             del index  # freed before the matched lines are decoded
             data = read_catalog(path, keep, only)
-            records = data.records
-            # a served line can still be corrupt: appends index records
-            # without decoding them again
-            corrupt = tuple(sorted(corrupt + data.corrupt, key=lambda c: c.lineno))
-    return ReadResult(tuple(sorted(records, key=lambda r: r.key)), corrupt)
+        else:
+            _save_index(path, index)
+    return ReadResult(tuple(sorted(data.records, key=lambda r: r.key)), corrupt)
 
 
 def reverify_record(rec: InvariantRecord) -> list[str]:

@@ -118,9 +118,10 @@ def kervaire_exponents(r: Sequence[int], a: int) -> BPExponents:
     rs = tuple(r)
     if len(rs) < 2 or len(rs) % 2:
         raise InvalidInput("need an even count 2m >= 2 of r_i")
+    if any(type(x) is not int for x in (*rs, a)):  # no bool, float or str
+        raise InvalidInput("r_i and a must be integers")
     if any(x < 1 for x in rs) or a < 2:
         raise InvalidInput("r_i must be >= 1 and a >= 2")
-    # BPExponents refuses a non-integer r_i or a
     exps = BPExponents((2,) + tuple(2 * x for x in rs) + (a,))
     if not pairwise_coprime(rs):
         raise InvalidInput("r must be pairwise coprime")

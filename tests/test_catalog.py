@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from array import array
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from linkatlas.errors import InconsistentInvariants, InvalidInput
 from linkatlas.eta import null_constants
 from linkatlas.links import BPExponents, WeightSystem, parse_link
 from linkatlas.search import run_search
+from linkatlas.spheres import SphereVerdict
 
 
 def test_build_record_poincare():
@@ -462,6 +464,8 @@ def _flip(stamp):
         lambda head, body, index: "\n".join(["[]", *body]),
         lambda head, body, index: _with_head(stamp=_flip(head["stamp"]))(head, body, index),
         _with_head(format="linkatlas-keys/1"),
+        # the layout whose appends indexed records without checking them
+        _with_head(format="linkatlas-keys/2"),
         _with_head(byteorder="big" if sys.byteorder == "little" else "little"),
         _with_head(corrupt=[[1]]),
         _with_head(count="2"),
@@ -489,7 +493,7 @@ def _flip(stamp):
         _with_body(lambda body: body[:-1]),  # no "\n" after the last key
     ],
     ids=[
-        "missing", "garbage", "list", "wrong-stamp", "old-format-tag",
+        "missing", "garbage", "list", "wrong-stamp", "old-format-tag", "unchecked-layout-tag",
         "foreign-byte-order", "corrupt-short", "count-not-int", "keys-only", "old-json-format",
         "column-short", "bad-base64", "too-few-keys", "too-many-keys", "cut-short",
     ],
@@ -528,19 +532,74 @@ def test_unusable_index_means_a_full_scan(tmp_path, index_text):
     assert sorted(_index_of(path).keys) == sorted(_keys(path))
 
 
-def test_a_key_holding_a_newline_leaves_an_index_the_next_call_rebuilds(tmp_path):
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        # its line would span two rows of the index, the too-many-keys case
+        # of test_unusable_index_means_a_full_scan
+        (dict(key="bp:2,3,7\nbp:2,3,11"), r"bad key 'bp:2,3,7\\nbp:2,3,11'"),
+        (dict(key="bp:2,3,\udcff"), r"bad key 'bp:2,3,\\udcff'"),
+        (dict(key="bp:7,3,2"), "bad key 'bp:7,3,2'"),
+        (dict(sign="Negative"), "bad sign 'Negative'"),
+        (dict(sphere=SphereVerdict("exotic")), "bad sphere {'kind': 'exotic'"),
+        (dict(sphere=SphereVerdict("homology_sphere", 28)), "bad bp8_residue 28"),
+        (dict(signature=True), "bad signature True"),
+        (dict(timestamp=5), "bad timestamp 5"),
+    ],
+    ids=[
+        "newline-key", "surrogate-key", "unsorted-key", "sign-case", "sphere-kind",
+        "sphere-residue", "bool-signature", "int-timestamp",
+    ],
+)
+def test_an_append_refuses_a_record_a_read_calls_corrupt(tmp_path, change, reason):
     path = tmp_path / "atlas.jsonl"
+    index_path = tmp_path / "atlas.jsonl.keys"
     catalog_append(path, _recs((5, 3, 2)))
-    made = dataclasses.replace(_recs((7, 3, 2))[0], key="bp:2,3,7\nbp:2,3,11")
-    assert catalog_append(path, [made]).added == 1
-    # the key spans two lines of the index, one more than its rows
-    assert not _index_is_current(path)
-    got = catalog_query(path)
-    assert [r.key for r in got.records] == ["bp:2,3,5"]
-    assert [bad.lineno for bad in got.corrupt] == [2]
-    assert got.corrupt == read_catalog(path).corrupt
-    assert _index_is_current(path)
-    assert _index_of(path).keys == ["bp:2,3,5"]
+    before = (path.read_bytes(), index_path.read_bytes())
+    made = dataclasses.replace(_recs((7, 3, 2))[0], **change)
+    with pytest.raises(InvalidInput, match="cannot append .*: " + reason):
+        catalog_append(path, [*_recs((11, 3, 2)), made])
+    assert (path.read_bytes(), index_path.read_bytes()) == before
+
+
+def test_a_refused_record_is_never_served_or_written_twice(tmp_path):
+    # once written and indexed as given, this record was reported by some
+    # filters and not others, and after a rebuild its key was added again
+    path = tmp_path / "atlas.jsonl"
+    index_path = tmp_path / "atlas.jsonl.keys"
+    catalog_append(path, _recs((5, 3, 2)))
+    before = (path.read_bytes(), index_path.read_bytes())
+    bad = dataclasses.replace(_recs((7, 3, 2))[0], middle_betti=-1)
+    with pytest.raises(InvalidInput, match="'bp:2,3,7': bad middle_betti -1"):
+        catalog_append(path, [bad])
+    assert (path.read_bytes(), index_path.read_bytes()) == before
+    _assert_queries_match_a_full_scan(path)
+    index_path.unlink()
+    assert catalog_append(path, _recs((7, 3, 2))).added == 1
+    assert catalog_append(path, _recs((7, 3, 2))).skipped == 1
+    assert _keys(path) == ["bp:2,3,5", "bp:2,3,7"]
+    _assert_queries_match_a_full_scan(path)
+
+
+def test_one_append_stamps_its_records_with_one_time(tmp_path, monkeypatch):
+    ticks = itertools.count()
+
+    class Clock:  # one second later at each reading
+        @staticmethod
+        def now(tz):
+            return datetime(2001, 1, 1, tzinfo=tz) + timedelta(seconds=next(ticks))
+
+    monkeypatch.setattr(catalog_module, "datetime", Clock)
+    path = tmp_path / "atlas.jsonl"
+    kept = dataclasses.replace(_recs((11, 3, 2))[0], timestamp="1999-12-31")
+    catalog_append(path, [*_recs((5, 3, 2), (7, 3, 2)), kept])
+    catalog_append(path, _recs((13, 3, 2)))
+    assert [r.timestamp for r in read_catalog(path).records] == [
+        "2001-01-01T00:00:00+00:00",
+        "2001-01-01T00:00:00+00:00",
+        "1999-12-31",
+        "2001-01-01T00:00:01+00:00",
+    ]
 
 
 def test_an_index_column_saturates_and_queries_stay_exact(tmp_path):

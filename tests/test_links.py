@@ -311,6 +311,17 @@ def test_kervaire_is_a_spelling_of_its_exponent_vector():
         parse_link("kervaire:3,5")
 
 
+@pytest.mark.parametrize(
+    "r, a",
+    [([1, "a"], 3), ([1, 3], "x"), ([True, 3], 5)],
+    ids=["r-text", "a-text", "r-bool"],
+)
+def test_kervaire_exponents_refuse_non_integer_entries(r, a):
+    # the first two once raised TypeError from <, and [True, 3] gave bp:2,2,6,5
+    with pytest.raises(InvalidInput, match="must be integers"):
+        kervaire_exponents(r, a)
+
+
 def test_solve_cost_counts_elimination_updates():
     charged = []
     ws = parse_link("mono:[3,0,0;1,3,0;0,0,2]", charged.append)

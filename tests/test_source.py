@@ -1,6 +1,6 @@
 """Static checks on the source tree: every error class is raised or
-caught, no module imports a name it never uses, and the package states
-one version."""
+caught, no module imports a name it never uses, an import kept unused
+is one perfbench traces, and the package states one version."""
 
 import ast
 import pathlib
@@ -79,6 +79,36 @@ def test_no_module_imports_a_name_it_never_uses():
         for line, name in _unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []
+
+
+def _traced_names():
+    """The keys of perfbench/tracer.py's WRAPS, read from its source."""
+    tree = _tree(ROOT / "perfbench" / "tracer.py")
+    (wraps,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "WRAPS" for t in node.targets)
+    ]
+    return set(ast.literal_eval(wraps))
+
+
+def test_each_kept_import_is_a_name_perfbench_traces():
+    # an import kept though its module never reads it is there for the
+    # tracer alone, so it may go once WRAPS drops its name
+    kept = set()
+    for path in SRC:
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                kept |= {
+                    "%s.%s" % (path.stem, alias.asname or alias.name)
+                    for alias in node.names
+                    if "# noqa: F401" in lines[alias.lineno - 1]
+                }
+    assert kept
+    assert sorted(kept - _traced_names()) == []
 
 
 def test_the_unused_import_check_sees_an_unused_name():
