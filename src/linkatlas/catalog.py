@@ -23,29 +23,31 @@ ask for, its field's domain; record_filter, catalog_query,
 search.run_search and the index all read it, and refuse (InvalidInput)
 what the command line refuses.
 Beside the catalog lives that index, `<catalog>.keys`, a text file with
-one row per valid record line, in file order:
+one row per catalog line, in the order text-mode iteration with
+universal newlines yields the lines:
 
-- line 1, a JSON header: the layout tag (linkatlas-keys/3), a stamp of
+- line 1, a JSON header: the layout tag (linkatlas-keys/4), a stamp of
   the catalog it describes (crc32, byte length and last character of the
-  file), the number of lines the reader counts, the corrupt lines (line
-  number and reason), the row count and the byte order of the columns;
-- one line per int column, the base64 of its packed array: the rows'
-  line numbers, then one code per filter in FILTERS order (a position in
-  the filter's table, or the int itself, saturated at the largest
-  32-bit int);
-- the keys, one per line.
+  file), the corrupt lines (line number and reason) and the byte order
+  of the columns;
+- one line per filter in FILTERS order, the base64 of its packed column
+  of codes: a position in the filter's table, or the int itself,
+  saturated at the largest 32-bit int;
+- the keys, one per line, whose count is the row count of every column.
 
-An index whose header, base64 or lengths do not check out, or one in
-an older layout, is unusable, and is rebuilt once.  Appends and queries
-read the whole catalog once to compute its stamp, and trust the index
-only when the stamp matches; else they first rebuild it from every
-record.  An append then skips the keys it lists.  It checks each record
-it writes as a read checks a line, raising InvalidInput before it writes
-anything if one fails, and gives those without a timestamp the one time
-of the call; so every line an index lists is valid.  A query answers
-from the index without splitting its keys, decoding only the lines whose
-codes pass its filters; its corrupt lines are the index's, a full read's
-for every filter (a query that rebuilds answers from that read).
+A line with no record (blank, corrupt or cut) has code -1 in every
+column and an empty key.  An index whose header, base64 or lengths do
+not check out, or one in an older layout, is unusable, and is rebuilt
+once.  Appends and queries read the whole catalog once to compute its
+stamp, and trust the index only when the stamp matches; else they first
+rebuild it from every line.  An append checks every record of its batch
+as a read checks a line, raising InvalidInput before it opens the
+catalog if one fails, and gives those without a timestamp the one time
+of the call; so every record an index lists is valid.  It then skips
+the keys the index lists.  A query answers from the index without
+splitting its keys, decoding only the lines whose codes pass its
+filters; its corrupt lines are the index's, a full read's for every
+filter (a query that rebuilds answers from that read).
 Each call writes the index at most once: an append when it adds records
 or found the index stale, a query only when it found it stale.  The
 index is a cache: deleting it is always safe, failing to read or write
@@ -72,7 +74,7 @@ from functools import cache, cached_property
 from itertools import compress
 from math import prod
 from operator import attrgetter
-from typing import Callable, Container, Iterable
+from typing import Callable, Iterable
 
 from .betti import betti, betti_cost, torsion_closed_form
 from .errors import AtlasError, InconsistentInvariants, InvalidInput, NotQuasiSmooth
@@ -166,7 +168,12 @@ class InvariantRecord:
     timestamp: str | None = _entry(None, domain=str, default=None, write_time=True)
 
     def to_json(self) -> dict:
-        return {**vars(self), "sphere": dict(vars(self.sphere))}
+        """The object of the record's line; a sphere that is no
+        SphereVerdict is kept as it is, for from_json to refuse."""
+        sphere = self.sphere
+        if isinstance(sphere, SphereVerdict):
+            sphere = dict(vars(sphere))
+        return {**vars(self), "sphere": sphere}
 
     @classmethod
     def from_json(cls, obj: dict) -> "InvariantRecord":
@@ -210,12 +217,10 @@ _CODE_MAX = 2 ** (8 * array("i").itemsize - 1) - 1
 
 
 def _code(domain: tuple | int, value) -> int:
-    """What the index stores for a filter value: its position in the
-    table (-1, which no record has, when it is not there), or itself,
-    saturated at _CODE_MAX."""
-    if isinstance(domain, tuple):
-        return domain.index(value) if value in domain else -1
-    return min(value, _CODE_MAX)
+    """What the index stores for a filter value in its domain, as every
+    record's and every wanted value is: its position in the table, or
+    itself, saturated at _CODE_MAX.  No value has code -1."""
+    return domain.index(value) if isinstance(domain, tuple) else min(value, _CODE_MAX)
 
 
 def at_least(name: str, value, least: int) -> None:
@@ -314,41 +319,39 @@ class AppendResult:
 def read_records(
     lines: Iterable[str],
     keep: Callable[[InvariantRecord], bool] | None = None,
-    only: Container[int] | None = None,
+    picks: Iterable[bool] | None = None,
     index: _Index | None = None,
 ) -> ReadResult:
     """Records of JSONL lines.  Blank lines are ignored; a malformed
     line, or one holding bytes that are not UTF-8 (decoded with
     errors="surrogateescape"), is reported with its line number and
     skipped.  A valid record that keep rejects is dropped as soon as it
-    has been validated.  When only is given, just the lines with those
-    numbers are decoded.  A given index is filled with every valid
-    record, the corrupt lines and the line count."""
+    has been validated.  When picks is given, one flag per line, just
+    the lines it flags are decoded.  A given index gets one row per
+    line, and the corrupt lines."""
     records: list[InvariantRecord] = []
     corrupt: list[CorruptLine] = []
-    lineno = 0
-    for lineno, line in enumerate(lines, start=1):
-        if only is not None and lineno not in only:
-            continue
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            if not line.isascii():
-                line.encode("utf-8")
-            rec = InvariantRecord.from_json(json.loads(line))
-        except UnicodeEncodeError:
-            corrupt.append(CorruptLine(lineno, "not valid UTF-8"))
-        # json.loads raises RecursionError on deeply nested arrays
-        except (ValueError, TypeError, RecursionError) as exc:
-            corrupt.append(CorruptLine(lineno, str(exc)))
-        else:
-            if index is not None:
-                index.add(lineno, rec)
-            if keep is None or keep(rec):
-                records.append(rec)
+    numbered = enumerate(lines, start=1)
+    if picks is not None:
+        numbered = compress(numbered, picks)
+    for lineno, line in numbered:
+        rec = None
+        if line := line.strip():
+            try:
+                if not line.isascii():
+                    line.encode("utf-8")
+                rec = InvariantRecord.from_json(json.loads(line))
+            except UnicodeEncodeError:
+                corrupt.append(CorruptLine(lineno, "not valid UTF-8"))
+            # json.loads raises RecursionError on deeply nested arrays
+            except (ValueError, TypeError, RecursionError) as exc:
+                corrupt.append(CorruptLine(lineno, str(exc)))
+            else:
+                if keep is None or keep(rec):
+                    records.append(rec)
+        if index is not None:
+            index.add(rec)
     if index is not None:
-        index.count = lineno
         index.corrupt = tuple(corrupt)
     return ReadResult(tuple(records), tuple(corrupt))
 
@@ -356,18 +359,18 @@ def read_records(
 def read_catalog(
     path,
     keep: Callable[[InvariantRecord], bool] | None = None,
-    only: Container[int] | None = None,
+    picks: Iterable[bool] | None = None,
     index: _Index | None = None,
 ) -> ReadResult:
-    """read_records of the catalog at path, whose lines are numbered
-    as text-mode iteration with universal newlines yields them; a
-    missing file holds none."""
+    """read_records of the catalog at path, whose lines are numbered,
+    and flagged by picks, in the order text-mode iteration with
+    universal newlines yields them; a missing file holds none."""
     try:
         fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except FileNotFoundError:
         return ReadResult((), ())
     with fh:
-        return read_records(fh, keep, only, index)
+        return read_records(fh, keep, picks, index)
 
 
 def _stamp(path) -> list:
@@ -391,13 +394,12 @@ def _index_path(path) -> str:
 
 @dataclass
 class _Index:
-    """The index beside a catalog (see the module docstring): one column
-    per FILTERS entry, holding the _code of each record's value."""
+    """The index beside a catalog (see the module docstring): one row
+    per catalog line, and one column per FILTERS entry, holding the
+    _code of the line's record's value, or -1 for a line with none."""
 
     stamp: list
-    count: int = 0  # the lines read_records counts in the catalog
     corrupt: tuple[CorruptLine, ...] = ()
-    lines: array = field(default_factory=lambda: array("q"))
     columns: dict[str, array] = field(
         default_factory=lambda: {name: array("i") for name in FILTERS}
     )
@@ -408,33 +410,34 @@ class _Index:
         """The rows' keys, split from the saved block on first use."""
         return self.block.split("\n")[:-1]
 
-    def add(self, lineno: int, rec: InvariantRecord) -> None:
-        self.lines.append(lineno)
-        self.keys.append(rec.key)
+    def add(self, rec: InvariantRecord | None) -> None:
+        """Add the row of the next catalog line, which holds rec, or no
+        record (an empty key)."""
+        self.keys.append("" if rec is None else rec.key)
         for name, (value, domain) in FILTERS.items():
-            self.columns[name].append(_code(domain, value(rec)))
+            self.columns[name].append(-1 if rec is None else _code(domain, value(rec)))
 
-    def select(self, **filters) -> set[int]:
-        """Line numbers of the records whose codes match the filters':
-        all that record_filter(**filters) keeps, and any whose value
-        saturates to the same code as a wanted one."""
+    def select(self, **filters) -> list[bool]:
+        """One flag per catalog line: whether it holds a record whose
+        codes match the filters' (checked) values, as all that
+        record_filter(**filters) keeps do, and any whose value saturates
+        to the same code as a wanted one."""
         matches = [
             map(_code(domain, filters[name]).__eq__, self.columns[name])
             for name, (_, domain) in FILTERS.items()
             if filters.get(name) is not None
-        ]
-        if not matches:
-            return set(self.lines)
-        return set(compress(self.lines, map(all, zip(*matches))))
+        ] or [map((-1).__ne__, self.columns["sign"])]  # no filter: every record
+        return list(map(all, zip(*matches)))
 
 
 # the first line of an index names its layout; one without it, or of an
-# older layout (2 indexed appends unchecked), is rebuilt
-_FORMAT = "linkatlas-keys/3"
+# older layout (2 indexed appends unchecked, 3 had a row per record), is
+# rebuilt
+_FORMAT = "linkatlas-keys/4"
 
 
-def _column(typecode: str, line: str) -> array:
-    column = array(typecode)
+def _column(line: str) -> array:
+    column = array("i")
     column.frombytes(b64decode(line.rstrip("\n"), validate=True))
     return column
 
@@ -453,36 +456,29 @@ def _load_index(path, stamp: list) -> _Index | None:
                 and head.get("byteorder") == sys.byteorder
             ):
                 return None
-            rows, count = head["rows"], head["count"]
             corrupt = tuple(CorruptLine(n, reason) for n, reason in head["corrupt"])
-            lines = _column("q", fh.readline())
-            columns = {name: _column("i", fh.readline()) for name in FILTERS}
+            columns = {name: _column(fh.readline()) for name in FILTERS}
             block = fh.read()
     except (OSError, ValueError, TypeError, KeyError, RecursionError):
         return None
+    rows = block.count("\n")
     if not (
-        type(rows) is int
-        and type(count) is int
-        and all(type(c.lineno) is int and isinstance(c.reason, str) for c in corrupt)
-        and block.count("\n") == rows
+        all(type(c.lineno) is int and isinstance(c.reason, str) for c in corrupt)
         and block[-1:] in ("", "\n")  # each key ends with "\n"
-        and all(len(column) == rows for column in (lines, *columns.values()))
+        and all(len(column) == rows for column in columns.values())
     ):
         return None
-    return _Index(stamp, count, corrupt, lines, columns, block)
+    return _Index(stamp, corrupt, columns, block)
 
 
 def _save_index(path, index: _Index) -> None:
     head = {
         "format": _FORMAT,
         "stamp": index.stamp,
-        "count": index.count,
         "corrupt": [[c.lineno, c.reason] for c in index.corrupt],
-        "rows": len(index.lines),
         "byteorder": sys.byteorder,
     }
-    columns = (index.lines, *index.columns.values())
-    packed = [b64encode(column).decode("ascii") for column in columns]
+    packed = [b64encode(column).decode("ascii") for column in index.columns.values()]
     target = _index_path(path)
     # two queries may write at once, each the same text; a reader that
     # meets a half-written index takes it for malformed and rebuilds it
@@ -510,37 +506,38 @@ def _current_index(path, keep=lambda rec: False) -> tuple[_Index, ReadResult | N
 
 
 def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
-    """Append records not already present (by key), each checked as a
-    read checks a line; InvalidInput names the first that fails, and its
-    bad field, before anything is written.  Those without a timestamp get
-    the call's one time.  Existing corrupt lines are reported but left in
-    place; a partial last line is ended before the first new record."""
+    """Append records not already present (by key).  Every record of the
+    batch, present or not, is first checked as a read checks a line;
+    InvalidInput names the first that fails, and its bad field, before
+    the catalog is opened.  Those without a timestamp get the call's one
+    time.  Existing corrupt lines are reported but left in place; a
+    partial last line is ended before the first new record."""
+    now = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    batch = []
+    for rec in records:
+        obj = rec.to_json()
+        if obj["timestamp"] is None:
+            obj["timestamp"] = now
+        try:
+            rec = InvariantRecord.from_json(obj)
+        except ValueError as exc:
+            raise InvalidInput("cannot append %r: %s" % (obj["key"], exc)) from None
+        batch.append((rec, json.dumps(obj, sort_keys=True) + "\n"))
     with open(path, "a", encoding="utf-8") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         index, rebuilt = _current_index(path)
-        records = list(records)
         # the keys of the batch already present: far fewer to hash than
         # the catalog's
-        present = {rec.key for rec in records}.intersection(index.keys)
-        now = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        present = {rec.key for rec, _ in batch}.intersection(index.keys)
         lines = []
-        skipped = 0
-        for rec in records:
+        for rec, line in batch:
             if rec.key in present:
-                skipped += 1
                 continue
-            obj = rec.to_json()
-            if obj["timestamp"] is None:
-                obj["timestamp"] = now
-            try:
-                rec = InvariantRecord.from_json(obj)
-            except ValueError as exc:
-                raise InvalidInput("cannot append %r: %s" % (obj["key"], exc)) from None
-            lines.append(json.dumps(obj, sort_keys=True) + "\n")
+            lines.append(line)
             present.add(rec.key)
-            # a cut last line, or one ended by "\r", was counted already;
-            # the "\n" written to end it starts no line of its own
-            index.add(index.count + len(lines), rec)
+            # the "\n" that ends a cut last line, or one ended by "\r",
+            # starts no line of its own, so each record is the next line
+            index.add(rec)
         if lines:
             text = "".join(lines)
             if index.stamp[2] not in ("", "\n"):
@@ -549,10 +546,9 @@ def catalog_append(path, records: Iterable[InvariantRecord]) -> AppendResult:
             data = text.encode("utf-8")
             crc, size, _ = index.stamp
             index.stamp = [zlib.crc32(data, crc), size + len(data), "\n"]
-            index.count += len(lines)
         if lines or rebuilt is not None:
             _save_index(path, index)
-    return AppendResult(len(lines), skipped, index.corrupt)
+    return AppendResult(len(lines), len(batch) - len(lines), index.corrupt)
 
 
 def record_filter(**filters) -> Callable[[InvariantRecord], bool]:
@@ -595,9 +591,9 @@ def catalog_query(path, **filters) -> ReadResult:
         index, data = _current_index(path, keep)
         corrupt = index.corrupt
         if data is None:
-            only = index.select(**filters)
-            del index  # freed before the matched lines are decoded
-            data = read_catalog(path, keep, only)
+            picks = index.select(**filters)
+            del index  # freed before the picked lines are decoded
+            data = read_catalog(path, keep, picks)
         else:
             _save_index(path, index)
     return ReadResult(tuple(sorted(data.records, key=lambda r: r.key)), corrupt)

@@ -373,11 +373,25 @@ def test_index_written_beside_the_catalog(tmp_path):
     catalog_append(path, _recs((5, 3, 2), (7, 3, 2)))
     assert (tmp_path / "atlas.jsonl.keys").is_file()
     index = _index_of(path)
-    assert sorted(index.keys) == ["bp:2,3,5", "bp:2,3,7"]
+    assert index.keys == ["bp:2,3,5", "bp:2,3,7"]
     assert index.corrupt == ()
-    assert (list(index.lines), index.count) == ([1, 2], 2)
     assert list(index.columns["nvars"]) == [3, 3]
     assert index.stamp[1] == path.stat().st_size
+    # one row per line: two blank lines, a corrupt and a cut line hold no record,
+    # so each has code -1 in every column and an empty key
+    _append_text(path, "\n  \nnot json\n" + _line(_recs((11, 3, 2))[0])[:30])
+    catalog_query(path)  # rebuilds the index
+    index = _index_of(path)
+    assert index.keys == ["bp:2,3,5", "bp:2,3,7", "", "", "", ""]
+    assert [c.lineno for c in index.corrupt] == [5, 6]
+    for column in index.columns.values():
+        assert list(column)[2:] == [-1] * 4
+    # an append ends the cut line, which stays a row of its own
+    catalog_append(path, _recs((13, 3, 2)))
+    index = _index_of(path)
+    assert index.keys == ["bp:2,3,5", "bp:2,3,7", "", "", "", "", "bp:2,3,13"]
+    assert list(index.columns["nvars"]) == [3, 3, -1, -1, -1, -1, 3]
+    assert index.corrupt == read_catalog(path).corrupt
 
 
 def test_index_after_delete_and_reappend(tmp_path):
@@ -452,8 +466,8 @@ def _flip(stamp):
     return [stamp[0] ^ 1, *stamp[1:]]
 
 
-# the index text is a JSON header line, one base64 line per int column
-# (lines, then each filter), then one line per key; each case below is
+# the index text is a JSON header line, one base64 line per filter
+# column, then one line per key; each case below is
 # built from a good index of two records: its header, the lines after
 # the header (the last one empty) and the index as loaded
 @pytest.mark.parametrize(
@@ -466,9 +480,10 @@ def _flip(stamp):
         _with_head(format="linkatlas-keys/1"),
         # the layout whose appends indexed records without checking them
         _with_head(format="linkatlas-keys/2"),
+        # the previous layout, with one row per valid record
+        _with_head(format="linkatlas-keys/3"),
         _with_head(byteorder="big" if sys.byteorder == "little" else "little"),
         _with_head(corrupt=[[1]]),
-        _with_head(count="2"),
         # the JSON index before the filter columns: keys only, stamp valid
         lambda head, body, index: json.dumps(
             {"stamp": index.stamp, "keys": index.keys, "corrupt": []}
@@ -477,25 +492,27 @@ def _flip(stamp):
         lambda head, body, index: json.dumps(
             {
                 "stamp": index.stamp,
-                "count": index.count,
+                "count": 2,
                 "corrupt": [],
-                "lines": list(index.lines),
+                "lines": [1, 2],
                 "keys": index.keys,
                 **{name: list(column) for name, column in index.columns.items()},
             }
         ),
-        # the lines column holds one row of two
-        _with_body(lambda body: [base64.b64encode(array("q", [1])).decode(), *body[1:]]),
+        # the first column holds one row of two, or three
+        _with_body(lambda body: [base64.b64encode(array("i", [0])).decode(), *body[1:]]),
+        _with_body(lambda body: [base64.b64encode(array("i", [0] * 3)).decode(), *body[1:]]),
         # a character outside the alphabet, which a lenient decoder skips
         _with_body(lambda body: [body[0], body[1][:4] + "*" + body[1][4:], *body[2:]]),
-        _with_body(lambda body: body[:5] + body[6:]),  # one key of two
-        _with_body(lambda body: body[:5] + ["bp:2,3,11"] + body[5:]),  # three keys
+        _with_body(lambda body: body[:4] + body[5:]),  # one key of two
+        _with_body(lambda body: body[:4] + ["bp:2,3,11"] + body[4:]),  # three keys
         _with_body(lambda body: body[:-1]),  # no "\n" after the last key
     ],
     ids=[
         "missing", "garbage", "list", "wrong-stamp", "old-format-tag", "unchecked-layout-tag",
-        "foreign-byte-order", "corrupt-short", "count-not-int", "keys-only", "old-json-format",
-        "column-short", "bad-base64", "too-few-keys", "too-many-keys", "cut-short",
+        "row-per-record-layout-tag", "foreign-byte-order", "corrupt-short", "keys-only",
+        "old-json-format", "column-short", "column-long", "bad-base64", "too-few-keys",
+        "too-many-keys", "cut-short",
     ],
 )
 def test_unusable_index_means_a_full_scan(tmp_path, index_text):
@@ -505,7 +522,7 @@ def test_unusable_index_means_a_full_scan(tmp_path, index_text):
     with open(index_path, encoding="utf-8", newline="\n") as fh:
         head, *body = fh.read().split("\n")
     good = (json.loads(head), body, _index_of(path))
-    assert len(body) == 1 + len(FILTERS) + 2 + 1
+    assert len(body) == len(FILTERS) + 2 + 1
 
     def spoil():
         text = index_text(*good)
@@ -543,12 +560,13 @@ def test_unusable_index_means_a_full_scan(tmp_path, index_text):
         (dict(sign="Negative"), "bad sign 'Negative'"),
         (dict(sphere=SphereVerdict("exotic")), "bad sphere {'kind': 'exotic'"),
         (dict(sphere=SphereVerdict("homology_sphere", 28)), "bad bp8_residue 28"),
+        (dict(sphere="not_a_sphere"), "bad sphere 'not_a_sphere'"),
         (dict(signature=True), "bad signature True"),
         (dict(timestamp=5), "bad timestamp 5"),
     ],
     ids=[
         "newline-key", "surrogate-key", "unsorted-key", "sign-case", "sphere-kind",
-        "sphere-residue", "bool-signature", "int-timestamp",
+        "sphere-residue", "sphere-text", "bool-signature", "int-timestamp",
     ],
 )
 def test_an_append_refuses_a_record_a_read_calls_corrupt(tmp_path, change, reason):
@@ -560,6 +578,20 @@ def test_an_append_refuses_a_record_a_read_calls_corrupt(tmp_path, change, reaso
     with pytest.raises(InvalidInput, match="cannot append .*: " + reason):
         catalog_append(path, [*_recs((11, 3, 2)), made])
     assert (path.read_bytes(), index_path.read_bytes()) == before
+
+
+def test_a_refused_append_leaves_the_directory_as_it_found_it(tmp_path):
+    path = tmp_path / "a.jsonl"
+    bad = dataclasses.replace(_recs((7, 3, 2))[0], middle_betti=-1)
+    with pytest.raises(InvalidInput, match="'bp:2,3,7': bad middle_betti -1"):
+        catalog_append(path, [*_recs((5, 3, 2)), bad])
+    assert os.listdir(tmp_path) == []
+    # the whole batch is checked, a record whose key is present too
+    catalog_append(path, _recs((7, 3, 2)))
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    with pytest.raises(InvalidInput, match="'bp:2,3,7': bad middle_betti -1"):
+        catalog_append(path, [bad])
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
 
 def test_a_refused_record_is_never_served_or_written_twice(tmp_path):
@@ -836,14 +868,14 @@ def test_an_index_served_query_decodes_only_the_lines_it_returns(tmp_path, monke
     picked = []
     real = catalog.read_catalog
 
-    def spy(path, keep=None, only=None):
-        picked.append(only)
-        return real(path, keep, only)
+    def spy(path, keep=None, picks=None):
+        picked.append(picks)
+        return real(path, keep, picks)
 
     monkeypatch.setattr(catalog, "read_catalog", spy)
     for f in _FILTERS:
         got = catalog_query(path, **f)
-        assert len(picked.pop()) == len(got.records), f
+        assert sum(picked.pop()) == len(got.records), f
 
 
 def test_queries_between_appends_match_a_full_scan(tmp_path):
